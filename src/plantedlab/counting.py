@@ -9,6 +9,7 @@ against explicit budgets; exceeding one raises BudgetExceededError.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import comb, factorial
 
 from .errors import BudgetExceededError, DisconnectedError
@@ -87,17 +88,20 @@ def containment_probability(
 
 
 def _embedding_order(pattern: Graph) -> list[int]:
-    """Vertex order that keeps each prefix as connected as possible."""
+    """Vertex order that keeps each prefix as connected as possible: next is
+    the highest-degree, then lowest, vertex adjacent to a placed one, if any."""
+    rank = {v: (-pattern.degree(v), v) for v in range(pattern.n)}
     order: list[int] = []
-    placed: set[int] = set()
-    remaining = set(range(pattern.n))
-    while remaining:
-        frontier = {v for v in remaining if placed & pattern.neighbors(v)}
-        pool = frontier if frontier else remaining
-        v = max(pool, key=lambda u: (pattern.degree(u), -u))
-        order.append(v)
-        placed.add(v)
-        remaining.remove(v)
+    placed = [False] * pattern.n
+    for seed in sorted(rank, key=rank.__getitem__):
+        heap = [rank[seed]]  # unplaced neighbours of placed vertices, or stale
+        while heap:
+            v = heappop(heap)[1]
+            if not placed[v]:
+                placed[v] = True
+                order.append(v)
+                for w in pattern.neighbors(v):
+                    heappush(heap, rank[w])
     return order
 
 

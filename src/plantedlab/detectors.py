@@ -19,11 +19,11 @@ from math import comb, log
 
 import numpy as np
 
-from .counting import copies_in_complete
+from .counting import _embedding_order, copies_in_complete
 from .errors import BudgetExceededError, ScanBudgetExceededError
 from .graphs import Graph
 from .invariants import densest_subgraph
-from .sampling import ModelParams, Observation
+from .sampling import ModelParams, Observation, _pair_index
 
 LRT_MAX_VERTICES = 10
 LRT_MAX_COPIES = 10**6
@@ -213,7 +213,7 @@ def _scan_general(obs: Observation, target: Graph) -> int:
     target edge cannot beat the incumbent.
     """
     n = obs.n
-    order = _placement_order(target)
+    order = _embedding_order(target)
     position = {v: i for i, v in enumerate(order)}
     back: list[list[int]] = []
     for i, v in enumerate(order):
@@ -254,20 +254,6 @@ def _scan_general(obs: Observation, target: Graph) -> int:
     return best
 
 
-def _placement_order(pattern: Graph) -> list[int]:
-    order: list[int] = []
-    placed: set[int] = set()
-    remaining = set(range(pattern.n))
-    while remaining:
-        frontier = {v for v in remaining if placed & pattern.neighbors(v)}
-        pool = frontier if frontier else remaining
-        v = max(pool, key=lambda u: (pattern.degree(u), -u))
-        order.append(v)
-        placed.add(v)
-        remaining.remove(v)
-    return order
-
-
 def likelihood_ratio_test(obs: Observation, params: ModelParams) -> Verdict:
     """Exact likelihood ratio L(G) against 1, computed in rational arithmetic.
 
@@ -294,17 +280,13 @@ def likelihood_ratio_test(obs: Observation, params: ModelParams) -> Verdict:
     absent = [((1 - p) / (1 - q)) ** b for b in range(e + 1)]
     obs_mask = 0
     for u, v in obs.edges():
-        obs_mask |= 1 << _pair_bit(u, v, n)
+        obs_mask |= 1 << _pair_index(u, v, n)
     total = Fraction(0)
     for mask in copy_masks:
         a = (obs_mask & mask).bit_count()
         total += present[a] * absent[e - a]
     stat = total / num_copies
     return _verdict(stat, Fraction(1))
-
-
-def _pair_bit(u: int, v: int, n: int) -> int:
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
 @lru_cache(maxsize=32)
@@ -317,6 +299,6 @@ def _copy_edge_masks(pattern: Graph, n: int) -> tuple[int, ...]:
             u, v = images[a], images[b]
             if u > v:
                 u, v = v, u
-            mask |= 1 << _pair_bit(u, v, n)
+            mask |= 1 << _pair_index(u, v, n)
         masks.add(mask)
     return tuple(sorted(masks))

@@ -362,13 +362,11 @@ def make_family(spec: FamilySpec | str) -> Graph:
 def unbalanced_stars_degrees(k: int) -> tuple[int, int]:
     """(small star degree, big star degree) = (floor(k^1/4), floor(k^3/4)).
 
-    Uses integer root finding so huge k stays exact.
+    Two integer square roots give floor(x^1/4) exactly, so huge k stays exact.
     """
     if k < 1:
         raise InvalidSpecError(f"unbalanced_stars needs k >= 1, got {k}")
-    small = _floor_root(k, 4)
-    big = _floor_root(k ** 3, 4)
-    return small, big
+    return math.isqrt(math.isqrt(k)), math.isqrt(math.isqrt(k**3))
 
 
 def unbalanced_stars_profile(k: int) -> tuple[int, int, int]:
@@ -382,21 +380,6 @@ def unbalanced_stars_profile(k: int) -> tuple[int, int, int]:
     max_degree = max(big, small)
     cover = k + 1
     return num_edges, max_degree, cover
-
-
-def _floor_root(x: int, r: int) -> int:
-    """floor(x ** (1/r)) for nonnegative integers, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    guess = int(round(x ** (1.0 / r)))
-    guess = max(guess, 1)
-    while guess ** r > x:
-        guess -= 1
-    while (guess + 1) ** r <= x:
-        guess += 1
-    return guess
 
 
 def complete_graph(k: int) -> Graph:

@@ -1,12 +1,19 @@
 """Likelihood second moments, the truncated low-degree norm, intersection
 sampling, and risk lower bounds.
 
-The second moment of the likelihood ratio under the null has three
-equivalent forms, all implemented:
+Every exact form reads one law: that of the number I of edges shared by a
+uniform copy of the pattern in K_n and a fixed copy. Counting injections by
+their shared edges gives it exactly, and then
 
-    E[L^2] = sum over edge subsets H of a fixed copy, lambda^(2|e(H)|) P[H in copy]
-           = E[(1 + lambda^2)^(edges shared by two independent copies)]
-           = truncated-norm sum at saturating degree.
+    E[L^2]        = E[(1 + lambda^2)^I],
+    ||L^{<=D}||^2 = sum over d <= D of lambda^(2d) E[C(I, d)],
+
+where E[C(I, d)] is the subgraph sum over d-edge subsets H of a fixed copy
+of P[H in a uniform copy]; saturating D recovers E[L^2]. The count merges
+states under twin and component symmetries; on large patterns with few of
+them it runs out of budget, and E[C(I, d)] is then summed over the subsets
+H instead, which stays cheap at small D. Pair enumeration over all copies
+is kept as an independent check on small n.
 
 Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
 Monte-Carlo paths are float with a reported standard error.
@@ -18,11 +25,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 
 import numpy as np
 
-from .counting import containment_probability, copies_in_complete
+from .counting import _embedding_order, containment_probability, copies_in_complete
 from .errors import (
     BudgetExceededError,
     DegenerateQError,
@@ -33,6 +40,7 @@ from .graphs import Graph
 from .invariants import isomorphic
 from .sampling import batched_copy_images
 
+SHARED_EDGE_BUDGET = 1 << 18
 SUBGRAPH_SUM_BUDGET = 1 << 20
 PAIR_ENUM_MAX_VERTICES = 8
 MC_CHUNK = 1 << 16
@@ -130,18 +138,19 @@ def intersection_distribution(
 
 
 def second_moment_exact(mp: MomentParams) -> MomentResult:
-    """E[L^2] by exact summation over edge subsets of a fixed copy."""
-    value = _subgraph_sum(mp.pattern, mp.n, mp.lambda_sq, mp.pattern.num_edges)
+    """E[L^2] = E[(1 + lambda^2)^I] from the exact shared-edge law."""
+    value = _binomial_moment_sum(mp.pattern, mp.n, mp.lambda_sq, mp.pattern.num_edges)
     return MomentResult(value=value, method=EXACT_SUBGRAPH_SUM)
 
 
 def ldp_norm_sq(mp: MomentParams, cfg: LdpConfig) -> MomentResult:
     """Squared norm of the degree-<=D projection of the likelihood ratio.
 
-    Identical to the second-moment subgraph sum, truncated to subsets of at
-    most D edges; saturating D recovers E[L^2] exactly.
+    Equals sum over d <= D of lambda^(2d) E[C(I, d)]: the subgraph sum over
+    edge subsets of a fixed copy, truncated at D edges. Saturating D
+    recovers E[L^2] exactly.
     """
-    value = _subgraph_sum(mp.pattern, mp.n, mp.lambda_sq, cfg.degree)
+    value = _binomial_moment_sum(mp.pattern, mp.n, mp.lambda_sq, cfg.degree)
     return MomentResult(value=value, method=EXACT_SUBGRAPH_SUM)
 
 
@@ -225,25 +234,201 @@ def _intersection_chunks(pattern: Graph, n: int, trials: int, rng):
         yield counts
 
 
-def _subgraph_sum(pattern: Graph, n: int, lambda_sq, max_edges: int):
-    """sum over edge subsets H with |e(H)| <= max_edges of
-    lambda^(2|e(H)|) P[H inside a uniform copy].
+def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
+    """sum over d <= D of lambda^(2d) E[C(I, d)], I the shared-edge count and
+    D = max_degree; D >= |e| gives E[(1 + lambda^2)^I].
+
+    Count c_j is weighted by w_j = sum over d <= D of lambda^(2d) C(j, d),
+    built up as w_(j+1) = (1 + lambda^2) w_j - lambda^(2D+2) C(j, D). When
+    the counts run out of budget, E[C(I, d)] is summed over the edge
+    subsets of a fixed copy instead, which stays cheap at small D on large
+    patterns with few twins. Rational throughout; a float lambda^2 is
+    rounded only at the end.
+    """
+    depth = min(max_degree, pattern.num_edges)
+    exact = isinstance(lambda_sq, (Fraction, int))
+    lam = Fraction(lambda_sq if exact else float(lambda_sq))
+    try:
+        counts = _shared_edge_counts(pattern, n)
+    except BudgetExceededError as err:
+        moments = _subset_moments(pattern, n, depth, str(err))
+        value = sum(lam**d * m for d, m in enumerate(moments))
+    else:
+        top = lam ** (depth + 1)
+        total, weight = Fraction(0), Fraction(1)
+        for j, c in enumerate(counts):
+            total += c * weight
+            weight = (1 + lam) * weight - top * math.comb(j, depth)
+        value = total / math.perm(n, pattern.n)
+    return value if exact else float(value)
+
+
+def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
+    """c[j] = number of injections V(pattern) -> [n] whose image shares
+    exactly j edges with the fixed copy on vertices 0..k-1; sum(c) = (n)_k.
+
+    Vertices are placed in embedding order, each on an unused fixed-copy
+    vertex, gaining its back-edges that land on fixed edges, or on one of
+    the n-k outside vertices, which no fixed edge touches. A state is the
+    set of used fixed vertices and the images of placed vertices that still
+    have an unplaced neighbour. States that an automorphism of the fixed
+    copy, or a swap of twin placed vertices, carries into each other have
+    the same future, so they are merged:
+    - permuting a twin class is an automorphism, so used vertices are always
+      the first members of their class (a vertex goes to the first unused
+      member, weighted by how many are unused), and an image is kept as the
+      first member of its class: twins look alike to every vertex but each
+      other, and no later vertex lands on that member;
+    - placed twins have the same unplaced neighbours, so their images are
+      sorted;
+    - identical components of the fixed copy are put in order of their part
+      of the state (`_component_sorter`).
+
+    A state's counts are packed in one integer, count j at bit j*width, so
+    gaining g edges is a shift and merging states is an addition. Each
+    transition is charged to the budget before it is taken: one unit, one
+    per 4096 bits of counts it carries, and one per 8 components it sorts.
+    """
+    k = pattern.n
+    width = math.perm(n, k).bit_length()
+    outside = k  # image off the fixed copy; bit k is in no adjacency mask
+    adjacency = [sum(1 << int(w) for w in pattern.neighbors(f)) for f in range(k)] + [0]
+    classes = _twin_classes(pattern)
+    class_masks = [sum(1 << f for f in members) for members in classes]
+    first = {f: members[0] for members in classes for f in members}
+    sort_components, sort_units = _component_sorter(pattern)
+    order = _embedding_order(pattern)
+    position = {v: i for i, v in enumerate(order)}
+    last = [max(position[w] for w in pattern.neighbors(v)) for v in order]
+    spent = 0
+    frontier: list[int] = []  # positions placed with a neighbour unplaced
+    layer = {(0, ()): 1}
+    for i, v in enumerate(order):
+        slot = {j: t for t, j in enumerate(frontier)}
+        backs = [slot[position[w]] for w in pattern.neighbors(v) if position[w] < i]
+        placed = frontier + [i]
+        # twins kept in the frontier sit side by side, in runs
+        twin_class = [first[order[j]] for j in placed]
+        keep = sorted(
+            (t for t, j in enumerate(placed) if last[j] > i),
+            key=lambda t: (twin_class[t], placed[t]),
+        )
+        frontier = [placed[t] for t in keep]
+        runs, start = [], 0
+        for _, run in groupby(twin_class[t] for t in keep):
+            size = len(list(run))
+            if size > 1:
+                runs.append(slice(start, start + size))
+            start += size
+        successors: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (used, images), packed in layer.items():
+            free = n - k - (i - used.bit_count())
+            choices = [(outside, free)] if free else []
+            for members, mask in zip(classes, class_masks):
+                taken = (used & mask).bit_count()
+                if taken < len(members):
+                    choices.append((members[taken], len(members) - taken))
+            cost = 1 + sort_units + (packed.bit_length() >> 12)
+            for f, ways in choices:
+                spent += cost
+                if spent > SHARED_EDGE_BUDGET:
+                    raise BudgetExceededError(
+                        f"shared-edge count: {spent} work units > budget {SHARED_EDGE_BUDGET}"
+                    )
+                gain = sum(adjacency[f] >> images[t] & 1 for t in backs)
+                grown = images + (first.get(f, outside),)
+                state = (used if f == outside else used | 1 << f, [grown[t] for t in keep])
+                if sort_components:
+                    state = sort_components(*state)
+                for run in runs:
+                    state[1][run] = sorted(state[1][run])
+                key = (state[0], tuple(state[1]))
+                successors[key] = successors.get(key, 0) + (packed * ways << gain * width)
+        layer = successors
+    packed = sum(layer.values())
+    mask = (1 << width) - 1
+    return [packed >> j * width & mask for j in range(pattern.num_edges + 1)]
+
+
+def _twin_classes(pattern: Graph) -> list[list[int]]:
+    """Vertices with equal open, or else equal closed, neighbourhoods; no
+    vertex has twins of both kinds, so the classes partition the vertices."""
+    opens = Counter(pattern.neighbors(v) for v in range(pattern.n))
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in range(pattern.n):
+        nbrs = pattern.neighbors(v)
+        classes.setdefault(nbrs if opens[nbrs] > 1 else nbrs | {v}, []).append(v)
+    return list(classes.values())
+
+
+def _component_sorter(pattern: Graph):
+    """(sort, units): sort maps (used, images) to a state with the same
+    future in which identical components come in order of their part of the
+    state, and units is its work per call in budget units; (None, 0) if no
+    two components are identical.
+
+    Components are identical when renaming each one's vertices in sorted
+    order gives the same graph. Swapping them by that renaming is an
+    automorphism, and it keeps first members of twin classes first.
+    """
+    alike: dict[Graph, list[list[int]]] = {}
+    for comp in pattern.components():
+        alike.setdefault(pattern.induced_subgraph(comp), []).append(comp)
+    groups = [comps for comps in alike.values() if len(comps) > 1]
+    if not groups:
+        return None, 0
+    tables = []
+    for comps in groups:
+        masks = [sum(1 << f for f in comp) for comp in comps]
+        place = {f: (c, r) for c, comp in enumerate(comps) for r, f in enumerate(comp)}
+        tables.append((comps, masks, sum(masks), place, {0: 0}))
+
+    def sort_components(used: int, images: list[int]):
+        for comps, masks, group_mask, place, local in tables:
+            parts = []
+            for mask in masks:
+                bits = used & mask
+                if bits not in local:  # bits of one component, in its own order
+                    local[bits] = sum(1 << place[f][1] for f in _bits(bits))
+                parts.append([local[bits]])
+            for t, x in enumerate(images):
+                if x in place:
+                    c, r = place[x]
+                    parts[c].append((t, r))
+            ranked = sorted(range(len(comps)), key=parts.__getitem__)
+            if ranked == list(range(len(comps))):
+                continue
+            # the part of component ranked[j] moves to component j
+            rename = {f: comps[j][r] for j, c in enumerate(ranked) for r, f in enumerate(comps[c])}
+            moved = used & group_mask
+            used ^= moved
+            for f in _bits(moved):
+                used |= 1 << rename[f]
+            images = [rename.get(x, x) for x in images]
+        return used, images
+
+    return sort_components, sum(len(comps) for comps in groups) >> 3
+
+
+def _bits(mask: int) -> list[int]:
+    return [f for f in range(mask.bit_length()) if mask >> f & 1]
+
+
+def _subset_moments(pattern: Graph, n: int, depth: int, reason: str) -> list[Fraction]:
+    """E[C(I, d)] for d = 0..depth: the sum over d-edge subsets H of a fixed
+    copy of P[H inside a uniform copy].
 
     Subsets are grouped into isomorphism classes (cheap relabeled-edge key,
     then a degree-signature bucket with an exact isomorphism check) so the
-    containment probability is computed once per class.
+    containment probability is computed once per class. `reason` says why
+    the shared-edge counts were not used; a budget error repeats it.
     """
     edges = pattern.edges
-    e = len(edges)
-    depth = min(max_edges, e)
-    budget = sum(math.comb(e, s) for s in range(depth + 1))
+    budget = sum(math.comb(len(edges), s) for s in range(depth + 1))
     if budget > SUBGRAPH_SUM_BUDGET:
         raise BudgetExceededError(
-            f"{budget} edge subsets > budget {SUBGRAPH_SUM_BUDGET}"
+            f"{reason}; {budget} edge subsets > budget {SUBGRAPH_SUM_BUDGET}"
         )
-    exact = isinstance(lambda_sq, (Fraction, int))
-    lam = Fraction(lambda_sq) if exact else float(lambda_sq)
-    total = Fraction(1) if exact else 1.0
 
     # class key (relabeled edge tuple) -> index into class tables
     key_to_class: dict[tuple, int] = {}
@@ -257,7 +442,7 @@ def _subgraph_sum(pattern: Graph, n: int, lambda_sq, max_edges: int):
             key = _relabel_key(subset)
             idx = key_to_class.get(key)
             if idx is None:
-                rep = _subset_graph(subset)
+                rep = Graph(1 + max(v for edge in key for v in edge), key)
                 sig = (rep.n, rep.num_edges, tuple(sorted(rep.degrees())))
                 idx = -1
                 for candidate in signature_buckets.get(sig, ()):
@@ -272,12 +457,10 @@ def _subgraph_sum(pattern: Graph, n: int, lambda_sq, max_edges: int):
                 key_to_class[key] = idx
             class_weights[idx] += 1
 
+    moments = [Fraction(1)] + [Fraction(0)] * depth
     for rep, weight in zip(class_reps, class_weights):
-        prob = containment_probability(rep, pattern, n)
-        if not exact:
-            prob = float(prob)
-        total += weight * lam ** rep.num_edges * prob
-    return total
+        moments[rep.num_edges] += weight * containment_probability(rep, pattern, n)
+    return moments
 
 
 def _relabel_key(subset: tuple[tuple[int, int], ...]) -> tuple:
@@ -289,11 +472,3 @@ def _relabel_key(subset: tuple[tuple[int, int], ...]) -> tuple:
     vertices = sorted({v for edge in subset for v in edge})
     rename = {v: i for i, v in enumerate(vertices)}
     return tuple(sorted((rename[u], rename[v]) for u, v in subset))
-
-
-def _subset_graph(subset: tuple[tuple[int, int], ...]) -> Graph:
-    vertices = sorted({v for edge in subset for v in edge})
-    rename = {v: i for i, v in enumerate(vertices)}
-    return Graph(
-        len(vertices), [(rename[u], rename[v]) for u, v in subset]
-    )

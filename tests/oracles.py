@@ -174,6 +174,19 @@ def copy_masks(pattern: Graph, n: int) -> list[int]:
     return sorted(seen)
 
 
+def brute_intersection_law(pattern: Graph, n: int) -> list[Fraction]:
+    """P[I = j] for j = 0..|e|, I the edges a uniform copy shares with the
+    copy at vertices 0..k-1. Every copy is the image of |Aut| injections, so
+    the law over copies is the law over injections."""
+    bit = {pair: i for i, pair in enumerate(all_pairs(n))}
+    fixed = sum(1 << bit[e] for e in pattern.edges)
+    masks = copy_masks(pattern, n)
+    law = [Fraction(0)] * (pattern.num_edges + 1)
+    for mask in masks:
+        law[(mask & fixed).bit_count()] += Fraction(1, len(masks))
+    return law
+
+
 def exact_distributions(
     pattern: Graph, n: int, p: Fraction, q: Fraction
 ) -> tuple[list[Fraction], list[Fraction]]:

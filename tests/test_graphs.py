@@ -206,6 +206,10 @@ class TestFamilies:
         assert unbalanced_stars_degrees(256)[0] == 4
         assert unbalanced_stars_degrees(10**12)[0] == 1000
 
+    def test_unbalanced_stars_huge_k(self):
+        assert unbalanced_stars_degrees(10**120) == (10**30, 10**90)
+        assert isinstance(unbalanced_stars_profile(10**400), tuple)
+
     def test_canonical_copy_edges(self):
         g = make_family("path:2")
         assert canonical_copy_edges(g) == frozenset({(0, 1), (1, 2)})

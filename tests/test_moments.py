@@ -26,7 +26,19 @@ from plantedlab import (
     second_moment_pair_enum,
 )
 
-from oracles import brute_second_moment, hypergeom_pmf
+from plantedlab.moments import (
+    SHARED_EDGE_BUDGET,
+    SUBGRAPH_SUM_BUDGET,
+    _shared_edge_counts,
+    _subset_moments,
+)
+
+from oracles import (
+    brute_intersection_law,
+    brute_second_moment,
+    hypergeom_pmf,
+    random_pattern,
+)
 
 TRIANGLE = complete_graph(3)
 EDGE = Graph(2, [(0, 1)])
@@ -128,6 +140,101 @@ class TestSecondMomentExact:
     def test_pair_enum_budget(self):
         with pytest.raises(BudgetExceededError):
             second_moment_pair_enum(MomentParams(9, 1, TRIANGLE))
+
+
+class TestSharedEdgeLaw:
+    @staticmethod
+    def law(pattern, n):
+        counts = _shared_edge_counts(pattern, n)
+        total = math.perm(n, pattern.n)
+        assert sum(counts) == total
+        return [Fraction(c, total) for c in counts]
+
+    def test_matches_brute_law_on_random_patterns(self):
+        rng = np.random.default_rng(710)
+        for _ in range(30):
+            pattern = random_pattern(rng, 5)
+            n = int(rng.integers(pattern.n, 8))
+            assert self.law(pattern, n) == brute_intersection_law(pattern, n)
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [
+            ("clique:4", 6),
+            ("star:4", 7),
+            ("complete_bipartite:2,3", 7),
+            ("matching:3", 7),
+            ("disjoint_triangles:2", 7),
+        ],
+    )
+    def test_matches_brute_law_on_twin_families(self, spec, n):
+        pattern = make_family(spec)
+        assert self.law(pattern, n) == brute_intersection_law(pattern, n)
+
+    def test_matches_brute_law_on_identical_components(self):
+        two_cherries = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        cherry_and_matching = Graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)])
+        for pattern in (two_cherries, cherry_and_matching):
+            assert self.law(pattern, 7) == brute_intersection_law(pattern, 7)
+
+    @pytest.mark.parametrize(
+        "spec,n",
+        [("clique:9", 20), ("star:12", 30), ("matching:10", 30), ("disjoint_triangles:4", 20)],
+    )
+    def test_saturated_ldp_is_second_moment_beyond_subset_range(self, spec, n):
+        mp = MomentParams(n, Fraction(1, 2), make_family(spec))
+        full = LdpConfig(degree=mp.pattern.num_edges)
+        assert ldp_norm_sq(mp, full).value == second_moment_exact(mp).value
+
+    @pytest.mark.parametrize(
+        "spec,n", [("path:4", 7), ("star:3", 8), ("clique:4", 9), ("matching:3", 8)]
+    )
+    def test_counts_and_edge_subsets_agree_at_every_degree(self, spec, n):
+        pattern = make_family(spec)
+        counts = _shared_edge_counts(pattern, n)
+        total = math.perm(n, pattern.n)
+        e = pattern.num_edges
+        from_counts = [
+            Fraction(sum(c * math.comb(j, d) for j, c in enumerate(counts)), total)
+            for d in range(e + 1)
+        ]
+        assert _subset_moments(pattern, n, e, "") == from_counts
+
+    def test_low_degree_on_a_large_clique(self):
+        mp = MomentParams(30, Fraction(1, 2), make_family("clique:20"))
+        values = [ldp_norm_sq(mp, LdpConfig(degree=d)).value for d in range(3)]
+        assert values == [1, Fraction(3697, 87), Fraction(77699, 84)]
+
+    @pytest.mark.parametrize(
+        "spec,n,degree,value",
+        [
+            ("path:9", 20, 9, Fraction(211484671080289, 171633298636800)),
+            ("path:10", 20, 10, Fraction(4438736351284681, 3432665972736000)),
+            ("path:40", 50, 3, Fraction(804910483, 423752000)),
+            ("matching:30", 70, 0, Fraction(1)),
+        ],
+    )
+    def test_edge_subsets_cover_what_the_counts_cannot(self, spec, n, degree, value):
+        mp = MomentParams(n, Fraction(1, 2), make_family(spec))
+        assert ldp_norm_sq(mp, LdpConfig(degree=degree)).value == value
+
+    def test_path_twelve_at_thirty(self):
+        mp = MomentParams(30, Fraction(1, 2), make_family("path:12"))
+        expected = Fraction(199852585119278581393, 169698890400399360000)
+        assert second_moment_exact(mp).value == expected
+
+    def test_float_signal_rounds_the_exact_value(self):
+        exact = second_moment_exact(MomentParams(7, Fraction(1, 2), TRIANGLE))
+        approx = second_moment_exact(MomentParams(7, 0.5, TRIANGLE))
+        assert approx.value == float(exact.value)
+
+    def test_budget_error_states_spent_and_limits(self):
+        mp = MomentParams(40, 1, make_family("path:30"))
+        with pytest.raises(BudgetExceededError) as err:
+            second_moment_exact(mp)
+        message = str(err.value)
+        assert f"> budget {SHARED_EDGE_BUDGET}" in message
+        assert f"{2**30} edge subsets > budget {SUBGRAPH_SUM_BUDGET}" in message
 
 
 class TestLdpNormSq:
