@@ -46,6 +46,7 @@ from .risklab import (
     DETECTORS,
     SweepRow,
     SweepSpec,
+    _fmt,
     estimate_risk,
     resolve_detector,
     sweep,
@@ -74,10 +75,6 @@ def run_command(argv: Sequence[str] | None = None) -> int:
     except (PlantedLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _stat_str(value) -> str:

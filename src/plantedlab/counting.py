@@ -9,12 +9,14 @@ against explicit budgets; exceeding one raises BudgetExceededError.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
+from functools import lru_cache
+from itertools import combinations
 from math import comb, factorial
 
 from .errors import BudgetExceededError, DisconnectedError
 from .graphs import Graph
-from .invariants import automorphism_count
+from .invariants import _embeddings, automorphism_count
+from .sampling import _pair_index
 
 EMBEDDING_BUDGET_DEFAULT = 10_000_000
 CONNECTED_SETS_BUDGET_DEFAULT = 10_000_000
@@ -29,9 +31,10 @@ def count_copies(
 ) -> int:
     """Number of distinct subgraphs of `host` isomorphic to `pattern`.
 
-    Counts edge-preserving injective maps by backtracking and divides by
-    |Aut(pattern)|, since each copy is the image of exactly that many
-    embeddings. The budget meters attempted partial assignments.
+    Counts edge-preserving injective maps with the placement search of
+    `invariants` and divides by |Aut(pattern)|, since each copy is the image
+    of exactly that many embeddings. The budget meters attempted partial
+    assignments.
     """
     if pattern.isolated_vertices():
         raise ValueError("pattern must have no isolated vertices")
@@ -39,7 +42,7 @@ def count_copies(
         raise ValueError("pattern has more vertices than the host")
     if pattern.n == 0:
         return 1
-    embeddings = _count_embeddings(pattern, host, budget)
+    embeddings = sum(1 for _ in _embeddings(pattern, host, budget))
     if aut_budget is None:
         aut = automorphism_count(pattern)
     else:
@@ -87,68 +90,40 @@ def containment_probability(
     return Fraction(hits, copies_in_complete(sub, n))
 
 
-def _embedding_order(pattern: Graph) -> list[int]:
-    """Vertex order that keeps each prefix as connected as possible: next is
-    the highest-degree, then lowest, vertex adjacent to a placed one, if any."""
-    rank = {v: (-pattern.degree(v), v) for v in range(pattern.n)}
-    order: list[int] = []
-    placed = [False] * pattern.n
-    for seed in sorted(rank, key=rank.__getitem__):
-        heap = [rank[seed]]  # unplaced neighbours of placed vertices, or stale
-        while heap:
-            v = heappop(heap)[1]
-            if not placed[v]:
-                placed[v] = True
-                order.append(v)
-                for w in pattern.neighbors(v):
-                    heappush(heap, rank[w])
-    return order
+@lru_cache(maxsize=32)
+def _copy_edge_masks(pattern: Graph, n: int) -> tuple[int, ...]:
+    """Edge bitmask of every copy of the pattern in K_n, sorted; bit
+    `sampling._pair_index(u, v, n)` stands for the pair u < v.
 
-
-def _count_embeddings(pattern: Graph, host: Graph, budget: int) -> int:
-    order = _embedding_order(pattern)
-    # Pattern neighbors already placed, by position in the order.
-    position = {v: i for i, v in enumerate(order)}
-    back_edges: list[list[int]] = []
-    for i, v in enumerate(order):
-        back_edges.append(
-            [position[w] for w in pattern.neighbors(v) if position[w] < i]
+    A copy of a pattern without isolated vertices is its vertex set, a
+    k-subset S of [n], and a labelled copy on [k] carried onto S in
+    increasing order. The labelled copies on [k] are the orbit of the
+    pattern's edge set under adjacent transpositions, so the work is
+    proportional to the number of copies, not to (n)_k.
+    """
+    k = pattern.n
+    pairs = list(combinations(range(k), 2))
+    swaps = []  # swaps[t][j]: pair j with labels t and t+1 exchanged
+    for t in range(k - 1):
+        relabel = list(range(k))
+        relabel[t], relabel[t + 1] = t + 1, t
+        swaps.append(
+            [_pair_index(*sorted((relabel[a], relabel[b])), k) for a, b in pairs]
         )
-    degs = [pattern.degree(v) for v in order]
-    host_vertices = range(host.n)
-
-    attempts = 0
-    images = [-1] * pattern.n
-    used = [False] * host.n
-
-    def extend(i: int) -> int:
-        nonlocal attempts
-        if i == pattern.n:
-            return 1
-        backs = back_edges[i]
-        if backs:
-            candidates = set(host.neighbors(images[backs[0]]))
-            for j in backs[1:]:
-                candidates &= host.neighbors(images[j])
-        else:
-            candidates = host_vertices
-        total = 0
-        for u in candidates:
-            if used[u] or host.degree(u) < degs[i]:
-                continue
-            attempts += 1
-            if attempts > budget:
-                raise BudgetExceededError(
-                    f"embedding budget of {budget} partial assignments exceeded"
-                )
-            images[i] = u
-            used[u] = True
-            total += extend(i + 1)
-            used[u] = False
-        images[i] = -1
-        return total
-
-    return extend(0)
+    start = frozenset(_pair_index(a, b, k) for a, b in pattern.edges)
+    orbit = {start}
+    queue = [start]
+    for labelled in queue:
+        for swap in swaps:
+            image = frozenset(swap[j] for j in labelled)
+            if image not in orbit:
+                orbit.add(image)
+                queue.append(image)
+    masks = []
+    for subset in combinations(range(n), k):
+        bit = [1 << _pair_index(subset[a], subset[b], n) for a, b in pairs]
+        masks.extend(sum(bit[j] for j in labelled) for labelled in queue)
+    return tuple(sorted(masks))
 
 
 def spanning_tree_count(g: Graph, budget: int = SPANNING_TREE_VERTEX_LIMIT) -> int:

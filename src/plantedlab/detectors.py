@@ -6,7 +6,8 @@ Thresholds:
     degree: (n-1)q + d_max(Gamma)(p-q)/2
     scan: kappa * |e(Gamma_max)|, kappa = w*q + (1-w)*p
 Ties (statistic == threshold) always reject the null, matching the
-likelihood-ratio convention L >= 1.
+likelihood-ratio convention L >= 1. Every detector takes (obs, params,
+cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from math import comb, log
 
 import numpy as np
 
-from .counting import _embedding_order, copies_in_complete
+from .counting import _copy_edge_masks, copies_in_complete
 from .errors import BudgetExceededError, ScanBudgetExceededError
 from .graphs import Graph
-from .invariants import densest_subgraph
+from .invariants import _placement_plan, densest_subgraph
 from .sampling import ModelParams, Observation, _pair_index
 
 LRT_MAX_VERTICES = 10
@@ -75,7 +76,9 @@ def _verdict(statistic, threshold) -> Verdict:
     return Verdict(int(statistic >= threshold), statistic, threshold)
 
 
-def count_test(obs: Observation, params: ModelParams) -> Verdict:
+def count_test(
+    obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
+) -> Verdict:
     """Total edge count against C(n,2)q + |e(Gamma)|(p-q)/2."""
     stat = float(obs.num_edges)
     threshold = comb(params.n, 2) * params.q + params.pattern.num_edges * (
@@ -84,7 +87,9 @@ def count_test(obs: Observation, params: ModelParams) -> Verdict:
     return _verdict(stat, threshold)
 
 
-def degree_test(obs: Observation, params: ModelParams) -> Verdict:
+def degree_test(
+    obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
+) -> Verdict:
     """Maximum row sum against (n-1)q + d_max(Gamma)(p-q)/2."""
     stat = float(obs.max_degree())
     threshold = (params.n - 1) * params.q + params.pattern.max_degree() * (
@@ -213,11 +218,7 @@ def _scan_general(obs: Observation, target: Graph) -> int:
     target edge cannot beat the incumbent.
     """
     n = obs.n
-    order = _embedding_order(target)
-    position = {v: i for i, v in enumerate(order)}
-    back: list[list[int]] = []
-    for i, v in enumerate(order):
-        back.append([position[w] for w in target.neighbors(v) if position[w] < i])
+    _, back = _placement_plan(target)
     # Edges still completable once i vertices are placed.
     remaining = [0] * (target.n + 1)
     for i in range(target.n):
@@ -254,7 +255,9 @@ def _scan_general(obs: Observation, target: Graph) -> int:
     return best
 
 
-def likelihood_ratio_test(obs: Observation, params: ModelParams) -> Verdict:
+def likelihood_ratio_test(
+    obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
+) -> Verdict:
     """Exact likelihood ratio L(G) against 1, computed in rational arithmetic.
 
     L(G) averages, over every copy of the pattern, the product of per-edge
@@ -287,18 +290,3 @@ def likelihood_ratio_test(obs: Observation, params: ModelParams) -> Verdict:
         total += present[a] * absent[e - a]
     stat = total / num_copies
     return _verdict(stat, Fraction(1))
-
-
-@lru_cache(maxsize=32)
-def _copy_edge_masks(pattern: Graph, n: int) -> tuple[int, ...]:
-    """Edge bitmask of every copy of the pattern in K_n."""
-    masks: set[int] = set()
-    for images in itertools.permutations(range(n), pattern.n):
-        mask = 0
-        for a, b in pattern.edges:
-            u, v = images[a], images[b]
-            if u > v:
-                u, v = v, u
-            mask |= 1 << _pair_index(u, v, n)
-        masks.add(mask)
-    return tuple(sorted(masks))

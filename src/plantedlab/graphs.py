@@ -150,11 +150,6 @@ class Graph:
         return masks
 
 
-def from_edge_list(n: int, pairs: Iterable[Edge]) -> Graph:
-    """Validated construction from raw (u, v) pairs."""
-    return Graph(n, pairs)
-
-
 def is_pattern(g: Graph) -> bool:
     """Pattern graphs (planted structures) must have no isolated vertices."""
     return g.n > 0 and not g.isolated_vertices()
@@ -384,8 +379,3 @@ def unbalanced_stars_profile(k: int) -> tuple[int, int, int]:
 
 def complete_graph(k: int) -> Graph:
     return make_family(FamilySpec("clique", [k]))
-
-
-def canonical_copy_edges(pattern: Graph) -> frozenset[Edge]:
-    """Edges of the canonical embedding of the pattern at vertices 0..k-1."""
-    return frozenset(pattern.edges)

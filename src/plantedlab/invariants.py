@@ -1,5 +1,7 @@
 """Exact graph invariants: maximum subgraph density, densest subgraph,
-vertex cover number, automorphism count, and an aggregate stats record.
+vertex cover number, automorphism count, isomorphism, and an aggregate
+stats record. One placement search (edge-preserving injections, by
+backtracking) serves copy counting, automorphisms and isomorphism.
 
 Everything here is exact. Density values are rationals, counts are
 arbitrary-precision integers, and every potentially expensive oracle takes an
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from heapq import heappop, heappush
+from math import factorial, inf
+from typing import Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError
 from .graphs import Graph
@@ -375,6 +379,94 @@ def _vc_branch(adj: dict[int, set[int]], taken: int, best: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Placement search: edge-preserving injections of a pattern into a host
+# ---------------------------------------------------------------------------
+
+def _embedding_order(pattern: Graph) -> list[int]:
+    """Vertex order that keeps each prefix as connected as possible: next is
+    the highest-degree, then lowest, vertex adjacent to a placed one, if any."""
+    rank = {v: (-pattern.degree(v), v) for v in range(pattern.n)}
+    order: list[int] = []
+    placed = [False] * pattern.n
+    for seed in sorted(rank, key=rank.__getitem__):
+        heap = [rank[seed]]  # unplaced neighbours of placed vertices, or stale
+        while heap:
+            v = heappop(heap)[1]
+            if not placed[v]:
+                placed[v] = True
+                order.append(v)
+                for w in pattern.neighbors(v):
+                    heappush(heap, rank[w])
+    return order
+
+
+def _placement_plan(pattern: Graph) -> tuple[list[int], list[list[int]]]:
+    """(order, back): the vertices in `_embedding_order`, and for each
+    position the positions of its neighbours placed before it."""
+    order = _embedding_order(pattern)
+    position = {v: i for i, v in enumerate(order)}
+    back = [
+        [position[w] for w in pattern.neighbors(v) if position[w] < i]
+        for i, v in enumerate(order)
+    ]
+    return order, back
+
+
+def _embeddings(
+    pattern: Graph, host: Graph, budget: float = inf
+) -> Iterator[list[int]]:
+    """Every edge-preserving injection of `pattern` into `host`.
+
+    Backtracks along the placement plan with an explicit stack: a vertex's
+    candidates are the common host neighbours of its placed neighbours, of
+    at least its degree. Yields the host image of each plan position, in one list that
+    is reused between embeddings, so a caller may stop at the first. The
+    budget meters attempted partial assignments.
+    """
+    order, back = _placement_plan(pattern)
+    k = len(order)
+    degs = [pattern.degree(v) for v in order]
+    host_degree = host.degrees()
+    host_adj = [host.neighbors(u) for u in range(host.n)]
+    images = [-1] * k
+    used = [False] * host.n
+    attempts = 0
+    if k == 0:
+        yield images
+        return
+    stack = [iter(range(host.n))]  # candidates of each placed position
+    while stack:
+        i = len(stack) - 1
+        if images[i] >= 0:
+            used[images[i]] = False
+            images[i] = -1
+        for u in stack[i]:
+            if not used[u] and host_degree[u] >= degs[i]:
+                break
+        else:
+            stack.pop()
+            continue
+        attempts += 1
+        if attempts > budget:
+            raise BudgetExceededError(
+                f"embedding budget of {budget} partial assignments exceeded"
+            )
+        images[i] = u
+        used[u] = True
+        if i + 1 == k:
+            yield images
+            continue
+        backs = back[i + 1]
+        if not backs:
+            stack.append(iter(range(host.n)))
+            continue
+        common = host_adj[images[backs[0]]]
+        for j in backs[1:]:
+            common = common & host_adj[images[j]]
+        stack.append(iter(common))
+
+
+# ---------------------------------------------------------------------------
 # Automorphism count |Aut(G)|
 # ---------------------------------------------------------------------------
 
@@ -384,15 +476,16 @@ def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
     For components C_1..C_r grouped into isomorphism classes with
     multiplicities m_i, |Aut(G)| = prod_i m_i! * |Aut(C_i)|^{m_i}.
     Isolated vertices form one class of singletons. Each component is
-    counted by pruned permutation backtracking; the budget applies per
-    component (the product formula keeps the result exact).
+    counted by the placement search into itself; the budget caps the
+    vertices of a searched component (the product formula keeps the result
+    exact).
     """
     comps = g.components()
     classes: list[tuple[Graph, int]] = []
     for comp in comps:
         sub = g.induced_subgraph(comp)
         for i, (rep, mult) in enumerate(classes):
-            if _isomorphic(rep, sub):
+            if isomorphic(rep, sub):
                 classes[i] = (rep, mult + 1)
                 break
         else:
@@ -406,7 +499,7 @@ def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
 def _component_aut(g: Graph, budget: int) -> int:
     if g.n <= 1:
         return 1
-    # Closed forms for shapes the backtracking budget should not limit.
+    # Closed forms for shapes the search budget should not limit.
     n, m = g.n, g.num_edges
     degs = g.degrees()
     if m == n * (n - 1) // 2:
@@ -421,68 +514,17 @@ def _component_aut(g: Graph, budget: int) -> int:
         raise BudgetExceededError(
             f"automorphism budget: component with {g.n} vertices > budget {budget}"
         )
-    count = 0
-    assignment = [-1] * g.n
-    used = [False] * g.n
-
-    def extend(i: int) -> None:
-        nonlocal count
-        if i == g.n:
-            count += 1
-            return
-        for img in range(g.n):
-            if used[img] or degs[img] != degs[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if g.has_edge(i, j) != g.has_edge(img, assignment[j]):
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = img
-                used[img] = True
-                extend(i + 1)
-                used[img] = False
-        assignment[i] = -1
-
-    extend(0)
-    return count
+    # With equal vertex and edge counts every embedding is an automorphism.
+    return sum(1 for _ in _embeddings(g, g))
 
 
-def _isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism for small graphs (used to group components)."""
+def isomorphic(a: Graph, b: Graph) -> bool:
+    """Exact isomorphism test for small graphs: with equal vertex and edge
+    counts, an edge-preserving injection a -> b is an isomorphism."""
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):
         return False
     if a.edges == b.edges:
         return True
-    degs_a, degs_b = a.degrees(), b.degrees()
-    assignment = [-1] * a.n
-    used = [False] * b.n
-
-    def extend(i: int) -> bool:
-        if i == a.n:
-            return True
-        for img in range(b.n):
-            if used[img] or degs_b[img] != degs_a[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if a.has_edge(i, j) != b.has_edge(img, assignment[j]):
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = img
-                used[img] = True
-                if extend(i + 1):
-                    return True
-                used[img] = False
-        return False
-
-    return extend(0)
-
-
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test for small graphs."""
-    return _isomorphic(a, b)
+    return next(_embeddings(a, b), None) is not None

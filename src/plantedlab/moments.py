@@ -25,20 +25,20 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, groupby, permutations
+from itertools import combinations, groupby
 
 import numpy as np
 
-from .counting import _embedding_order, containment_probability, copies_in_complete
+from .counting import _copy_edge_masks, containment_probability, copies_in_complete
 from .errors import (
     BudgetExceededError,
     DegenerateQError,
     InvalidMomentError,
     PatternTooLargeError,
 )
-from .graphs import Graph
-from .invariants import isomorphic
-from .sampling import batched_copy_images
+from .graphs import Graph, is_pattern
+from .invariants import _embedding_order, isomorphic
+from .sampling import _pair_index, batched_copy_images
 
 SHARED_EDGE_BUDGET = 1 << 18
 SUBGRAPH_SUM_BUDGET = 1 << 20
@@ -81,8 +81,8 @@ class MomentParams:
             raise PatternTooLargeError(
                 f"pattern on {self.pattern.n} vertices does not fit in n={self.n}"
             )
-        if self.pattern.isolated_vertices():
-            raise ValueError("pattern must have no isolated vertices")
+        if not is_pattern(self.pattern):
+            raise ValueError("pattern must have edges and no isolated vertices")
 
     @classmethod
     def from_probabilities(cls, n: int, p, q, pattern: Graph) -> "MomentParams":
@@ -162,21 +162,12 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
         raise BudgetExceededError(
             f"pair enumeration limited to n <= {PAIR_ENUM_MAX_VERTICES}, got {n}"
         )
-    fixed = set(pattern.edges)
-    seen: set[frozenset[tuple[int, int]]] = set()
+    fixed = sum(1 << _pair_index(u, v, n) for u, v in pattern.edges)
+    masks = _copy_edge_masks(pattern, n)
+    assert len(masks) == copies_in_complete(pattern, n)
     base = 1 + Fraction(mp.lambda_sq)
-    total = Fraction(0)
-    for images in permutations(range(n), pattern.n):
-        edges = frozenset(
-            (min(images[a], images[b]), max(images[a], images[b]))
-            for a, b in pattern.edges
-        )
-        if edges in seen:
-            continue
-        seen.add(edges)
-        total += base ** len(edges & fixed)
-    assert len(seen) == copies_in_complete(pattern, n)
-    return MomentResult(value=total / len(seen), method=EXACT_INTERSECTION_MGF)
+    total = sum(base ** (mask & fixed).bit_count() for mask in masks)
+    return MomentResult(value=total / len(masks), method=EXACT_INTERSECTION_MGF)
 
 
 def second_moment_mc(

@@ -50,11 +50,11 @@ _CONFIDENCE_Z = NormalDist().inv_cdf(0.995)  # two-sided 0.99
 DetectorFn = Callable[[Observation, ModelParams, DetectorConfig], Verdict]
 
 DETECTORS: dict[str, DetectorFn] = {
-    "count": lambda obs, params, cfg: count_test(obs, params),
-    "degree": lambda obs, params, cfg: degree_test(obs, params),
+    "count": count_test,
+    "degree": degree_test,
     "scan": scan_test,
     "scan-pattern": scan_test_over_pattern,
-    "lrt": lambda obs, params, cfg: likelihood_ratio_test(obs, params),
+    "lrt": likelihood_ratio_test,
 }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateQError, PatternTooLargeError
-from .graphs import Graph
+from .graphs import Graph, is_pattern
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
@@ -50,10 +50,8 @@ class ModelParams:
             raise DegenerateQError(f"q must lie in (0,1), got {self.q}")
         if not self.q <= self.p <= 1:
             raise ValueError(f"need q <= p <= 1, got p={self.p}, q={self.q}")
-        if self.pattern.num_edges == 0:
-            raise ValueError("pattern must have at least one edge")
-        if self.pattern.isolated_vertices():
-            raise ValueError("pattern must have no isolated vertices")
+        if not is_pattern(self.pattern):
+            raise ValueError("pattern must have edges and no isolated vertices")
         if self.pattern.n > self.n:
             raise PatternTooLargeError(
                 f"pattern on {self.pattern.n} vertices does not fit in n={self.n}"

@@ -85,6 +85,16 @@ def brute_automorphisms(g: Graph) -> int:
     return count
 
 
+def brute_isomorphic(a: Graph, b: Graph) -> bool:
+    if a.n != b.n:
+        return False
+    target = set(b.edges)
+    return any(
+        {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in a.edges} == target
+        for perm in permutations(range(a.n))
+    )
+
+
 def brute_copies(pattern: Graph, host: Graph) -> int:
     """Distinct subgraphs of `host` isomorphic to `pattern` (as edge sets)."""
     p = pattern.without_isolated()

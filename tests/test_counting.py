@@ -18,12 +18,14 @@ from plantedlab import (
     make_family,
     spanning_tree_count,
 )
+from plantedlab.counting import _copy_edge_masks
 
 from oracles import (
     brute_connected_sets,
     brute_copies,
     brute_copies_in_complete,
     brute_spanning_trees,
+    copy_masks,
     random_connected_graph,
     random_graph,
     random_pattern,
@@ -153,6 +155,23 @@ class TestSpanningTrees:
     def test_vertex_limit(self):
         with pytest.raises(BudgetExceededError):
             spanning_tree_count(complete_graph(21))
+
+
+class TestCopyEdgeMasks:
+    def test_matches_brute_force_on_random_patterns(self):
+        rng = np.random.default_rng(520)
+        for _ in range(40):
+            pattern = random_pattern(rng, 6)
+            n = int(rng.integers(pattern.n, 8))
+            assert list(_copy_edge_masks(pattern, n)) == copy_masks(pattern, n)
+
+    def test_matches_brute_force_on_families(self):
+        for spec in ("clique:4", "star:4", "path:4", "matching:3", "complete_bipartite:2,3"):
+            pattern = make_family(spec)
+            for n in range(pattern.n, 8):
+                masks = _copy_edge_masks(pattern, n)
+                assert list(masks) == copy_masks(pattern, n)
+                assert len(masks) == copies_in_complete(pattern, n)
 
 
 class TestConnectedSets:

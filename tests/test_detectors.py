@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ class TestLikelihoodRatioTest:
         obs = sample_null(10, 0.1, stream(609))
         with pytest.raises(BudgetExceededError):
             likelihood_ratio_test(obs, params)
+
+    def test_clique_9_in_10_closed_form(self):
+        # 10 copies: one per 9-subset S, sharing e(S) edges with the observation
+        params = ModelParams(n=10, p=0.75, q=0.25, pattern=complete_graph(9))
+        obs = sample_null(10, 0.5, stream(610))
+        p, q = Fraction(params.p), Fraction(params.q)
+        want = Fraction(0)
+        for dropped in range(10):
+            kept = [v for v in range(10) if v != dropped]
+            e = sum(obs.has_edge(u, v) for u, v in combinations(kept, 2))
+            want += (p / q) ** e * ((1 - p) / (1 - q)) ** (36 - e)
+        assert likelihood_ratio_test(obs, params).statistic == want / 10
 
     def test_exact_risk_dominance_small(self):
         # n=5, triangle: compare against count/degree/scan over all 1024 graphs

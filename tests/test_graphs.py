@@ -12,10 +12,8 @@ from plantedlab import (
     InvalidSpecError,
     SelfLoopError,
     VertexOutOfRangeError,
-    canonical_copy_edges,
     complete_graph,
     format_edge_list,
-    from_edge_list,
     is_pattern,
     make_family,
     parse_edge_list,
@@ -129,9 +127,9 @@ class TestEdgeListFormat:
         assert read_edge_list(path) == g
 
     def test_from_edge_list_validates(self):
-        assert from_edge_list(3, [(2, 0)]).edges == ((0, 2),)
+        assert Graph(3, [(2, 0)]).edges == ((0, 2),)
         with pytest.raises(VertexOutOfRangeError):
-            from_edge_list(2, [(0, 5)])
+            Graph(2, [(0, 5)])
 
 
 class TestFamilySpec:
@@ -212,4 +210,4 @@ class TestFamilies:
 
     def test_canonical_copy_edges(self):
         g = make_family("path:2")
-        assert canonical_copy_edges(g) == frozenset({(0, 1), (1, 2)})
+        assert frozenset(g.edges) == frozenset({(0, 1), (1, 2)})

@@ -25,8 +25,10 @@ from plantedlab import (
 from oracles import (
     brute_automorphisms,
     brute_densest_vertex_set,
+    brute_isomorphic,
     brute_max_density,
     brute_vertex_cover,
+    random_connected_graph,
     random_graph,
 )
 
@@ -134,6 +136,28 @@ class TestAutomorphisms:
         two_kinds = Graph(5, [(0, 1), (2, 3), (3, 4)])  # edge + path
         assert automorphism_count(two_kinds) == 2 * 2
 
+    def test_matches_brute_force_on_connected_8_vertex_graphs(self):
+        # 8-vertex components no closed form covers go through the search
+        def closed_form(g):
+            degs = sorted(g.degrees())
+            return (
+                g.num_edges == 28
+                or degs[-1] == 7
+                or degs == [1, 1] + [2] * 6
+                or degs == [2] * 8
+            )
+
+        cube = Graph(8, [(v, v | bit) for v in range(8) for bit in (1, 2, 4) if not v & bit])
+        graphs = [cube, make_family("complete_bipartite:3,5")]
+        rng = np.random.default_rng(302)
+        while len(graphs) < 6:
+            g = random_connected_graph(rng, 8, float(rng.uniform(0.15, 0.6)))
+            if not closed_form(g):
+                graphs.append(g)
+        for g in graphs:
+            assert g.is_connected() and not closed_form(g)
+            assert automorphism_count(g) == brute_automorphisms(g)
+
     def test_budget_enforced_per_component(self):
         # one big non-closed-form component trips the budget
         rng = np.random.default_rng(301)
@@ -157,6 +181,30 @@ class TestIsomorphic:
         c6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
         tri2 = make_family("disjoint_triangles:2")
         assert not isomorphic(c6, tri2)
+
+    def test_matches_brute_force_on_same_degree_sequences(self):
+        # b is a relabelled double-edge-swap of a, so the degree filter
+        # passes and only the search can tell the two apart
+        rng = np.random.default_rng(303)
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(4, 8))
+            a = random_graph(rng, n, float(rng.uniform(0.3, 0.7)))
+            edges = set(a.edges)
+            for _ in range(int(rng.integers(0, 4)) if len(edges) > 1 else 0):
+                i, j = rng.choice(len(edges), 2, replace=False)
+                (u, v), (x, y) = sorted(edges)[i], sorted(edges)[j]
+                swapped = {(min(u, y), max(u, y)), (min(x, v), max(x, v))}
+                if len({u, v, x, y}) == 4 and not swapped & edges:
+                    edges = (edges - {(u, v), (x, y)}) | swapped
+            perm = rng.permutation(n)
+            b = Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+            assert sorted(a.degrees()) == sorted(b.degrees())
+            want = brute_isomorphic(a, b)
+            assert isomorphic(a, b) == want
+            assert isomorphic(b, a) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
 
 class TestGraphStats:

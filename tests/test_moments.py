@@ -137,6 +137,10 @@ class TestSecondMomentExact:
                 assert a.method == "exact_subgraph_sum"
                 assert b.method == "exact_intersection_mgf"
 
+    def test_pair_enumeration_clique_7_in_8(self):
+        mp = MomentParams(8, Fraction(1, 2), complete_graph(7))
+        assert second_moment_pair_enum(mp).value == second_moment_exact(mp).value
+
     def test_pair_enum_budget(self):
         with pytest.raises(BudgetExceededError):
             second_moment_pair_enum(MomentParams(9, 1, TRIANGLE))
