@@ -27,6 +27,7 @@ from .moments import (
     LdpConfig,
     MomentParams,
     MomentResult,
+    chi_square_bernoulli,
     intersection_distribution,
     ldp_norm_sq,
     second_moment_exact,
@@ -79,6 +80,13 @@ def run_command(argv: Sequence[str] | None = None) -> int:
 
 def _stat_str(value) -> str:
     return str(value) if isinstance(value, Fraction) else _fmt(value)
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid fraction: {text!r}") from exc
 
 
 def _load_pattern(args) -> Graph:
@@ -295,7 +303,7 @@ def _cmd_classify(args) -> int:
         if args.lambda_sq is not None:
             lam = float(args.lambda_sq)
         elif args.p is not None and args.q is not None:
-            lam = (args.p - args.q) ** 2 / (args.q * (1 - args.q))
+            lam = chi_square_bernoulli(args.p, args.q)
         else:
             raise ValueError("dense classification needs --lambda-sq or --p/--q")
         constants = DenseConstants(epsilon=args.slack, p=args.p, q=args.q)
@@ -409,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="likelihood second moment")
     _add_pattern_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda-sq", type=Fraction, required=True, dest="lambda_sq")
+    p.add_argument("--lambda-sq", type=_fraction, required=True, dest="lambda_sq")
     p.add_argument("--method", choices=("exact", "pairs", "mc"), default="exact")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -418,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ldp", help="low-degree polynomial norm squared")
     _add_pattern_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lambda-sq", type=Fraction, required=True, dest="lambda_sq")
+    p.add_argument("--lambda-sq", type=_fraction, required=True, dest="lambda_sq")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(handler=_cmd_ldp)
 
@@ -444,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("dense", "sparse", "superdense", "critical"),
     )
     p.add_argument("--n", type=int)
-    p.add_argument("--lambda-sq", type=Fraction, dest="lambda_sq")
+    p.add_argument("--lambda-sq", type=_fraction, dest="lambda_sq")
     p.add_argument("--p", type=float)
     p.add_argument("--q", type=float)
     p.add_argument("--alpha", type=float)

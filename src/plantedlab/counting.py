@@ -12,11 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
+from typing import Iterable
 
 from .errors import BudgetExceededError, DisconnectedError
-from .graphs import Graph
+from .graphs import Edge, Graph
 from .invariants import _embeddings, automorphism_count
-from .sampling import _pair_index
 
 EMBEDDING_BUDGET_DEFAULT = 10_000_000
 CONNECTED_SETS_BUDGET_DEFAULT = 10_000_000
@@ -91,26 +91,23 @@ def containment_probability(
 
 
 @lru_cache(maxsize=32)
-def _copy_edge_masks(pattern: Graph, n: int) -> tuple[int, ...]:
-    """Edge bitmask of every copy of the pattern in K_n, sorted; bit
-    `sampling._pair_index(u, v, n)` stands for the pair u < v.
+def _labelled_copies(pattern: Graph) -> tuple[int, ...]:
+    """Edge bitmask of every labelled copy of the pattern on [k], sorted;
+    bit j stands for the j-th pair of `combinations(range(k), 2)`.
 
-    A copy of a pattern without isolated vertices is its vertex set, a
-    k-subset S of [n], and a labelled copy on [k] carried onto S in
-    increasing order. The labelled copies on [k] are the orbit of the
-    pattern's edge set under adjacent transpositions, so the work is
-    proportional to the number of copies, not to (n)_k.
+    The labelled copies are the orbit of the pattern's edge set under
+    adjacent transpositions, so the work is proportional to their number,
+    k!/|Aut|, not to k!.
     """
     k = pattern.n
     pairs = list(combinations(range(k), 2))
+    bit = {pair: j for j, pair in enumerate(pairs)}
     swaps = []  # swaps[t][j]: pair j with labels t and t+1 exchanged
     for t in range(k - 1):
         relabel = list(range(k))
         relabel[t], relabel[t + 1] = t + 1, t
-        swaps.append(
-            [_pair_index(*sorted((relabel[a], relabel[b])), k) for a, b in pairs]
-        )
-    start = frozenset(_pair_index(a, b, k) for a, b in pattern.edges)
+        swaps.append([bit[tuple(sorted((relabel[a], relabel[b])))] for a, b in pairs])
+    start = frozenset(bit[edge] for edge in pattern.edges)
     orbit = {start}
     queue = [start]
     for labelled in queue:
@@ -119,11 +116,29 @@ def _copy_edge_masks(pattern: Graph, n: int) -> tuple[int, ...]:
             if image not in orbit:
                 orbit.add(image)
                 queue.append(image)
-    masks = []
+    return tuple(sorted(sum(1 << j for j in labelled) for labelled in queue))
+
+
+def _copy_overlaps(pattern: Graph, n: int, edges: Iterable[Edge]) -> list[int]:
+    """tally[j] = number of copies of the pattern in K_n that share exactly
+    j edges with `edges` (pairs u < v), for j = 0..|e(pattern)|.
+
+    A copy of a pattern without isolated vertices is its vertex set, a
+    k-subset S of [n], and a labelled copy on [k] carried onto S in
+    increasing order; it shares with `edges` what the labelled copy shares
+    with the pairs of `edges` inside S, renamed onto [k].
+    """
+    k = pattern.n
+    pairs = list(combinations(range(k), 2))
+    given = set(edges)
+    tally = [0] * (pattern.num_edges + 1)
     for subset in combinations(range(n), k):
-        bit = [1 << _pair_index(subset[a], subset[b], n) for a, b in pairs]
-        masks.extend(sum(bit[j] for j in labelled) for labelled in queue)
-    return tuple(sorted(masks))
+        inside = sum(
+            1 << j for j, (a, b) in enumerate(pairs) if (subset[a], subset[b]) in given
+        )
+        for labelled in _labelled_copies(pattern):
+            tally[(inside & labelled).bit_count()] += 1
+    return tally
 
 
 def spanning_tree_count(g: Graph, budget: int = SPANNING_TREE_VERTEX_LIMIT) -> int:

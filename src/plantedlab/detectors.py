@@ -20,11 +20,12 @@ from math import comb, log
 
 import numpy as np
 
-from .counting import _copy_edge_masks, copies_in_complete
+from .counting import _copy_overlaps, copies_in_complete
 from .errors import BudgetExceededError, ScanBudgetExceededError
 from .graphs import Graph
 from .invariants import _placement_plan, densest_subgraph
-from .sampling import ModelParams, Observation, _pair_index
+from .moments import chi_square_bernoulli
+from .sampling import ModelParams, Observation
 
 LRT_MAX_VERTICES = 10
 LRT_MAX_COPIES = 10**6
@@ -107,7 +108,7 @@ def degree_condition_value(params: ModelParams) -> float:
     """
     n, p, q = params.n, params.p, params.q
     d = params.pattern.max_degree()
-    chi2 = (p - q) ** 2 / (q * (1 - q))
+    chi2 = chi_square_bernoulli(p, q)
     return min(d * d * chi2 / (n * log(n)), d * (p - q) / log(n))
 
 
@@ -262,7 +263,9 @@ def likelihood_ratio_test(
 
     L(G) averages, over every copy of the pattern, the product of per-edge
     likelihood ratios (p/q when the edge is observed, (1-p)/(1-q) when not).
-    Enumeration is exact and restricted to n <= 10 and at most 10^6 copies.
+    A copy enters only through its number a of observed edges, so the copies
+    are tallied by a first. Enumeration is exact and restricted to n <= 10
+    and at most 10^6 copies.
     """
     n = params.n
     if n > LRT_MAX_VERTICES:
@@ -274,19 +277,16 @@ def likelihood_ratio_test(
         raise BudgetExceededError(
             f"{num_copies} pattern copies > enumeration limit {LRT_MAX_COPIES}"
         )
-    copy_masks = _copy_edge_masks(params.pattern, n)
-    assert len(copy_masks) == num_copies
+    tally = _copy_overlaps(params.pattern, n, obs.edges())
+    assert sum(tally) == num_copies
     p = Fraction(params.p)
     q = Fraction(params.q)
+    present, absent = p / q, (1 - p) / (1 - q)
     e = params.pattern.num_edges
-    present = [(p / q) ** a for a in range(e + 1)]
-    absent = [((1 - p) / (1 - q)) ** b for b in range(e + 1)]
-    obs_mask = 0
-    for u, v in obs.edges():
-        obs_mask |= 1 << _pair_index(u, v, n)
-    total = Fraction(0)
-    for mask in copy_masks:
-        a = (obs_mask & mask).bit_count()
-        total += present[a] * absent[e - a]
+    total = sum(
+        copies * present**a * absent ** (e - a)
+        for a, copies in enumerate(tally)
+        if copies
+    )
     stat = total / num_copies
     return _verdict(stat, Fraction(1))

@@ -19,7 +19,6 @@ from typing import Iterator
 from .errors import BudgetExceededError, EmptyGraphError
 from .graphs import Graph
 
-DENSITY_EXHAUSTIVE_LIMIT = 14
 COVER_BUDGET_DEFAULT = 40
 AUT_BUDGET_DEFAULT = 10
 
@@ -72,9 +71,6 @@ def max_subgraph_density(g: Graph) -> Fraction:
         raise EmptyGraphError("density of the empty graph is undefined")
     if g.num_edges == 0:
         return Fraction(0)
-    if g.n <= DENSITY_EXHAUSTIVE_LIMIT:
-        value, _ = _densest_exhaustive(g)
-        return value
 
     lo = Fraction(0)
     hi = Fraction(g.max_degree())
@@ -112,9 +108,6 @@ def densest_vertex_set(g: Graph) -> list[int]:
     if g.num_edges == 0:
         # All densities are 0; the single smallest-label vertex wins the tie.
         return [0]
-    if g.n <= DENSITY_EXHAUSTIVE_LIMIT:
-        _, best = _densest_exhaustive(g)
-        return best
 
     mu = max_subgraph_density(g)
     # Optimal sets are the maximizers of the supermodular e(S) - mu*|S|, so
@@ -130,31 +123,6 @@ def densest_vertex_set(g: Graph) -> list[int]:
             best = core
     assert best is not None, "mu > 0 must be attained by some vertex core"
     return best
-
-
-def _densest_exhaustive(g: Graph) -> tuple[Fraction, list[int]]:
-    """Brute force over all nonempty vertex subsets (n <= 14)."""
-    masks = g.adjacency_masks()
-    best_value = Fraction(0)
-    best_key: tuple[int, list[int]] | None = None
-    for subset in range(1, 1 << g.n):
-        inner = 0
-        s = subset
-        while s:
-            v = (s & -s).bit_length() - 1
-            s &= s - 1
-            inner += (masks[v] & subset).bit_count()
-        size = subset.bit_count()
-        value = Fraction(inner // 2, size)
-        if value < best_value:
-            continue
-        vertices = [v for v in range(g.n) if subset >> v & 1]
-        key = (size, vertices)
-        if value > best_value or best_key is None or key < best_key:
-            best_value = value
-            best_key = key
-    assert best_key is not None
-    return best_value, best_key[1]
 
 
 def _goldberg_network(g: Graph, num: int, den: int, forced: int | None):

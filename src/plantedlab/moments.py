@@ -29,7 +29,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .counting import _copy_edge_masks, containment_probability, copies_in_complete
+from .counting import _copy_overlaps, containment_probability, copies_in_complete
 from .errors import (
     BudgetExceededError,
     DegenerateQError,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graphs import Graph, is_pattern
 from .invariants import _embedding_order, isomorphic
-from .sampling import _pair_index, batched_copy_images
+from .sampling import batched_copy_images
 
 SHARED_EDGE_BUDGET = 1 << 18
 SUBGRAPH_SUM_BUDGET = 1 << 20
@@ -131,6 +131,10 @@ def intersection_distribution(
     """Sample |e(copy ∩ fixed copy)| with the fixed copy at identity placement."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if pattern.n > n:
+        raise PatternTooLargeError(
+            f"pattern on {pattern.n} vertices does not fit in n={n}"
+        )
     counter: Counter[int] = Counter()
     for chunk in _intersection_chunks(pattern, n, trials, rng):
         counter.update(chunk.tolist())
@@ -155,19 +159,20 @@ def ldp_norm_sq(mp: MomentParams, cfg: LdpConfig) -> MomentResult:
 
 
 def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
-    """E[(1+lambda^2)^intersection] by enumerating every copy against a fixed
-    one. Independent of the subgraph sum; exact on small instances."""
+    """E[(1+lambda^2)^intersection] by enumerating every copy and tallying
+    its shared edges with a fixed one. Independent of the shared-edge law;
+    exact on small instances."""
     pattern, n = mp.pattern, mp.n
     if n > PAIR_ENUM_MAX_VERTICES:
         raise BudgetExceededError(
             f"pair enumeration limited to n <= {PAIR_ENUM_MAX_VERTICES}, got {n}"
         )
-    fixed = sum(1 << _pair_index(u, v, n) for u, v in pattern.edges)
-    masks = _copy_edge_masks(pattern, n)
-    assert len(masks) == copies_in_complete(pattern, n)
+    tally = _copy_overlaps(pattern, n, pattern.edges)
+    num_copies = sum(tally)
+    assert num_copies == copies_in_complete(pattern, n)
     base = 1 + Fraction(mp.lambda_sq)
-    total = sum(base ** (mask & fixed).bit_count() for mask in masks)
-    return MomentResult(value=total / len(masks), method=EXACT_INTERSECTION_MGF)
+    total = sum(copies * base**j for j, copies in enumerate(tally))
+    return MomentResult(value=total / num_copies, method=EXACT_INTERSECTION_MGF)
 
 
 def second_moment_mc(

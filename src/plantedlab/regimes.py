@@ -318,6 +318,8 @@ def critical_classify(
         raise AlphaOutOfRangeError(f"alpha must lie in (0,2), got {alpha}")
     if stats.num_edges < 1:
         raise EmptyGraphError("classification needs at least one edge")
+    if n < 2:
+        raise ValueError(f"need n >= 2 so that log n > 0, got n={n}")
     mu = float(stats.max_subgraph_density)
     e = stats.num_edges
     d = stats.max_degree

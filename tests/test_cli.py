@@ -262,6 +262,15 @@ class TestClassify:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_dense_degenerate_q(self, capsys, q):
+        code, _, err = run(
+            capsys, "classify", "--regime", "dense", "--family", "clique:4",
+            "--n", "100", "--p", "0.5", "--q", q,
+        )
+        assert code == 2
+        assert "q must lie in (0,1)" in err
+
 
 class TestDecompose:
     def test_table(self, capsys):
@@ -309,6 +318,21 @@ class TestIntersections:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moment", "--n", "6"],
+            ["ldp", "--n", "6", "--degree", "1"],
+            ["classify", "--regime", "dense", "--n", "100"],
+        ],
+    )
+    def test_zero_denominator_lambda_sq(self, capsys, argv):
+        code, _, err = run(
+            capsys, *argv, "--family", "clique:3", "--lambda-sq", "1/0"
+        )
+        assert code == 2
+        assert "--lambda-sq" in err
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "nope")[0] == 2
 

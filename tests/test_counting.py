@@ -18,9 +18,10 @@ from plantedlab import (
     make_family,
     spanning_tree_count,
 )
-from plantedlab.counting import _copy_edge_masks
+from plantedlab.counting import _copy_overlaps, _labelled_copies
 
 from oracles import (
+    all_pairs,
     brute_connected_sets,
     brute_copies,
     brute_copies_in_complete,
@@ -157,21 +158,39 @@ class TestSpanningTrees:
             spanning_tree_count(complete_graph(21))
 
 
+def check_copy_overlaps(pattern, n, rng):
+    """Tally of the brute-force copy masks by overlap with three edge sets:
+    the fixed copy, a random edge set and the empty set."""
+    pairs = all_pairs(n)
+    bit = {pair: i for i, pair in enumerate(pairs)}
+    masks = copy_masks(pattern, n)
+    random_edges = [pair for pair in pairs if rng.random() < 0.5]
+    for edges in (pattern.edges, random_edges, []):
+        given = sum(1 << bit[edge] for edge in edges)
+        tally = [0] * (pattern.num_edges + 1)
+        for mask in masks:
+            tally[(mask & given).bit_count()] += 1
+        assert _copy_overlaps(pattern, n, edges) == tally
+
+
 class TestCopyEdgeMasks:
     def test_matches_brute_force_on_random_patterns(self):
         rng = np.random.default_rng(520)
         for _ in range(40):
             pattern = random_pattern(rng, 6)
-            n = int(rng.integers(pattern.n, 8))
-            assert list(_copy_edge_masks(pattern, n)) == copy_masks(pattern, n)
+            assert list(_labelled_copies(pattern)) == copy_masks(pattern, pattern.n)
+            for n in range(pattern.n, 8):
+                check_copy_overlaps(pattern, n, rng)
 
     def test_matches_brute_force_on_families(self):
+        rng = np.random.default_rng(521)
         for spec in ("clique:4", "star:4", "path:4", "matching:3", "complete_bipartite:2,3"):
             pattern = make_family(spec)
+            assert list(_labelled_copies(pattern)) == copy_masks(pattern, pattern.n)
             for n in range(pattern.n, 8):
-                masks = _copy_edge_masks(pattern, n)
-                assert list(masks) == copy_masks(pattern, n)
-                assert len(masks) == copies_in_complete(pattern, n)
+                check_copy_overlaps(pattern, n, rng)
+                copies = sum(_copy_overlaps(pattern, n, []))
+                assert copies == copies_in_complete(pattern, n)
 
 
 class TestConnectedSets:

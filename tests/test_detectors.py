@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantedlab import (
     BudgetExceededError,
@@ -31,9 +33,11 @@ from plantedlab import (
 from oracles import (
     all_pairs,
     brute_scan_statistic,
+    copy_masks,
     exact_distributions,
     exact_risk,
     random_graph,
+    random_pattern,
 )
 
 TRIANGLE = complete_graph(3)
@@ -244,6 +248,27 @@ class TestLikelihoodRatioTest:
             e = sum(obs.has_edge(u, v) for u, v in combinations(kept, 2))
             want += (p / q) ** e * ((1 - p) / (1 - q)) ** (36 - e)
         assert likelihood_ratio_test(obs, params).statistic == want / 10
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pq=st.sampled_from([(0.8, 0.25), (1.0, 0.5), (0.3, 0.3)]),
+    )
+    def test_matches_per_copy_sum(self, seed, pq):
+        rng = np.random.default_rng(seed)
+        pattern = random_pattern(rng, 5)
+        n = int(rng.integers(pattern.n, 8))
+        obs = Observation.from_graph(random_graph(rng, n, float(rng.random())))
+        params = ModelParams(n=n, p=pq[0], q=pq[1], pattern=pattern)
+        p, q = Fraction(params.p), Fraction(params.q)
+        bit = {pair: i for i, pair in enumerate(all_pairs(n))}
+        observed = sum(1 << bit[edge] for edge in obs.edges())
+        masks = copy_masks(pattern, n)
+        want = Fraction(0)
+        for mask in masks:
+            a = (mask & observed).bit_count()
+            want += (p / q) ** a * ((1 - p) / (1 - q)) ** (pattern.num_edges - a)
+        assert likelihood_ratio_test(obs, params).statistic == want / len(masks)
 
     def test_exact_risk_dominance_small(self):
         # n=5, triangle: compare against count/degree/scan over all 1024 graphs

@@ -320,6 +320,10 @@ class TestIntersectionDistribution:
         with pytest.raises(ValueError):
             intersection_distribution(EDGE, 4, 0, np.random.default_rng(706))
 
+    def test_pattern_larger_than_n(self):
+        with pytest.raises(PatternTooLargeError):
+            intersection_distribution(TRIANGLE, 2, 10, np.random.default_rng(707))
+
 
 class TestRiskLowerBounds:
     def test_trivial_moment_gives_trivial_bound(self):

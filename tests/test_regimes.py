@@ -401,6 +401,10 @@ class TestCriticalClassify:
         assert verdict.verdict is Regime.INDETERMINATE
         assert verdict.binding_boundary == "count-degree-window"
 
+    def test_n_one_rejected(self):
+        with pytest.raises(ValueError):
+            critical_classify(make_stats(3, 3, 2, 1), 1, 0.5)
+
     def test_critical_needs_sigma(self):
         with pytest.raises(MissingSigmaError):
             critical_classify(make_stats(30, 25, 3, Fraction(5, 6)), 2000, 1)
