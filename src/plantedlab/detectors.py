@@ -8,11 +8,14 @@ Thresholds:
 Ties (statistic == threshold) always reject the null, matching the
 likelihood-ratio convention L >= 1. Every detector takes (obs, params,
 cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
+
+The scan statistic, for every target, comes from one branch and bound over
+placements of the target along its placement plan, with twins of the target
+placed on increasing host vertices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +26,7 @@ import numpy as np
 from .counting import _copy_overlaps, copies_in_complete
 from .errors import BudgetExceededError, ScanBudgetExceededError
 from .graphs import Graph
-from .invariants import _placement_plan, densest_subgraph
+from .invariants import _placement_plan, _twin_classes, densest_subgraph
 from .moments import chi_square_bernoulli
 from .sampling import ModelParams, Observation
 
@@ -158,101 +161,67 @@ def _scan(
     w = cfg.scan_kappa_weight
     kappa = w * params.q + (1 - w) * params.p
     threshold = kappa * target.num_edges
-    k = target.n
-    if target.num_edges == comb(k, 2):
-        stat = _scan_complete(obs.adjacency, k)
-    else:
-        stat = _scan_general(obs, target)
-    return _verdict(float(stat), threshold)
+    return _verdict(float(_scan_statistic(obs.adjacency, target)), threshold)
 
 
-def _scan_complete(adjacency: np.ndarray, k: int) -> int:
-    """Max number of observed edges inside any k-vertex subset.
+@lru_cache(maxsize=128)
+def _scan_plan(target: Graph) -> tuple[list[list[int]], list[int], list[int]]:
+    """(back, twin, rest) along `_placement_plan`: the back-edge positions of
+    each position, the position of the previous member of its twin class
+    (-1 if none), and the back-edges at this position and after it."""
+    order, back = _placement_plan(target)
+    classes = _twin_classes(target)
+    twin_class = {v: c for c, members in enumerate(classes) for v in members}
+    last: dict[int, int] = {}
+    twin = []
+    for i, v in enumerate(order):
+        twin.append(last.get(twin_class[v], -1))
+        last[twin_class[v]] = i
+    rest = [0] * (len(order) + 1)
+    for i in reversed(range(len(order))):
+        rest[i] = rest[i + 1] + len(back[i])
+    return back, twin, rest
 
-    Enumerates (k-2)-subsets T and closes each with the best remaining pair:
-    the score of (T, u, v) is e(T) + deg_T(u) + deg_T(v) + A[u,v], maximized
-    over u < v outside T with vectorized arithmetic. Early exit once the
-    maximum possible C(k,2) is reached.
+
+def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
+    """Max number of observed edges over the injective placements of target.
+
+    Branch and bound along the placement plan, on host neighbourhoods kept
+    as bitmasks. Twins of the target take increasing host vertices: permuting
+    them is an automorphism, so each copy is still reached (a clique is
+    searched as vertex sets). A branch dies when even completing every
+    remaining target edge cannot beat the incumbent.
     """
-    n = adjacency.shape[0]
-    if k <= 1:
-        return 0
-    a = adjacency.astype(np.int16)
-    if k == 2:
-        return int(a.max()) if n >= 2 else 0
-    full = comb(k, 2)
-    combos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), k - 2)),
-        dtype=np.int64,
-    ).reshape(-1, k - 2)
-    best = 0
-    block = max(1, 4_000_000 // (n * n))
-    diag = np.arange(n)
-    for start in range(0, len(combos), block):
-        t = combos[start : start + block]
-        b = len(t)
-        inner = a[t]  # (b, k-2, n)
-        deg = inner.sum(axis=1)  # (b, n)
-        e_t = np.zeros(b, dtype=np.int64)
-        for i in range(k - 2):
-            for j in range(i + 1, k - 2):
-                e_t += a[t[:, i], t[:, j]]
-        m = deg[:, :, None].astype(np.int64) + deg[:, None, :] + a[None, :, :]
-        rows = np.arange(b)[:, None]
-        m[rows, t, :] = -1
-        m[rows, :, t] = -1
-        m[:, diag, diag] = -1
-        scores = e_t + m.max(axis=(1, 2))
-        chunk_best = int(scores.max())
-        if chunk_best > best:
-            best = chunk_best
-            if best >= full:
-                return full
-    return best
-
-
-def _scan_general(obs: Observation, target: Graph) -> int:
-    """Branch-and-bound max over injective placements of the target.
-
-    Every injective map into K_n is a copy, so the search tree is all
-    partial placements; a branch dies when even completing every remaining
-    target edge cannot beat the incumbent.
-    """
-    n = obs.n
-    _, back = _placement_plan(target)
-    # Edges still completable once i vertices are placed.
-    remaining = [0] * (target.n + 1)
-    for i in range(target.n):
-        remaining[i] = sum(len(back[j]) for j in range(i, target.n))
-    neighbor_sets = [
-        set(np.nonzero(obs.adjacency[u])[0].tolist()) for u in range(n)
+    back, twin, rest = _scan_plan(target)
+    k, n, total = target.n, adjacency.shape[0], target.num_edges
+    masks = [
+        int.from_bytes(row.tobytes(), "little")
+        for row in np.packbits(adjacency, axis=1, bitorder="little")
     ]
-    total = target.num_edges
-    images = [-1] * target.n
-    used = [False] * n
+    images = [0] * k
     best = 0
 
-    def place(i: int, current: int) -> None:
+    def place(i: int, edges: int, used: int) -> None:
         nonlocal best
-        if current + remaining[i] <= best:
+        if i == k:
+            best = edges
             return
-        if i == target.n:
-            best = current
-            return
-        backs = back[i]
-        for u in range(n):
-            if used[u]:
+        placed = 0
+        for j in back[i]:
+            placed |= 1 << images[j]
+        bound = best - edges - rest[i + 1]
+        for u in range(images[twin[i]] + 1 if twin[i] >= 0 else 0, n):
+            if used >> u & 1:
                 continue
-            gained = sum(1 for j in backs if images[j] in neighbor_sets[u])
-            images[i] = u
-            used[u] = True
-            place(i + 1, current + gained)
-            used[u] = False
-            if best >= total:
-                return
-        images[i] = -1
+            gain = (masks[u] & placed).bit_count()
+            if gain > bound:
+                images[i] = u
+                place(i + 1, edges + gain, used | 1 << u)
+                if best == total:
+                    return
+                bound = best - edges - rest[i + 1]
 
-    place(0, 0)
+    place(0, 0, 0)
     return best
 
 

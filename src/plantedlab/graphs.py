@@ -141,14 +141,6 @@ class Graph:
         """Compact relabeling that drops isolated vertices."""
         return self.edge_subgraph(self.edges, relabel=True) if self.edges else Graph(0, [])
 
-    def adjacency_masks(self) -> list[int]:
-        """Neighbor sets as bitmasks, for subset-enumeration algorithms."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
-
 
 def is_pattern(g: Graph) -> bool:
     """Pattern graphs (planted structures) must have no isolated vertices."""

@@ -1,7 +1,8 @@
 """Exact graph invariants: maximum subgraph density, densest subgraph,
 vertex cover number, automorphism count, isomorphism, and an aggregate
 stats record. One placement search (edge-preserving injections, by
-backtracking) serves copy counting, automorphisms and isomorphism.
+backtracking) serves copy counting, automorphisms and isomorphism; its plan
+and the twin classes also drive the scan and the shared-edge count.
 
 Everything here is exact. Density values are rationals, counts are
 arbitrary-precision integers, and every potentially expensive oracle takes an
@@ -10,8 +11,10 @@ explicit budget and raises BudgetExceededError instead of approximating.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from math import factorial, inf
 from typing import Iterator
@@ -380,6 +383,18 @@ def _placement_plan(pattern: Graph) -> tuple[list[int], list[list[int]]]:
     return order, back
 
 
+def _twin_classes(pattern: Graph) -> list[list[int]]:
+    """Vertices with equal open, or else equal closed, neighbourhoods; no
+    vertex has twins of both kinds, so the classes partition the vertices.
+    Permuting a class is an automorphism."""
+    opens = Counter(pattern.neighbors(v) for v in range(pattern.n))
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in range(pattern.n):
+        nbrs = pattern.neighbors(v)
+        classes.setdefault(nbrs if opens[nbrs] > 1 else nbrs | {v}, []).append(v)
+    return list(classes.values())
+
+
 def _embeddings(
     pattern: Graph, host: Graph, budget: float = inf
 ) -> Iterator[list[int]]:
@@ -438,6 +453,7 @@ def _embeddings(
 # Automorphism count |Aut(G)|
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=128)
 def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
     """|Aut(G)| as a product over connected components.
 
@@ -446,7 +462,7 @@ def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
     Isolated vertices form one class of singletons. Each component is
     counted by the placement search into itself; the budget caps the
     vertices of a searched component (the product formula keeps the result
-    exact).
+    exact). Results are cached per (graph, budget); budget errors are not.
     """
     comps = g.components()
     classes: list[tuple[Graph, int]] = []

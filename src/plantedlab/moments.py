@@ -37,7 +37,7 @@ from .errors import (
     PatternTooLargeError,
 )
 from .graphs import Graph, is_pattern
-from .invariants import _embedding_order, isomorphic
+from .invariants import _embedding_order, _twin_classes, isomorphic
 from .sampling import batched_copy_images
 
 SHARED_EDGE_BUDGET = 1 << 18
@@ -344,17 +344,6 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
     packed = sum(layer.values())
     mask = (1 << width) - 1
     return [packed >> j * width & mask for j in range(pattern.num_edges + 1)]
-
-
-def _twin_classes(pattern: Graph) -> list[list[int]]:
-    """Vertices with equal open, or else equal closed, neighbourhoods; no
-    vertex has twins of both kinds, so the classes partition the vertices."""
-    opens = Counter(pattern.neighbors(v) for v in range(pattern.n))
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in range(pattern.n):
-        nbrs = pattern.neighbors(v)
-        classes.setdefault(nbrs if opens[nbrs] > 1 else nbrs | {v}, []).append(v)
-    return list(classes.values())
 
 
 def _component_sorter(pattern: Graph):

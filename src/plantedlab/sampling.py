@@ -81,7 +81,7 @@ class Observation:
 
     @property
     def num_edges(self) -> int:
-        return int(np.count_nonzero(np.triu(self.adjacency, 1)))
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1, dtype=np.int64)

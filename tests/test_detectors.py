@@ -22,6 +22,7 @@ from plantedlab import (
     degree_condition_satisfied,
     degree_condition_value,
     degree_test,
+    densest_subgraph,
     likelihood_ratio_test,
     make_family,
     sample_null,
@@ -171,6 +172,42 @@ class TestScanTest:
         obs = sample_null(30, 0.1, stream(604))
         with pytest.raises(ScanBudgetExceededError):
             scan_test(obs, params)
+
+    @staticmethod
+    def assert_scans_match_brute_force(rng, pattern, n):
+        obs = Observation.from_graph(random_graph(rng, n, float(rng.random())))
+        params = ModelParams(n=n, p=0.9, q=0.3, pattern=pattern)
+        want = brute_scan_statistic(obs.adjacency, densest_subgraph(pattern))
+        assert scan_test(obs, params).statistic == float(want)
+        want = brute_scan_statistic(obs.adjacency, pattern)
+        assert scan_test_over_pattern(obs, params).statistic == float(want)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        pattern = random_pattern(rng, 5)
+        self.assert_scans_match_brute_force(
+            rng, pattern, int(rng.integers(pattern.n, 8))
+        )
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            make_family("star:4"),  # open twins
+            make_family("complete_bipartite:2,3"),
+            complete_graph(4),  # closed twins
+            make_family("matching:2"),
+            complete_graph(2),
+            K4_PENDANT,
+        ],
+        ids=["star4", "k23", "k4", "matching2", "k2", "k4_pendant"],
+    )
+    def test_twin_patterns_match_brute_force(self, pattern):
+        rng = np.random.default_rng(612)
+        for n in range(pattern.n, 8):
+            for _ in range(4):
+                self.assert_scans_match_brute_force(rng, pattern, n)
 
     def test_kappa_weight_moves_threshold(self):
         params = ModelParams(n=6, p=0.8, q=0.2, pattern=TRIANGLE)

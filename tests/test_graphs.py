@@ -87,13 +87,6 @@ class TestGraphBasics:
         assert not is_pattern(Graph(3, [(0, 1)]))  # isolated vertex
         assert not is_pattern(Graph(2, []))
 
-    def test_adjacency_masks_match_neighbors(self):
-        rng = np.random.default_rng(7)
-        g = random_graph(rng, 9, 0.4)
-        masks = g.adjacency_masks()
-        for v in range(g.n):
-            assert masks[v] == sum(1 << u for u in g.neighbors(v))
-
 
 class TestEdgeListFormat:
     def test_round_trip(self):
