@@ -64,33 +64,12 @@ def graph_stats(
 # ---------------------------------------------------------------------------
 
 def max_subgraph_density(g: Graph) -> Fraction:
-    """Exact mu(G) via Goldberg's parametric max-flow search.
-
-    A guess a/b is tested with an integer-capacity min cut; distinct
-    achievable densities differ by at least 1/n^2, so a binary search
-    narrower than that pins the unique rational with denominator <= n.
-    """
+    """Exact mu(G) by Dinkelbach's iteration on Goldberg's max-flow network
+    (:func:`_densest_cut`): each flow either certifies its guess or yields a
+    denser set, so a random host takes one or two flows."""
     if g.n == 0:
         raise EmptyGraphError("density of the empty graph is undefined")
-    if g.num_edges == 0:
-        return Fraction(0)
-
-    lo = Fraction(0)
-    hi = Fraction(g.max_degree())
-    gap = Fraction(1, g.n * g.n)
-    while hi - lo >= gap:
-        mid = (lo + hi) / 2
-        if _denser_subgraph_exists(g, mid):
-            lo = mid
-        else:
-            hi = mid
-    value = ((lo + hi) / 2).limit_denominator(g.n)
-    # Self-check: value must be achievable and not improvable.
-    if _denser_subgraph_exists(g, value):
-        raise AssertionError("parametric search converged below the optimum")
-    if value > 0 and not _denser_subgraph_exists(g, value - gap):
-        raise AssertionError("parametric search converged above the optimum")
-    return value
+    return _densest_cut(g)[0]
 
 
 def densest_subgraph(g: Graph) -> Graph:
@@ -105,69 +84,62 @@ def densest_subgraph(g: Graph) -> Graph:
 
 
 def densest_vertex_set(g: Graph) -> list[int]:
-    """The tie-broken optimal vertex set behind :func:`densest_subgraph`."""
+    """The tie-broken optimal vertex set behind :func:`densest_subgraph`.
+
+    Read from the max flow at mu (Picard-Queyranne): the min cuts are the
+    residual-closed node sets holding the source but not the sink, and the
+    vertex nodes on a min cut's source side, if any, form an optimal set.
+    So what {source, v} reaches in the residual graph is the minimal optimal
+    set containing v, or holds the sink if v is in no optimal set. Every
+    minimum-cardinality optimal set is such a core (of any of its vertices),
+    so the tie rule picks among them.
+    """
     if g.n == 0:
         raise EmptyGraphError("densest subgraph of the empty graph is undefined")
-    if g.num_edges == 0:
-        # All densities are 0; the single smallest-label vertex wins the tie.
-        return [0]
-
-    mu = max_subgraph_density(g)
-    # Optimal sets are the maximizers of the supermodular e(S) - mu*|S|, so
-    # they form a lattice: the minimal optimal set containing any fixed v is
-    # unique (source-side-minimal min cut with v forced onto the source side),
-    # and every minimum-cardinality optimal set arises as such a core.
+    _, dinic = _densest_cut(g)
+    first = 1 + g.num_edges  # node of vertex 0; the sink follows vertex n-1
     best: list[int] | None = None
     for v in range(g.n):
-        core = _minimal_optimal_core(g, mu, v)
-        if core is None:
+        reach = dinic.reachable(0, first + v)
+        if reach[-1]:
             continue
+        core = [w for w in range(g.n) if reach[first + w]]
         if best is None or (len(core), core) < (len(best), best):
             best = core
-    assert best is not None, "mu > 0 must be attained by some vertex core"
+    assert best is not None, "some vertex lies in an optimal set"
     return best
 
 
-def _goldberg_network(g: Graph, num: int, den: int, forced: int | None):
-    """Integer-capacity network whose min cut decides e(S)/|S| > num/den.
+def _densest_cut(g: Graph) -> tuple[Fraction, _Dinic]:
+    """(mu, the max-flow network at mu), by Dinkelbach's iteration on
+    Goldberg's network.
 
-    Nodes: 0 = source, 1..m edge nodes, m+1..m+n vertex nodes, last = sink.
-    Capacities are scaled by den so everything stays integral.
+    At a guess num/den the nodes are 0 = source, 1..m edge nodes, m+1..m+n
+    vertex nodes and the sink last: source -> edge den, edge -> both
+    endpoints unbounded, vertex -> sink num. A cut whose source side holds
+    the vertex set S costs at least den*(m - e(S)) + num*|S|, so the max
+    flow is den*m exactly when no S has e(S)/|S| > num/den, which certifies
+    the guess. Otherwise the source side of the minimal min cut is a denser
+    S, and the next guess is e(S)/|S|. Guesses rise strictly through the
+    finitely many densities, starting from m/n.
     """
     m = g.num_edges
-    size = m + g.n + 2
-    sink = size - 1
-    dinic = _Dinic(size)
-    inf = den * m * (g.n + 2) + 1
-    for j, (u, v) in enumerate(g.edges):
-        dinic.add(0, 1 + j, den)
-        dinic.add(1 + j, 1 + m + u, inf)
-        dinic.add(1 + j, 1 + m + v, inf)
-    for v in range(g.n):
-        dinic.add(1 + m + v, sink, num)
-    if forced is not None:
-        dinic.add(0, 1 + m + forced, inf)
-    return dinic, sink
-
-
-def _denser_subgraph_exists(g: Graph, guess: Fraction) -> bool:
-    """True iff some nonempty S has e(S)/|S| > guess."""
-    if guess < 0:
-        return g.num_edges > 0
-    dinic, sink = _goldberg_network(g, guess.numerator, guess.denominator, None)
-    cut = dinic.max_flow(0, sink)
-    return cut < guess.denominator * g.num_edges
-
-
-def _minimal_optimal_core(g: Graph, mu: Fraction, v: int) -> list[int] | None:
-    """Minimal optimal vertex set containing v, or None if v is in none."""
-    dinic, sink = _goldberg_network(g, mu.numerator, mu.denominator, v)
-    cut = dinic.max_flow(0, sink)
-    if cut != mu.denominator * g.num_edges:
-        return None
-    reach = dinic.reachable(0)
-    m = g.num_edges
-    return [w for w in range(g.n) if reach[1 + m + w]]
+    guess = Fraction(m, g.n)
+    while True:
+        num, den = guess.numerator, guess.denominator
+        dinic = _Dinic(m + g.n + 2)
+        sink = m + g.n + 1
+        unbounded = den * m + 1  # more than the source can send
+        for j, (u, v) in enumerate(g.edges):
+            dinic.add(0, 1 + j, den)
+            dinic.add(1 + j, 1 + m + u, unbounded)
+            dinic.add(1 + j, 1 + m + v, unbounded)
+        for v in range(g.n):
+            dinic.add(1 + m + v, sink, num)
+        if dinic.max_flow(0, sink) == den * m:
+            return guess, dinic
+        reach = dinic.reachable(0)
+        guess = Fraction(sum(reach[1 : 1 + m]), sum(reach[1 + m : sink]))
 
 
 class _Dinic:
@@ -228,11 +200,13 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def reachable(self, s: int) -> list[bool]:
-        """Residual reachability after max_flow; the minimal min-cut side."""
+    def reachable(self, *starts: int) -> list[bool]:
+        """Residual reachability from `starts` after max_flow; from the
+        source alone, the source side of the minimal min cut."""
         seen = [False] * self.n
-        seen[s] = True
-        queue = [s]
+        for s in starts:
+            seen[s] = True
+        queue = list(starts)
         for u in queue:
             for eid in self.head[u]:
                 v = self.to[eid]

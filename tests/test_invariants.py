@@ -5,6 +5,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plantedlab import (
     BudgetExceededError,
@@ -46,14 +48,14 @@ class TestMaxSubgraphDensity:
         assert max_subgraph_density(Graph(3, [])) == Fraction(0)
 
     def test_matches_brute_force_small(self):
-        # exhaustive path (n <= 14) against the subset oracle
+        # graphs with up to 10 vertices against the subset oracle
         rng = np.random.default_rng(100)
         for _ in range(60):
             g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.8)))
             assert max_subgraph_density(g) == brute_max_density(g)
 
     def test_matches_brute_force_flow_path(self):
-        # n > 14 forces the max-flow binary search
+        # 16 vertices: the largest hosts the subset oracle checks here
         rng = np.random.default_rng(101)
         for _ in range(12):
             g = random_graph(rng, 16, float(rng.uniform(0.15, 0.5)))
@@ -70,6 +72,44 @@ class TestMaxSubgraphDensity:
         for _ in range(8):
             g = random_graph(rng, 15, float(rng.uniform(0.2, 0.45)))
             assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force(self, seed):
+        # no edge crosses a random split, then the labels are shuffled, so
+        # isolated vertices and disconnected graphs are common
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 11))
+        split = int(rng.integers(1, n + 1))
+        perm = rng.permutation(n)
+        g = random_graph(rng, n, float(rng.random()))
+        g = Graph(n, [
+            (int(perm[u]), int(perm[v])) for u, v in g.edges if (u < split) == (v < split)
+        ])
+        assert max_subgraph_density(g) == brute_max_density(g)
+        assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
+    @pytest.mark.parametrize("length", [6, 34])
+    def test_clique_with_pendant_path(self, length):
+        # K6 on 0..5 and a path 5-6-...: the whole graph is sparser than the
+        # clique, so the iteration must move past its starting guess m/n
+        g = Graph(
+            6 + length,
+            [(i, j) for i in range(6) for j in range(i + 1, 6)]
+            + [(v, v + 1) for v in range(5, 5 + length)],
+        )
+        assert Fraction(g.num_edges, g.n) < Fraction(5, 2)
+        assert max_subgraph_density(g) == Fraction(5, 2)
+        assert densest_vertex_set(g) == [0, 1, 2, 3, 4, 5]
+        if g.n <= 12:
+            assert max_subgraph_density(g) == brute_max_density(g)
+            assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
+    @pytest.mark.parametrize("spec", ["disjoint_triangles:3", "matching:4"])
+    def test_ties_across_identical_components(self, spec):
+        g = make_family(spec)
+        assert max_subgraph_density(g) == brute_max_density(g)
+        assert densest_vertex_set(g) == brute_densest_vertex_set(g)
 
     def test_densest_subgraph_is_induced_restriction(self):
         g = make_family("unbalanced_stars:16")
