@@ -248,14 +248,16 @@ def likelihood_ratio_test(
         )
     tally = _copy_overlaps(params.pattern, n, obs.edges())
     assert sum(tally) == num_copies
-    p = Fraction(params.p)
-    q = Fraction(params.q)
-    present, absent = p / q, (1 - p) / (1 - q)
-    e = params.pattern.num_edges
-    total = sum(
-        copies * present**a * absent ** (e - a)
-        for a, copies in enumerate(tally)
-        if copies
-    )
+    weights = _lrt_weights(params.p, params.q, params.pattern.num_edges)
+    total = sum(copies * weights[a] for a, copies in enumerate(tally) if copies)
     stat = total / num_copies
     return _verdict(stat, Fraction(1))
+
+
+@lru_cache(maxsize=128)
+def _lrt_weights(p: float, q: float, e: int) -> tuple[Fraction, ...]:
+    """weights[a]: the likelihood ratio of a copy with a of its e edges
+    observed, (p/q)**a * ((1-p)/(1-q))**(e-a), in exact arithmetic."""
+    p, q = Fraction(p), Fraction(q)
+    present, absent = p / q, (1 - p) / (1 - q)
+    return tuple(present**a * absent ** (e - a) for a in range(e + 1))

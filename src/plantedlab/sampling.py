@@ -11,6 +11,7 @@ upper-triangle order, after the copy (if any) has been drawn.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,11 +131,11 @@ class EmbeddedCopy:
     def from_map(cls, pattern: Graph, images: tuple[int, ...]) -> "EmbeddedCopy":
         if len(set(images)) != len(images):
             raise ValueError("vertex map must be injective")
-        edges = frozenset(
-            (min(images[u], images[v]), max(images[u], images[v]))
-            for u, v in pattern.edges
+        lo, hi = _image_endpoints(pattern, images)
+        return cls(
+            vertex_map=tuple(int(x) for x in images),
+            edge_set=frozenset(zip(lo.tolist(), hi.tolist())),
         )
-        return cls(vertex_map=tuple(int(x) for x in images), edge_set=edges)
 
 
 def sample_null(n: int, q: float, rng: np.random.Generator) -> Observation:
@@ -170,21 +171,15 @@ def sample_planted(
 ) -> tuple[Observation, EmbeddedCopy]:
     """One draw from H1, returning the observation and the planted copy.
 
-    Draw order is fixed: first the copy, then one uniform per pair compared
-    against a per-pair threshold (p on copy edges, q elsewhere).
+    Draw order is fixed: first the copy, then one uniform per pair, compared
+    with p on the copy's pairs and with q elsewhere.
     """
     n = params.n
     copy = sample_uniform_copy(params.pattern, n, rng)
-    m = n * (n - 1) // 2
-    thresholds = np.full(m, params.q)
-    if copy.edge_set:
-        idx = np.fromiter(
-            (_pair_index(u, v, n) for u, v in copy.edge_set),
-            dtype=np.int64,
-            count=len(copy.edge_set),
-        )
-        thresholds[idx] = params.p
-    bits = rng.random(m) < thresholds
+    idx = _pair_index(*_image_endpoints(params.pattern, copy.vertex_map), n)
+    draws = rng.random(n * (n - 1) // 2)
+    bits = draws < params.q
+    bits[idx] = draws[idx] < params.p
     return _observation_from_bits(n, bits), copy
 
 
@@ -205,13 +200,34 @@ def batched_copy_images(
     return rng.permuted(base, axis=1)[:, : pattern.n]
 
 
-def _pair_index(u: int, v: int, n: int) -> int:
-    """Position of the pair u < v in row-major upper-triangle order."""
+@lru_cache(maxsize=128)
+def _edge_endpoints(pattern: Graph) -> np.ndarray:
+    """The pattern's edges as a read-only (|e|, 2) int64 array."""
+    ends = np.array(pattern.edges, dtype=np.int64).reshape(-1, 2)
+    ends.setflags(write=False)
+    return ends
+
+
+def _image_endpoints(
+    pattern: Graph, images: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the smaller and larger host end of each pattern edge's image."""
+    ends = np.asarray(images, dtype=np.int64)[_edge_endpoints(pattern)]
+    return ends.min(axis=1), ends.max(axis=1)
+
+
+def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Position of each pair u < v in row-major upper-triangle order."""
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
 def _observation_from_bits(n: int, bits: np.ndarray) -> Observation:
+    """Fill the upper triangle row by row from the row-major bits, then mirror."""
     a = np.zeros((n, n), dtype=bool)
-    a[np.triu_indices(n, 1)] = bits
+    start = 0
+    for u in range(n - 1):
+        stop = start + n - 1 - u
+        a[u, u + 1 :] = bits[start:stop]
+        start = stop
     a |= a.T
     return Observation(a)

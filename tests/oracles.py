@@ -152,6 +152,34 @@ def brute_scan_statistic(obs_adj: np.ndarray, target: Graph) -> int:
     return best
 
 
+def reference_sample(
+    n: int, q: float, rng, pattern: Graph | None = None, p: float | None = None
+) -> tuple[np.ndarray, tuple[int, ...], frozenset]:
+    """The samplers' draw contract written out plainly: (adjacency, vertex
+    map, copy edges). With a pattern, the copy's vertex map is drawn first
+    (a permutation of [0, n) truncated to the pattern size); then one uniform
+    per pair of all_pairs(n) is compared with a per-pair threshold (p on copy
+    pairs, q elsewhere) and the bits fill the upper triangle in that order.
+    Without a pattern there is no copy and every threshold is q."""
+    pairs = all_pairs(n)
+    thresholds = np.full(len(pairs), q)
+    images, copy_edges = (), frozenset()
+    if pattern is not None:
+        images = tuple(int(v) for v in rng.permutation(n)[: pattern.n])
+        copy_edges = frozenset(
+            (min(images[u], images[v]), max(images[u], images[v]))
+            for u, v in pattern.edges
+        )
+        position = {pair: i for i, pair in enumerate(pairs)}
+        for pair in copy_edges:
+            thresholds[position[pair]] = p
+    bits = rng.random(len(pairs)) < thresholds
+    a = np.zeros((n, n), dtype=bool)
+    a[np.triu_indices(n, 1)] = bits
+    a |= a.T
+    return a, images, copy_edges
+
+
 def hypergeom_pmf(total: int, marked: int, drawn: int) -> dict[int, Fraction]:
     """P[H = h] for H ~ Hypergeometric(total, marked, drawn), exact."""
     pmf = {}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from oracles import reference_sample
 from plantedlab import (
     DegenerateQError,
     EmbeddedCopy,
@@ -21,6 +22,7 @@ from plantedlab import (
     sample_uniform_copy,
     stream,
 )
+from plantedlab.sampling import _edge_endpoints
 
 
 TRIANGLE = complete_graph(3)
@@ -223,11 +225,58 @@ class TestSamplePlanted:
         assert pvalue > 1e-3
 
 
+class TestDrawContract:
+    """The samplers reproduce `oracles.reference_sample` bit for bit."""
+
+    SIZES = (1, 2, 3, 7, 64, 257)
+    KEYS = ((0, 0, 0), (11, 0, 5), (2024, 1, 3), (7, 1, 123))
+    Q = 0.3
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_null_matches_reference(self, n):
+        for key in self.KEYS:
+            expected, _, _ = reference_sample(n, self.Q, stream(*key))
+            obs = sample_null(n, self.Q, stream(*key))
+            assert obs.adjacency.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", ["clique:3", "star:4", "path:3", "matching:2", "clique:8"])
+    @pytest.mark.parametrize("p", [Q, 0.9, 1.0])
+    def test_planted_matches_reference(self, spec, p):
+        pattern = make_family(spec)
+        for n in self.SIZES:
+            if pattern.n > n:
+                continue
+            params = ModelParams(n=n, p=p, q=self.Q, pattern=pattern)
+            for key in self.KEYS:
+                expected, images, copy_edges = reference_sample(
+                    n, self.Q, stream(*key), pattern, p
+                )
+                obs, copy = sample_planted(params, stream(*key))
+                assert obs.adjacency.tobytes() == expected.tobytes()
+                assert copy.vertex_map == images
+                assert copy.edge_set == copy_edges
+
+
 class TestEmbeddedCopy:
     def test_from_map(self):
         copy = EmbeddedCopy.from_map(make_family("path:2"), (5, 2, 7))
         assert copy.edge_set == {(2, 5), (2, 7)}
 
+    def test_from_map_holds_python_ints(self):
+        images = tuple(np.int64(v) for v in (5, 2, 7))
+        copy = EmbeddedCopy.from_map(make_family("path:2"), images)
+        assert copy.edge_set == {(2, 5), (2, 7)}
+        assert all(type(v) is int for v in copy.vertex_map)
+        assert all(type(v) is int for edge in copy.edge_set for v in edge)
+
     def test_injectivity_required(self):
         with pytest.raises(ValueError):
             EmbeddedCopy.from_map(TRIANGLE, (1, 1, 2))
+        with pytest.raises(ValueError):
+            EmbeddedCopy.from_map(TRIANGLE, tuple(np.array([4, 0, 4])))
+
+    def test_edge_endpoints_read_only(self):
+        ends = _edge_endpoints(make_family("star:3"))
+        assert ends.tolist() == [[0, 1], [0, 2], [0, 3]]
+        with pytest.raises(ValueError):
+            ends[0, 0] = 5
