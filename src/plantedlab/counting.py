@@ -12,10 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable
+
+import numpy as np
 
 from .errors import BudgetExceededError, DisconnectedError
-from .graphs import Edge, Graph
+from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
 
 EMBEDDING_BUDGET_DEFAULT = 10_000_000
@@ -91,9 +92,10 @@ def containment_probability(
 
 
 @lru_cache(maxsize=32)
-def _labelled_copies(pattern: Graph) -> tuple[int, ...]:
-    """Edge bitmask of every labelled copy of the pattern on [k], sorted;
-    bit j stands for the j-th pair of `combinations(range(k), 2)`.
+def _labelled_copies(pattern: Graph) -> np.ndarray:
+    """Edge bitmask of every labelled copy of the pattern on [k], sorted, as
+    a read-only uint64 array; bit j stands for the j-th pair of
+    `combinations(range(k), 2)`, so k is at most 11.
 
     The labelled copies are the orbit of the pattern's edge set under
     adjacent transpositions, so the work is proportional to their number,
@@ -101,6 +103,7 @@ def _labelled_copies(pattern: Graph) -> tuple[int, ...]:
     """
     k = pattern.n
     pairs = list(combinations(range(k), 2))
+    assert len(pairs) <= 64, "pair masks are uint64"
     bit = {pair: j for j, pair in enumerate(pairs)}
     swaps = []  # swaps[t][j]: pair j with labels t and t+1 exchanged
     for t in range(k - 1):
@@ -116,29 +119,40 @@ def _labelled_copies(pattern: Graph) -> tuple[int, ...]:
             if image not in orbit:
                 orbit.add(image)
                 queue.append(image)
-    return tuple(sorted(sum(1 << j for j in labelled) for labelled in queue))
+    masks = sorted(sum(1 << j for j in labelled) for labelled in queue)
+    masks = np.array(masks, dtype=np.uint64)
+    masks.flags.writeable = False
+    return masks
 
 
-def _copy_overlaps(pattern: Graph, n: int, edges: Iterable[Edge]) -> list[int]:
+@lru_cache(maxsize=32)
+def _subset_cells(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, weights): cells[s, j] is the flat index S[a]*n + S[b] of the
+    j-th pair (a, b) of `combinations(range(k), 2)` carried onto the s-th
+    k-subset S of [n], and weights[j] = 2**j."""
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    a, b = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
+    cells = subsets[:, a] * n + subsets[:, b]
+    weights = np.uint64(1) << np.arange(a.size, dtype=np.uint64)
+    for array in (cells, weights):
+        array.flags.writeable = False
+    return cells, weights
+
+
+def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
     """tally[j] = number of copies of the pattern in K_n that share exactly
-    j edges with `edges` (pairs u < v), for j = 0..|e(pattern)|.
+    j edges with the graph of the (n, n) boolean `adjacency`, for
+    j = 0..|e(pattern)|; only its upper triangle is read.
 
     A copy of a pattern without isolated vertices is its vertex set, a
     k-subset S of [n], and a labelled copy on [k] carried onto S in
-    increasing order; it shares with `edges` what the labelled copy shares
-    with the pairs of `edges` inside S, renamed onto [k].
+    increasing order; it shares with the graph what the labelled copy shares
+    with the pairs of the graph inside S, renamed onto [k].
     """
-    k = pattern.n
-    pairs = list(combinations(range(k), 2))
-    given = set(edges)
-    tally = [0] * (pattern.num_edges + 1)
-    for subset in combinations(range(n), k):
-        inside = sum(
-            1 << j for j, (a, b) in enumerate(pairs) if (subset[a], subset[b]) in given
-        )
-        for labelled in _labelled_copies(pattern):
-            tally[(inside & labelled).bit_count()] += 1
-    return tally
+    cells, weights = _subset_cells(pattern.n, n)
+    inside = adjacency.ravel()[cells] @ weights  # pair mask of each subset
+    shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
+    return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
 
 
 def spanning_tree_count(g: Graph, budget: int = SPANNING_TREE_VERTEX_LIMIT) -> int:

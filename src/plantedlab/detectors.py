@@ -11,7 +11,11 @@ cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 
 The scan statistic, for every target, comes from one branch and bound over
 placements of the target along its placement plan, with twins of the target
-placed on increasing host vertices.
+placed on increasing host vertices. A branch dies when the target edges
+still to place, or the neighbour counts of the free host vertices (how many
+placed images each is adjacent to, kept as bit-sliced layers), cannot lift
+it above the incumbent.
+The likelihood-ratio test tallies copies by shared edges from the adjacency.
 """
 
 from __future__ import annotations
@@ -165,11 +169,21 @@ def _scan(
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(target: Graph) -> tuple[list[list[int]], list[int], list[int]]:
-    """(back, twin, rest) along `_placement_plan`: the back-edge positions of
-    each position, the position of the previous member of its twin class
-    (-1 if none), and the back-edges at this position and after it."""
+def _scan_plan(
+    target: Graph,
+) -> tuple[list[list[int]], list[int], list[int], list[int], list[int], list[bool]]:
+    """Per-position tables along `_placement_plan`, for the scan's bounds:
+
+    back[i]: the positions of the back-edges of position i;
+    twin[i]: the position of the previous member of its twin class, or -1;
+    rest[i]: the back-edges at position i and after it;
+    cap[i]: the most back-edges any later position has into positions <= i;
+    inner[i]: the back-edges of later positions into later positions;
+    chain[i]: whether every later position continues the twin chain of
+        position i, so every later image is above the image of i.
+    """
     order, back = _placement_plan(target)
+    k = len(order)
     classes = _twin_classes(target)
     twin_class = {v: c for c, members in enumerate(classes) for v in members}
     last: dict[int, int] = {}
@@ -177,22 +191,33 @@ def _scan_plan(target: Graph) -> tuple[list[list[int]], list[int], list[int]]:
     for i, v in enumerate(order):
         twin.append(last.get(twin_class[v], -1))
         last[twin_class[v]] = i
-    rest = [0] * (len(order) + 1)
-    for i in reversed(range(len(order))):
+    rest = [0] * (k + 1)
+    for i in reversed(range(k)):
         rest[i] = rest[i + 1] + len(back[i])
-    return back, twin, rest
+    cap = [max((sum(b <= i for b in back[j]) for j in range(i + 1, k)), default=0)
+           for i in range(k)]
+    inner = [sum(b > i for j in range(i + 1, k) for b in back[j]) for i in range(k)]
+    chain = [all(twin[j] == j - 1 for j in range(i + 1, k)) for i in range(k)]
+    return back, twin, rest, cap, inner, chain
 
 
 def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     """Max number of observed edges over the injective placements of target.
 
     Branch and bound along the placement plan, on host neighbourhoods kept
-    as bitmasks. Twins of the target take increasing host vertices: permuting
-    them is an automorphism, so each copy is still reached (a clique is
-    searched as vertex sets). A branch dies when even completing every
-    remaining target edge cannot beat the incumbent.
+    as bitmasks. Twins of the target take increasing host vertices:
+    permuting them is an automorphism, so each copy is still reached (a
+    clique is searched as vertex sets).
+
+    A candidate dies when even the best completion cannot beat the
+    incumbent. That completion is bounded by the remaining target edges,
+    and also by the free vertices' neighbour counts: layers[t-1] holds the
+    host vertices adjacent to at least t placed images, so the r later
+    positions, each with at most cap[i] back-edges into the placed ones,
+    gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
+    from them, plus the target edges among themselves.
     """
-    back, twin, rest = _scan_plan(target)
+    back, twin, rest, cap, inner, chain = _scan_plan(target)
     k, n, total = target.n, adjacency.shape[0], target.num_edges
     masks = [
         int.from_bytes(row.tobytes(), "little")
@@ -201,27 +226,43 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     images = [0] * k
     best = 0
 
-    def place(i: int, edges: int, used: int) -> None:
+    def place(i: int, edges: int, used: int, layers: list[int]) -> None:
         nonlocal best
-        if i == k:
-            best = edges
-            return
         placed = 0
         for j in back[i]:
             placed |= 1 << images[j]
-        bound = best - edges - rest[i + 1]
-        for u in range(images[twin[i]] + 1 if twin[i] >= 0 else 0, n):
+        later, depth, own, tail = k - 1 - i, cap[i], inner[i], rest[i + 1]
+        unused = ~used
+        start = images[twin[i]] + 1 if twin[i] >= 0 else 0
+        for u in range(start, n):
             if used >> u & 1:
                 continue
             gain = (masks[u] & placed).bit_count()
-            if gain > bound:
-                images[i] = u
-                place(i + 1, edges + gain, used | 1 << u)
+            room = best - edges - gain  # what the later positions must beat
+            if tail <= room:
+                continue
+            if not later:
+                best = edges + gain
                 if best == total:
                     return
-                bound = best - edges - rest[i + 1]
+                continue
+            nbrs, below, grown = masks[u], ~0, []
+            for layer in layers:
+                grown.append(layer | below & nbrs)
+                below = layer
+            if own <= room:  # else no count of free vertices can prune
+                free = unused & (~0 << (u + 1) if chain[i] else ~(1 << u))
+                bound = own
+                for layer in grown[:depth]:
+                    bound += min(later, (layer & free).bit_count())
+                if bound <= room:
+                    continue
+            images[i] = u
+            place(i + 1, edges + gain, used | 1 << u, grown)
+            if best == total:
+                return
 
-    place(0, 0, 0)
+    place(0, 0, 0, [0] * max(cap))
     return best
 
 
@@ -246,7 +287,7 @@ def likelihood_ratio_test(
         raise BudgetExceededError(
             f"{num_copies} pattern copies > enumeration limit {LRT_MAX_COPIES}"
         )
-    tally = _copy_overlaps(params.pattern, n, obs.edges())
+    tally = _copy_overlaps(params.pattern, n, obs.adjacency)
     assert sum(tally) == num_copies
     weights = _lrt_weights(params.p, params.q, params.pattern.num_edges)
     total = sum(copies * weights[a] for a, copies in enumerate(tally) if copies)

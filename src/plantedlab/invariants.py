@@ -92,17 +92,20 @@ def densest_vertex_set(g: Graph) -> list[int]:
     So what {source, v} reaches in the residual graph is the minimal optimal
     set containing v, or holds the sink if v is in no optimal set. Every
     minimum-cardinality optimal set is such a core (of any of its vertices),
-    so the tie rule picks among them.
+    so the tie rule picks among them. One search backwards from the sink
+    first finds the vertices in no optimal set, which need no search of
+    their own.
     """
     if g.n == 0:
         raise EmptyGraphError("densest subgraph of the empty graph is undefined")
     _, dinic = _densest_cut(g)
     first = 1 + g.num_edges  # node of vertex 0; the sink follows vertex n-1
+    to_sink = dinic.reachable(first + g.n, reverse=True)
     best: list[int] | None = None
     for v in range(g.n):
-        reach = dinic.reachable(0, first + v)
-        if reach[-1]:
+        if to_sink[first + v]:
             continue
+        reach = dinic.reachable(0, first + v)
         core = [w for w in range(g.n) if reach[first + w]]
         if best is None or (len(core), core) < (len(best), best):
             best = core
@@ -200,9 +203,10 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def reachable(self, *starts: int) -> list[bool]:
+    def reachable(self, *starts: int, reverse: bool = False) -> list[bool]:
         """Residual reachability from `starts` after max_flow; from the
-        source alone, the source side of the minimal min cut."""
+        source alone, the source side of the minimal min cut. With
+        `reverse`, the nodes that reach `starts` instead."""
         seen = [False] * self.n
         for s in starts:
             seen[s] = True
@@ -210,7 +214,7 @@ class _Dinic:
         for u in queue:
             for eid in self.head[u]:
                 v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
+                if self.cap[eid ^ reverse] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
         return seen

@@ -167,7 +167,9 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
         raise BudgetExceededError(
             f"pair enumeration limited to n <= {PAIR_ENUM_MAX_VERTICES}, got {n}"
         )
-    tally = _copy_overlaps(pattern, n, pattern.edges)
+    fixed = np.zeros((n, n), dtype=bool)
+    fixed[tuple(np.array(pattern.edges).T)] = True  # the copy on [k], u < v
+    tally = _copy_overlaps(pattern, n, fixed)
     num_copies = sum(tally)
     assert num_copies == copies_in_complete(pattern, n)
     base = 1 + Fraction(mp.lambda_sq)

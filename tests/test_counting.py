@@ -158,6 +158,13 @@ class TestSpanningTrees:
             spanning_tree_count(complete_graph(21))
 
 
+def adjacency_of(n, edges):
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        a[u, v] = a[v, u] = True
+    return a
+
+
 def check_copy_overlaps(pattern, n, rng):
     """Tally of the brute-force copy masks by overlap with three edge sets:
     the fixed copy, a random edge set and the empty set."""
@@ -170,7 +177,7 @@ def check_copy_overlaps(pattern, n, rng):
         tally = [0] * (pattern.num_edges + 1)
         for mask in masks:
             tally[(mask & given).bit_count()] += 1
-        assert _copy_overlaps(pattern, n, edges) == tally
+        assert _copy_overlaps(pattern, n, adjacency_of(n, edges)) == tally
 
 
 class TestCopyEdgeMasks:
@@ -189,7 +196,7 @@ class TestCopyEdgeMasks:
             assert list(_labelled_copies(pattern)) == copy_masks(pattern, pattern.n)
             for n in range(pattern.n, 8):
                 check_copy_overlaps(pattern, n, rng)
-                copies = sum(_copy_overlaps(pattern, n, []))
+                copies = sum(_copy_overlaps(pattern, n, adjacency_of(n, [])))
                 assert copies == copies_in_complete(pattern, n)
 
 

@@ -26,6 +26,7 @@ from plantedlab import (
     likelihood_ratio_test,
     make_family,
     sample_null,
+    sample_planted,
     scan_test,
     scan_test_over_pattern,
     stream,
@@ -174,8 +175,10 @@ class TestScanTest:
             scan_test(obs, params)
 
     @staticmethod
-    def assert_scans_match_brute_force(rng, pattern, n):
-        obs = Observation.from_graph(random_graph(rng, n, float(rng.random())))
+    def assert_scans_match_brute_force(rng, pattern, n, density=None):
+        if density is None:
+            density = float(rng.random())
+        obs = Observation.from_graph(random_graph(rng, n, density))
         params = ModelParams(n=n, p=0.9, q=0.3, pattern=pattern)
         want = brute_scan_statistic(obs.adjacency, densest_subgraph(pattern))
         assert scan_test(obs, params).statistic == float(want)
@@ -186,10 +189,65 @@ class TestScanTest:
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(seed)
-        pattern = random_pattern(rng, 5)
+        pattern = random_pattern(rng, 6)
         self.assert_scans_match_brute_force(
-            rng, pattern, int(rng.integers(pattern.n, 8))
+            rng, pattern, int(rng.integers(pattern.n, 9))
         )
+
+    # Targets whose later positions all continue one twin chain, where the
+    # neighbour-count bound only counts free vertices above the last image,
+    # and disconnected ones.
+    CHAIN_AND_SPLIT_TARGETS = (
+        K4_PENDANT,
+        make_family("complete_bipartite:2,3"),
+        make_family("star:4"),
+        make_family("matching:3"),
+        make_family("disjoint_triangles:2"),
+        Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
+    )
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+        named=st.sampled_from([None, *range(len(CHAIN_AND_SPLIT_TARGETS))]),
+    )
+    def test_sparse_hosts_match_brute_force(self, seed, density, named):
+        # a random target with up to 6 vertices (often disconnected) or a
+        # named one, on hosts with up to 8 vertices down to density .05
+        rng = np.random.default_rng(seed)
+        if named is None:
+            pattern = random_pattern(rng, 6, float(rng.uniform(0.3, 0.9)))
+        else:
+            pattern = self.CHAIN_AND_SPLIT_TARGETS[named]
+        self.assert_scans_match_brute_force(
+            rng, pattern, int(rng.integers(pattern.n, 9)), density
+        )
+
+    # scan_test on G(40, .05) draws at seeds 613 (null, p = 1) and 614
+    # (planted, p = .7), k = 5, 6 and j = 0..3, as computed by the plain
+    # back-edge branch and bound that preceded the neighbour-count bound.
+    PINNED_SCANS = {
+        5: ([5, 6, 5, 5], [6, 8, 8, 8]),
+        6: ([6, 6, 7, 6], [12, 13, 10, 13]),
+    }
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_pinned_clique_scans_on_sparse_hosts(self, k):
+        pattern = complete_graph(k)
+        null, planted = self.PINNED_SCANS[k]
+        params = ModelParams(n=40, p=1.0, q=0.05, pattern=pattern)
+        got = [
+            scan_test(sample_null(40, 0.05, stream(613, k, j)), params).statistic
+            for j in range(4)
+        ]
+        assert got == null
+        params = ModelParams(n=40, p=0.7, q=0.05, pattern=pattern)
+        got = [
+            scan_test(sample_planted(params, stream(614, k, j))[0], params).statistic
+            for j in range(4)
+        ]
+        assert got == planted
 
     @pytest.mark.parametrize(
         "pattern",

@@ -105,6 +105,24 @@ class TestMaxSubgraphDensity:
             assert max_subgraph_density(g) == brute_max_density(g)
             assert densest_vertex_set(g) == brute_densest_vertex_set(g)
 
+    @pytest.mark.parametrize("tree_size,k", [(6, 4), (7, 3), (300, 5), (300, 3)])
+    def test_tree_with_clique(self, tree_size, k):
+        # a random tree with K_k hung from one of its vertices by an edge,
+        # labels shuffled; with K3 the whole graph ties the clique at
+        # density 1, so the tie rule must still pick the clique
+        rng = np.random.default_rng(104 + tree_size + k)
+        n = tree_size + k
+        clique = range(tree_size, n)
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, tree_size)]
+        edges += [(u, v) for u in clique for v in clique if u < v]
+        edges.append((int(rng.integers(0, tree_size)), tree_size))
+        perm = rng.permutation(n)
+        g = Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+        assert max_subgraph_density(g) == Fraction(k - 1, 2)
+        assert densest_vertex_set(g) == sorted(int(perm[v]) for v in clique)
+        if n <= 10:
+            assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
     @pytest.mark.parametrize("spec", ["disjoint_triangles:3", "matching:4"])
     def test_ties_across_identical_components(self, spec):
         g = make_family(spec)
