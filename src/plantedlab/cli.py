@@ -111,7 +111,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_stats(args) -> int:
     g = _load_pattern(args)
-    s = graph_stats(g, cover_budget=args.cover_budget, aut_budget=args.aut_budget)
+    s = graph_stats(g, cover_budget=args.cover_budget)
     print(
         f"|v|={s.num_vertices} |e|={s.num_edges} d_max={s.max_degree} "
         f"mu={s.max_subgraph_density} tau={s.vertex_cover_number} "
@@ -296,9 +296,7 @@ def _cmd_classify(args) -> int:
     if args.regime == "critical" and args.alpha is None:
         raise ValueError("critical classification needs --alpha")
     pattern = _load_pattern(args)
-    stats = graph_stats(
-        pattern, cover_budget=args.cover_budget, aut_budget=args.aut_budget
-    )
+    stats = graph_stats(pattern, cover_budget=args.cover_budget)
     if args.regime == "dense":
         if args.lambda_sq is not None:
             lam = float(args.lambda_sq)
@@ -342,11 +340,6 @@ def _add_pattern_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="pattern edge-list file")
 
 
-def _add_budget_flags(p: argparse.ArgumentParser, cover: int = 40, aut: int = 10):
-    p.add_argument("--cover-budget", type=int, default=cover)
-    p.add_argument("--aut-budget", type=int, default=aut)
-
-
 def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--detector", required=True, choices=sorted(DETECTORS), help="detector name"
@@ -364,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="invariants of a pattern graph")
     _add_pattern_flags(p)
-    _add_budget_flags(p)
+    p.add_argument("--cover-budget", type=int, default=40)
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("gen", help="emit a family graph as an edge list")
@@ -462,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="vertex-growth or degree exponent")
     p.add_argument("--sigma", type=float, help="q = sigma/n at alpha=1 (critical)")
     p.add_argument("--slack", type=float, default=0.1, help="epsilon margin")
-    _add_budget_flags(p, cover=1000)
+    p.add_argument("--cover-budget", type=int, default=1000)
     p.set_defaults(handler=_cmd_classify)
 
     return parser

@@ -25,10 +25,7 @@ SPANNING_TREE_VERTEX_LIMIT = 20
 
 
 def count_copies(
-    pattern: Graph,
-    host: Graph,
-    budget: int = EMBEDDING_BUDGET_DEFAULT,
-    aut_budget: int | None = None,
+    pattern: Graph, host: Graph, budget: int = EMBEDDING_BUDGET_DEFAULT
 ) -> int:
     """Number of distinct subgraphs of `host` isomorphic to `pattern`.
 
@@ -44,15 +41,12 @@ def count_copies(
     if pattern.n == 0:
         return 1
     embeddings = sum(1 for _ in _embeddings(pattern, host, budget))
-    if aut_budget is None:
-        aut = automorphism_count(pattern)
-    else:
-        aut = automorphism_count(pattern, budget=aut_budget)
+    aut = automorphism_count(pattern)
     assert embeddings % aut == 0
     return embeddings // aut
 
 
-def copies_in_complete(pattern: Graph, n: int, aut_budget: int | None = None) -> int:
+def copies_in_complete(pattern: Graph, n: int) -> int:
     """Number of copies of `pattern` in the complete graph on n vertices.
 
     Equals C(n, k) * k! / |Aut(pattern)| for k pattern vertices: choose the
@@ -61,11 +55,7 @@ def copies_in_complete(pattern: Graph, n: int, aut_budget: int | None = None) ->
     k = pattern.n
     if k > n:
         raise ValueError(f"pattern on {k} vertices cannot embed in K_{n}")
-    if aut_budget is None:
-        aut = automorphism_count(pattern)
-    else:
-        aut = automorphism_count(pattern, budget=aut_budget)
-    return comb(n, k) * factorial(k) // aut
+    return comb(n, k) * factorial(k) // automorphism_count(pattern)
 
 
 def containment_probability(

@@ -1,29 +1,30 @@
 """Exact graph invariants: maximum subgraph density, densest subgraph,
 vertex cover number, automorphism count, isomorphism, and an aggregate
 stats record. One placement search (edge-preserving injections, by
-backtracking) serves copy counting, automorphisms and isomorphism; its plan
-and the twin classes also drive the scan and the shared-edge count.
+backtracking) serves copy counting and isomorphism; its plan and the twin
+classes also drive the scan and the shared-edge count. Automorphisms are
+counted by individualisation and colour refinement on the twin quotient.
 
 Everything here is exact. Density values are rationals, counts are
-arbitrary-precision integers, and every potentially expensive oracle takes an
-explicit budget and raises BudgetExceededError instead of approximating.
+arbitrary-precision integers, and every potentially expensive oracle is
+metered by a budget and raises BudgetExceededError instead of approximating.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import factorial, inf
+from math import factorial, inf, prod
 from typing import Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError
 from .graphs import Graph
 
 COVER_BUDGET_DEFAULT = 40
-AUT_BUDGET_DEFAULT = 10
+REFINEMENT_BUDGET = 1 << 22  # refinement units per automorphism count
 
 
 @dataclass(frozen=True)
@@ -40,11 +41,7 @@ class GraphStats:
     automorphism_count: int
 
 
-def graph_stats(
-    g: Graph,
-    cover_budget: int = COVER_BUDGET_DEFAULT,
-    aut_budget: int = AUT_BUDGET_DEFAULT,
-) -> GraphStats:
+def graph_stats(g: Graph, cover_budget: int = COVER_BUDGET_DEFAULT) -> GraphStats:
     if g.n == 0:
         raise EmptyGraphError("stats of the empty graph are undefined")
     return GraphStats(
@@ -55,7 +52,7 @@ def graph_stats(
         max_subgraph_density=max_subgraph_density(g),
         vertex_cover_number=vertex_cover_number(g, budget=cover_budget),
         num_components=len(g.components()),
-        automorphism_count=automorphism_count(g, budget=aut_budget),
+        automorphism_count=automorphism_count(g),
     )
 
 
@@ -432,19 +429,17 @@ def _embeddings(
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
-def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
+def automorphism_count(g: Graph) -> int:
     """|Aut(G)| as a product over connected components.
 
     For components C_1..C_r grouped into isomorphism classes with
     multiplicities m_i, |Aut(G)| = prod_i m_i! * |Aut(C_i)|^{m_i}.
     Isolated vertices form one class of singletons. Each component is
-    counted by the placement search into itself; the budget caps the
-    vertices of a searched component (the product formula keeps the result
-    exact). Results are cached per (graph, budget); budget errors are not.
+    counted by :func:`_connected_aut`, whose search is metered against
+    `REFINEMENT_BUDGET`. Results are cached per graph; budget errors are not.
     """
-    comps = g.components()
     classes: list[tuple[Graph, int]] = []
-    for comp in comps:
+    for comp in g.components():
         sub = g.induced_subgraph(comp)
         for i, (rep, mult) in enumerate(classes):
             if isomorphic(rep, sub):
@@ -454,30 +449,243 @@ def automorphism_count(g: Graph, budget: int = AUT_BUDGET_DEFAULT) -> int:
             classes.append((sub, 1))
     total = 1
     for rep, mult in classes:
-        total *= factorial(mult) * _component_aut(rep, budget) ** mult
+        total *= factorial(mult) * _connected_aut(rep) ** mult
     return total
 
 
-def _component_aut(g: Graph, budget: int) -> int:
-    if g.n <= 1:
-        return 1
-    # Closed forms for shapes the search budget should not limit.
-    n, m = g.n, g.num_edges
-    degs = g.degrees()
-    if m == n * (n - 1) // 2:
-        return factorial(n)
-    if m == n - 1 and max(degs) == n - 1:
-        return factorial(n - 1)  # star: leaves permute freely
-    if m == n - 1 and sorted(degs) == [1, 1] + [2] * (n - 2):
-        return 2  # path: reversal only
-    if m == n and all(d == 2 for d in degs):
-        return 2 * n  # cycle: rotations and reflections
-    if g.n > budget:
-        raise BudgetExceededError(
-            f"automorphism budget: component with {g.n} vertices > budget {budget}"
+def _connected_aut(g: Graph) -> int:
+    """|Aut| of a component: prod |class|! over its twin classes, times the
+    automorphisms of the twin quotient that keep each class's (size,
+    clique) colour. Automorphisms map twin classes onto twin classes, the
+    permutations inside the classes are the kernel, and every coloured
+    automorphism of the quotient lifts."""
+    classes = _twin_classes(g)
+    of = [0] * g.n
+    for i, members in enumerate(classes):
+        for v in members:
+            of[v] = i
+    adj = [
+        frozenset(of[w] for w in g.neighbors(members[0])) - {i}
+        for i, members in enumerate(classes)
+    ]
+    kinds = [(len(c), len(c) > 1 and c[1] in g.neighbors(c[0])) for c in classes]
+    names = {kind: colour for colour, kind in enumerate(sorted(set(kinds)))}
+    twins = prod(factorial(len(c)) for c in classes)
+    return twins * _Refinement(adj).count([names[kind] for kind in kinds])
+
+
+class _Cells:
+    """An ordered partition of the vertices: each cell is a run of `order`,
+    and a vertex's colour is where its cell starts. `steps` hashes the
+    splits that refined it from its parent colouring."""
+
+    __slots__ = ("order", "pos", "start", "size", "steps")
+
+    def __init__(
+        self, order: list[int], pos: list[int], start: list[int], size: list[int]
+    ):
+        self.order, self.pos, self.start, self.size = order, pos, start, size
+        self.steps: list[int] = []
+
+    def first_cell(self) -> list[int]:
+        """The vertices of the lowest colour shared by two or more, or []."""
+        c = min((c for c, k in Counter(self.start).items() if k > 1), default=None)
+        return [] if c is None else self.order[c : c + self.size[c]]
+
+
+class _Refinement:
+    """Colour-preserving automorphisms of one graph by individualisation and
+    refinement (McKay and Piperno, "Practical graph isomorphism II", 2014).
+
+    Refinement is 1-WL by cell splitting, with Hopcroft's rule of queueing
+    every fragment of a split cell but the largest (Berkholz, Bonsma and
+    Grohe, 2017). Each splitter vertex and each edge it reads spends one
+    unit of `REFINEMENT_BUDGET`, and so does each vertex of a partition
+    copied to individualise a vertex.
+    """
+
+    def __init__(self, adj: list[frozenset[int]]):
+        self.adj = adj
+        self.spent = 0
+
+    def count(self, colours: list[int]) -> int:
+        """Orbit-stabilizer along a chain of individualised vertices: the
+        automorphisms number |orbit(v)| times those fixing v, for v in the
+        first non-singleton cell, and so on down the chain. u joins v's
+        orbit when some automorphism carries v's individualisation onto
+        u's. Levels are counted from the bottom, so the automorphisms found
+        below, which fix v, move the points found since: only a vertex that
+        the automorphisms found so far do not reach from v needs a search."""
+        n = len(colours)
+        order = sorted(range(n), key=colours.__getitem__)
+        pos, start, size = [0] * n, [0] * n, [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+            same = i and colours[order[i - 1]] == colours[v]
+            start[v] = start[order[i - 1]] if same else i
+            size[start[v]] += 1
+        chain = [_Cells(order, pos, start, size)]
+        self._split(chain[0], sorted(set(start)), None)
+        while cell := chain[-1].first_cell():
+            chain.append(self._individualise(chain[-1], cell[0], None))
+        total, found = 1, []
+        for depth in reversed(range(len(chain) - 1)):
+            cells = chain[depth]
+            cell = cells.first_cell()
+            orbit = {cell[0]}
+            for u in cell:
+                if u in orbit:
+                    continue
+                moved = self._individualise(cells, u, chain[depth + 1].steps)
+                if moved is None:
+                    continue
+                image = self._joins(cells.start, chain[depth + 1 :], moved)
+                if image is not None:
+                    found.append(image)
+                    orbit = _orbit(cell[0], found)
+            total *= len(orbit)
+        return total
+
+    def _individualise(
+        self, cells: _Cells, v: int, trace: list[int] | None
+    ) -> _Cells | None:
+        """`cells` with v split off as the last cell of its old run, then
+        refined (see :meth:`_split`)."""
+        self.spent += len(cells.order)
+        out = _Cells(cells.order[:], cells.pos[:], cells.start[:], cells.size[:])
+        c = out.start[v]
+        last = c + out.size[c] - 1
+        w = out.order[last]
+        out.order[last], out.order[out.pos[v]] = v, w
+        out.pos[w], out.pos[v] = out.pos[v], last
+        out.size[c] -= 1
+        out.size[last], out.start[v] = 1, last
+        return self._split(out, [last], trace)
+
+    def _split(
+        self, cells: _Cells, queue: list[int], trace: list[int] | None
+    ) -> _Cells | None:
+        """Refine `cells` in place to the coarsest equitable partition,
+        starting from the splitter cells in `queue`: every cell, or every
+        piece but one of a cell just split in an equitable partition. A
+        cell splits by neighbour count in the splitter into fragments in
+        count order, so colours are named canonically. Given another
+        refinement's steps as `trace`, returns None at the first split that
+        differs, since no colour-preserving isomorphism joins the two then.
+        (Equal hashes of unequal splits only pass a mismatch on to the final
+        check of :meth:`_automorphism`.)"""
+        order, pos, start, size, steps = (
+            cells.order, cells.pos, cells.start, cells.size, cells.steps
         )
-    # With equal vertex and edge counts every embedding is an automorphism.
-    return sum(1 for _ in _embeddings(g, g))
+        queue = deque(queue)
+        queued = set(queue)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            counts: Counter[int] = Counter()
+            for w in order[s : s + size[s]]:
+                counts.update(self.adj[w])
+            self.spent += size[s] + sum(counts.values())
+            if self.spent > REFINEMENT_BUDGET:
+                raise BudgetExceededError(
+                    f"automorphism search: {self.spent} refinement units > budget"
+                    f" {REFINEMENT_BUDGET}"
+                )
+            touched: dict[int, list[int]] = {}
+            for x in counts:
+                touched.setdefault(start[x], []).append(x)
+            for c in sorted(touched):
+                members = sorted(touched[c], key=counts.__getitem__)
+                end = c + size[c]
+                if len(members) == size[c] and counts[members[0]] == counts[members[-1]]:
+                    continue
+                first = end - len(members)
+                for j, x in enumerate(members, first):
+                    y = order[j]
+                    order[pos[x]], order[j] = y, x
+                    pos[y], pos[x] = pos[x], j
+                cuts = [c] if first > c else []
+                cuts += [j for j in range(first, end) if j == first
+                         or counts[order[j]] != counts[order[j - 1]]]
+                bounds = list(zip(cuts, cuts[1:] + [end]))
+                for a, b in bounds:
+                    size[a] = b - a
+                    if a != c:
+                        for x in order[a:b]:
+                            start[x] = a
+                split = tuple((b - a, counts[order[a]]) for a, b in bounds)
+                steps.append(hash((s, c, split)))
+                if trace is not None and (
+                    len(steps) > len(trace) or trace[len(steps) - 1] != steps[-1]
+                ):
+                    return None
+                largest = c if c in queued else max(bounds, key=lambda r: r[1] - r[0])[0]
+                for a, _ in bounds:
+                    if a != largest and a not in queued:
+                        queue.append(a)
+                        queued.add(a)
+        if trace is not None and len(steps) != len(trace):
+            return None
+        return cells
+
+    def _joins(
+        self, base: list[int], chain: list[_Cells], right: _Cells
+    ) -> list[int] | None:
+        """An automorphism keeping the colouring `base`, as a vertex map,
+        that carries chain[0] onto `right`, or None. `chain` continues by
+        individualising the first vertex of the first non-singleton cell;
+        at each depth the right side tries every vertex of that cell's
+        colour whose refinement matches the chain's. Backtracks."""
+        stack = [iter((right,))]
+        while stack:
+            theirs = next(stack[-1], None)
+            if theirs is None:
+                stack.pop()
+                continue
+            ours = chain[len(stack) - 1]
+            cell = ours.first_cell()
+            if not cell:
+                image = self._automorphism(base, ours.start, theirs.start)
+                if image is not None:
+                    return image
+                continue
+            c, deeper = ours.start[cell[0]], chain[len(stack)]
+            stack.append(
+                filter(None, (
+                    self._individualise(theirs, u, deeper.steps)
+                    for u in theirs.order[c : c + theirs.size[c]]
+                ))
+            )
+        return None
+
+    def _automorphism(
+        self, base: list[int], left: list[int], right: list[int]
+    ) -> list[int] | None:
+        """The map matching the discrete colourings colour by colour, if it
+        is a permutation that keeps `base` and carries the edges onto the
+        edges."""
+        at = [0] * len(right)
+        for v, c in enumerate(right):
+            at[c] = v
+        image = [at[c] for c in left]
+        if len(set(image)) == len(image) and all(
+            base[image[v]] == base[v]
+            and frozenset(image[w] for w in nbrs) == self.adj[image[v]]
+            for v, nbrs in enumerate(self.adj)
+        ):
+            return image
+        return None
+
+
+def _orbit(v: int, perms: list[list[int]]) -> set[int]:
+    """The points that the group generated by `perms` reaches from v."""
+    orbit, reached = [v], {v}
+    for w in orbit:
+        for perm in perms:
+            if perm[w] not in reached:
+                reached.add(perm[w])
+                orbit.append(perm[w])
+    return reached
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:

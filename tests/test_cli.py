@@ -30,6 +30,18 @@ class TestStats:
         assert code == 0
         assert out == "|v|=4 |e|=3 d_max=3 mu=3/4 tau=1 aut=6\n"
 
+    @pytest.mark.parametrize(
+        "family, line",
+        [
+            ("regular_tree:3,3", "|v|=22 |e|=21 d_max=3 mu=21/22 tau=7 aut=3072\n"),
+            ("complete_bipartite:6,6", "|v|=12 |e|=36 d_max=6 mu=3 tau=6 aut=1036800\n"),
+        ],
+    )
+    def test_components_past_ten_vertices(self, capsys, family, line):
+        code, out, _ = run(capsys, "stats", "--family", family)
+        assert code == 0
+        assert out == line
+
     def test_budget_exit_code(self, capsys):
         code, _, err = run(capsys, "stats", "--family", "clique:50")
         assert code == 3
@@ -241,6 +253,14 @@ class TestClassify:
         )
         assert code == 0
         assert out.startswith("verdict=easy boundary=scan margin=")
+
+    def test_dense_regular_tree(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--regime", "dense", "--family", "regular_tree:3,3",
+            "--n", "1000", "--p", "0.9", "--q", "0.2",
+        )
+        assert code == 0
+        assert out == "verdict=impossible boundary=edge-degree margin=0.45926\n"
 
     def test_critical(self, capsys):
         code, out, _ = run(

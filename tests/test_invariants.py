@@ -1,5 +1,6 @@
 """Exact graph invariants against exhaustive brute force."""
 
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +25,9 @@ from plantedlab import (
     vertex_cover_number,
 )
 
+from plantedlab import invariants
+from plantedlab.invariants import _embeddings
+
 from oracles import (
     brute_automorphisms,
     brute_densest_vertex_set,
@@ -32,6 +36,15 @@ from oracles import (
     brute_vertex_cover,
     random_connected_graph,
     random_graph,
+)
+
+
+HYPERCUBE_3 = Graph(8, [(v, v | bit) for v in range(8) for bit in (1, 2, 4) if not v & bit])
+PETERSEN = Graph(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
 )
 
 
@@ -174,7 +187,7 @@ class TestAutomorphisms:
         assert automorphism_count(make_family("path:3")) == 2
         cycle = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
         assert automorphism_count(cycle) == 10
-        # the closed forms must also fire above the brute-force budget
+        # one twin class each, so size costs the search nothing
         assert automorphism_count(make_family("star:50")) == factorial(50)
         assert automorphism_count(complete_graph(30)) == factorial(30)
 
@@ -195,33 +208,52 @@ class TestAutomorphisms:
         assert automorphism_count(two_kinds) == 2 * 2
 
     def test_matches_brute_force_on_connected_8_vertex_graphs(self):
-        # 8-vertex components no closed form covers go through the search
-        def closed_form(g):
-            degs = sorted(g.degrees())
-            return (
-                g.num_edges == 28
-                or degs[-1] == 7
-                or degs == [1, 1] + [2] * 6
-                or degs == [2] * 8
-            )
-
-        cube = Graph(8, [(v, v | bit) for v in range(8) for bit in (1, 2, 4) if not v & bit])
-        graphs = [cube, make_family("complete_bipartite:3,5")]
+        graphs = [HYPERCUBE_3, make_family("complete_bipartite:3,5")]
         rng = np.random.default_rng(302)
         while len(graphs) < 6:
-            g = random_connected_graph(rng, 8, float(rng.uniform(0.15, 0.6)))
-            if not closed_form(g):
-                graphs.append(g)
+            graphs.append(random_connected_graph(rng, 8, float(rng.uniform(0.15, 0.6))))
         for g in graphs:
-            assert g.is_connected() and not closed_form(g)
+            assert g.is_connected()
             assert automorphism_count(g) == brute_automorphisms(g)
 
-    def test_budget_enforced_per_component(self):
-        # one big non-closed-form component trips the budget
+    @pytest.mark.parametrize(
+        "g, want",
+        [
+            (make_family("regular_tree:3,3"), 3072),
+            (make_family("regular_tree:3,4"), 12_582_912),
+            (make_family("complete_bipartite:6,6"), 2 * factorial(6) ** 2),
+            (HYPERCUBE_3, 48),
+            (PETERSEN, 120),
+            (Graph(60, [(i, (i + 1) % 60) for i in range(60)]), 120),
+        ],
+        ids=["regular_tree:3,3", "regular_tree:3,4", "complete_bipartite:6,6",
+             "Q3", "Petersen", "C60"],
+    )
+    def test_exact_values_on_named_graphs(self, g, want):
+        assert automorphism_count(g) == want
+        perm = np.random.default_rng(304).permutation(g.n)
+        relabelled = Graph(g.n, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+        assert relabelled != g
+        assert automorphism_count(relabelled) == want
+
+    def test_matches_embedding_search_on_connected_9_to_12_vertex_graphs(self):
+        # past brute force: every automorphism is an embedding into itself
+        rng = np.random.default_rng(305)
+        for _ in range(12):
+            n = int(rng.integers(9, 13))
+            g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
+            assert automorphism_count(g) == sum(1 for _ in _embeddings(g, g))
+
+    def test_budget_enforced_per_component(self, monkeypatch):
         rng = np.random.default_rng(301)
         g = random_graph(rng, 12, 0.5)
-        with pytest.raises(BudgetExceededError):
-            automorphism_count(g, budget=10)
+        automorphism_count.cache_clear()
+        monkeypatch.setattr(invariants, "REFINEMENT_BUDGET", 10)
+        with pytest.raises(BudgetExceededError) as err:
+            automorphism_count(g)
+        spent, limit = re.search(r"(\d+) refinement units > budget (\d+)", str(err.value)).groups()
+        assert int(spent) > int(limit) == 10
+        monkeypatch.undo()
         # but many small components are fine regardless of total size
         assert automorphism_count(make_family("matching:40")) == factorial(40) * 2**40
 
