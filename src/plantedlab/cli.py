@@ -111,7 +111,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_stats(args) -> int:
     g = _load_pattern(args)
-    s = graph_stats(g, cover_budget=args.cover_budget)
+    s = graph_stats(g)
     print(
         f"|v|={s.num_vertices} |e|={s.num_edges} d_max={s.max_degree} "
         f"mu={s.max_subgraph_density} tau={s.vertex_cover_number} "
@@ -253,7 +253,7 @@ def _cmd_decompose(args) -> int:
         if part.num_edges == 0:
             print(f"part={i} edges=0")
             continue
-        tau = vertex_cover_number(part, budget=args.cover_budget)
+        tau = vertex_cover_number(part)
         pd = part.max_degree()
         print(
             f"part={i} edges={part.num_edges} tau={tau} d_max={pd} "
@@ -296,7 +296,7 @@ def _cmd_classify(args) -> int:
     if args.regime == "critical" and args.alpha is None:
         raise ValueError("critical classification needs --alpha")
     pattern = _load_pattern(args)
-    stats = graph_stats(pattern, cover_budget=args.cover_budget)
+    stats = graph_stats(pattern)
     if args.regime == "dense":
         if args.lambda_sq is not None:
             lam = float(args.lambda_sq)
@@ -357,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="invariants of a pattern graph")
     _add_pattern_flags(p)
-    p.add_argument("--cover-budget", type=int, default=40)
     p.set_defaults(handler=_cmd_stats)
 
     p = sub.add_parser("gen", help="emit a family graph as an edge list")
@@ -433,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="vertex-cover/degree balanced split")
     _add_pattern_flags(p)
     p.add_argument("--parts", type=int, required=True)
-    p.add_argument("--cover-budget", type=int, default=1000)
     p.add_argument("--out", help="write parts to <out>-<i>.<ext>")
     p.set_defaults(handler=_cmd_decompose)
 
@@ -455,7 +453,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="vertex-growth or degree exponent")
     p.add_argument("--sigma", type=float, help="q = sigma/n at alpha=1 (critical)")
     p.add_argument("--slack", type=float, default=0.1, help="epsilon margin")
-    p.add_argument("--cover-budget", type=int, default=1000)
     p.set_defaults(handler=_cmd_classify)
 
     return parser

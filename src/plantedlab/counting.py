@@ -2,8 +2,10 @@
 the complete graph, containment probabilities for a uniformly random copy,
 spanning trees, and connected vertex sets.
 
-All results are exact integers or rationals. Enumeration work is metered
-against explicit budgets; exceeding one raises BudgetExceededError.
+All results are exact integers or rationals. Each search meters its work
+against a module constant (here `SPANNING_TREE_BUDGET` and
+`CONNECTED_SETS_BUDGET`, and `invariants.EMBEDDING_BUDGET` for copies), read
+at call time; exceeding one raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -19,20 +21,16 @@ from .errors import BudgetExceededError, DisconnectedError
 from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
 
-EMBEDDING_BUDGET_DEFAULT = 10_000_000
-CONNECTED_SETS_BUDGET_DEFAULT = 10_000_000
-SPANNING_TREE_VERTEX_LIMIT = 20
+CONNECTED_SETS_BUDGET = 10_000_000  # steps per connected-set count
+SPANNING_TREE_BUDGET = 750_000  # elimination updates per spanning tree count
 
 
-def count_copies(
-    pattern: Graph, host: Graph, budget: int = EMBEDDING_BUDGET_DEFAULT
-) -> int:
+def count_copies(pattern: Graph, host: Graph) -> int:
     """Number of distinct subgraphs of `host` isomorphic to `pattern`.
 
     Counts edge-preserving injective maps with the placement search of
     `invariants` and divides by |Aut(pattern)|, since each copy is the image
-    of exactly that many embeddings. The budget meters attempted partial
-    assignments.
+    of exactly that many embeddings.
     """
     if pattern.isolated_vertices():
         raise ValueError("pattern must have no isolated vertices")
@@ -40,7 +38,7 @@ def count_copies(
         raise ValueError("pattern has more vertices than the host")
     if pattern.n == 0:
         return 1
-    embeddings = sum(1 for _ in _embeddings(pattern, host, budget))
+    embeddings = sum(1 for _ in _embeddings(pattern, host))
     aut = automorphism_count(pattern)
     assert embeddings % aut == 0
     return embeddings // aut
@@ -58,12 +56,7 @@ def copies_in_complete(pattern: Graph, n: int) -> int:
     return comb(n, k) * factorial(k) // automorphism_count(pattern)
 
 
-def containment_probability(
-    sub: Graph,
-    pattern: Graph,
-    n: int,
-    budget: int = EMBEDDING_BUDGET_DEFAULT,
-) -> Fraction:
+def containment_probability(sub: Graph, pattern: Graph, n: int) -> Fraction:
     """P[fixed copy of `sub` lies inside a uniform copy of `pattern` in K_n].
 
     A double count of pairs (copy of sub, copy of pattern containing it)
@@ -77,7 +70,7 @@ def containment_probability(
         raise ValueError(f"pattern on {pattern.n} vertices cannot embed in K_{n}")
     if sub.n > pattern.n or sub.num_edges > pattern.num_edges:
         return Fraction(0)
-    hits = count_copies(sub, pattern, budget=budget)
+    hits = count_copies(sub, pattern)
     return Fraction(hits, copies_in_complete(sub, n))
 
 
@@ -145,22 +138,26 @@ def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
 
 
-def spanning_tree_count(g: Graph, budget: int = SPANNING_TREE_VERTEX_LIMIT) -> int:
+def spanning_tree_count(g: Graph) -> int:
     """Exact spanning tree count by the matrix-tree theorem.
 
     Evaluates one cofactor of the combinatorial Laplacian with fraction-free
     (Bareiss) elimination, so every intermediate value is an integer and the
-    result is exact at any size the budget admits.
+    result is exact. The elimination's updates, sum_k (size-1-k)^2 for the
+    size-by-size cofactor, are checked against `SPANNING_TREE_BUDGET` before
+    it starts.
     """
-    if g.n > budget:
+    size = g.n - 1
+    updates = (size - 1) * size * (2 * size - 1) // 6
+    if updates > SPANNING_TREE_BUDGET:
         raise BudgetExceededError(
-            f"spanning tree budget: {g.n} vertices > budget {budget}"
+            f"spanning tree count: {updates} elimination updates > budget"
+            f" {SPANNING_TREE_BUDGET}"
         )
     if not g.is_connected():
         raise DisconnectedError("spanning trees exist only for connected graphs")
     if g.n <= 1:
         return 1
-    size = g.n - 1
     lap = [[0] * size for _ in range(size)]
     for v in range(size):
         lap[v][v] = g.degree(v)
@@ -192,42 +189,41 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def connected_sets_count(
-    g: Graph,
-    size: int,
-    anchor: int,
-    budget: int = CONNECTED_SETS_BUDGET_DEFAULT,
-) -> int:
+def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
     """Number of connected vertex sets of the given size containing `anchor`.
 
     Grow-set enumeration: extend the current set one frontier vertex at a
-    time, forbidding previously branched-on vertices so each set is visited
-    exactly once. The budget meters recursion steps.
+    time, in increasing order, forbidding the vertices already branched on
+    so each set is visited exactly once. An explicit stack holds one level
+    per vertex added, so the depth is not bounded by Python's recursion
+    limit. Each extension spends one step of `CONNECTED_SETS_BUDGET`.
     """
     if not 0 <= anchor < g.n:
         raise ValueError(f"anchor {anchor} not a vertex of the graph")
     if not 1 <= size <= g.n:
         raise ValueError(f"set size {size} out of range 1..{g.n}")
-    steps = 0
-
-    def grow(current: frozenset[int], frontier: set[int], forbidden: set[int]) -> int:
-        nonlocal steps
-        if len(current) == size:
-            return 1
-        total = 0
-        blocked = set(forbidden)
-        for u in sorted(frontier):
-            steps += 1
-            if steps > budget:
-                raise BudgetExceededError(
-                    f"connected-set budget of {budget} steps exceeded"
-                )
-            grown = current | {u}
-            new_frontier = (frontier | g.neighbors(u)) - grown - blocked
-            new_frontier.discard(u)
-            total += grow(grown, new_frontier, blocked)
-            blocked.add(u)
-        return total
-
-    start = frozenset((anchor,))
-    return grow(start, set(g.neighbors(anchor)), {anchor})
+    if size == 1:
+        return 1
+    total = steps = 0
+    frontier = set(g.neighbors(anchor))
+    # each level: (set, its frontier, frontier vertices left to try, blocked)
+    stack = [(frozenset((anchor,)), frontier, iter(sorted(frontier)), {anchor})]
+    while stack:
+        current, frontier, untried, blocked = stack[-1]
+        u = next(untried, None)
+        if u is None:
+            stack.pop()
+            continue
+        steps += 1
+        if steps > CONNECTED_SETS_BUDGET:
+            raise BudgetExceededError(
+                f"connected-set count: {steps} steps > budget {CONNECTED_SETS_BUDGET}"
+            )
+        grown = current | {u}
+        if len(grown) == size:
+            total += 1
+        else:
+            ahead = (frontier | g.neighbors(u)) - grown - blocked
+            stack.append((grown, ahead, iter(sorted(ahead)), set(blocked)))
+        blocked.add(u)
+    return total

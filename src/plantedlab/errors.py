@@ -35,7 +35,7 @@ class DisconnectedError(PlantedLabError, ValueError):
 
 
 class BudgetExceededError(PlantedLabError):
-    """An exact computation would exceed its configured size budget."""
+    """An exact computation exceeded, or would exceed, its work budget."""
 
 
 class ScanBudgetExceededError(BudgetExceededError):

@@ -7,7 +7,9 @@ counted by individualisation and colour refinement on the twin quotient.
 
 Everything here is exact. Density values are rationals, counts are
 arbitrary-precision integers, and every potentially expensive oracle is
-metered by a budget and raises BudgetExceededError instead of approximating.
+metered against a module constant (`EMBEDDING_BUDGET`, `COVER_BUDGET`,
+`REFINEMENT_BUDGET`), read at call time, and raises BudgetExceededError
+instead of approximating.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import factorial, inf, prod
+from math import factorial, prod
 from typing import Iterator
 
 from .errors import BudgetExceededError, EmptyGraphError
 from .graphs import Graph
 
-COVER_BUDGET_DEFAULT = 40
+EMBEDDING_BUDGET = 10_000_000  # partial assignments per placement search
+COVER_BUDGET = 1 << 21  # work units per vertex cover number
 REFINEMENT_BUDGET = 1 << 22  # refinement units per automorphism count
 
 
@@ -41,7 +44,7 @@ class GraphStats:
     automorphism_count: int
 
 
-def graph_stats(g: Graph, cover_budget: int = COVER_BUDGET_DEFAULT) -> GraphStats:
+def graph_stats(g: Graph) -> GraphStats:
     if g.n == 0:
         raise EmptyGraphError("stats of the empty graph are undefined")
     return GraphStats(
@@ -50,7 +53,7 @@ def graph_stats(g: Graph, cover_budget: int = COVER_BUDGET_DEFAULT) -> GraphStat
         max_degree=g.max_degree(),
         density=Fraction(g.num_edges, g.n),
         max_subgraph_density=max_subgraph_density(g),
-        vertex_cover_number=vertex_cover_number(g, budget=cover_budget),
+        vertex_cover_number=vertex_cover_number(g),
         num_components=len(g.components()),
         automorphism_count=automorphism_count(g),
     )
@@ -221,24 +224,50 @@ class _Dinic:
 # Vertex cover number tau(G)
 # ---------------------------------------------------------------------------
 
-def vertex_cover_number(g: Graph, budget: int = COVER_BUDGET_DEFAULT) -> int:
-    """Exact minimum vertex cover size by branch and bound.
+def vertex_cover_number(g: Graph) -> int:
+    """Exact minimum vertex cover size: the sum over connected components
+    of a branch and bound.
 
-    Degree-0 vertices are dropped, degree-1 vertices are resolved by taking
-    the neighbor (always safe), and branching picks a maximum-degree vertex:
-    either it joins the cover or all its neighbors do. A greedy matching
-    lower-bounds each subproblem for pruning.
+    A node of the search removes the vertices its branch decided, resolves
+    pendant vertices by taking their neighbours (always safe), stops when a
+    greedy matching shows it cannot beat the best cover so far, and else
+    branches on a maximum-degree vertex v: either v joins the cover or all
+    its neighbours do.
 
-    Raises BudgetExceededError when the graph has more than `budget`
-    vertices; raise the budget rather than trusting an approximation.
+    Each node spends one unit of `COVER_BUDGET` plus one per adjacency entry
+    it copies; past the budget, BudgetExceededError is raised rather than an
+    approximation returned.
     """
-    if g.n > budget:
-        raise BudgetExceededError(
-            f"vertex cover budget: {g.n} vertices > budget {budget}"
-        )
-    adj = {v: set(g.neighbors(v)) for v in range(g.n) if g.degree(v) > 0}
-    best = _vc_upper_bound(adj)
-    return _vc_branch(adj, 0, best)
+    total = spent = 0
+    for comp in g.components():
+        root = {v: set(g.neighbors(v)) for v in comp if g.degree(v)}
+        best = len(root)  # all of it; the first dive, always taking v, improves it
+        # a node: (parent's adjacency, vertices to remove, cover size so far)
+        stack = [(root, frozenset(), 0)]
+        while stack:
+            parent, removed, taken = stack.pop()
+            if taken >= best:
+                continue
+            adj = {
+                u: rest
+                for u, ns in parent.items()
+                if u not in removed and (rest := ns - removed)
+            }
+            spent += 1 + sum(map(len, adj.values()))
+            if spent > COVER_BUDGET:
+                raise BudgetExceededError(
+                    f"vertex cover search: {spent} work units > budget {COVER_BUDGET}"
+                )
+            taken += _vc_take_pendants(adj)
+            if not adj:
+                best = min(best, taken)
+            elif taken + _vc_matching_lb(adj) < best:
+                v = max(adj, key=lambda u: (len(adj[u]), -u))
+                # popped first: v in the cover; then: its neighbours instead
+                stack.append((adj, adj[v] | {v}, taken + len(adj[v])))
+                stack.append((adj, {v}, taken + 1))
+        total += best
+    return total
 
 
 def matching_cover_bound(g: Graph) -> tuple[int, int]:
@@ -256,18 +285,24 @@ def matching_cover_bound(g: Graph) -> tuple[int, int]:
     return size, 2 * size
 
 
-def _vc_upper_bound(adj: dict[int, set[int]]) -> int:
-    work = {v: set(ns) for v, ns in adj.items()}
-    cover = 0
-    while True:
-        live = [(len(ns), v) for v, ns in work.items() if ns]
-        if not live:
-            return cover
-        _, v = max(live)
-        cover += 1
-        for w in work[v]:
-            work[w].discard(v)
-        work[v] = set()
+def _vc_take_pendants(adj: dict[int, set[int]]) -> int:
+    """Take the neighbour of every degree-1 vertex into the cover, in place,
+    until none is left; returns the number taken."""
+    pendants = [v for v, ns in adj.items() if len(ns) == 1]
+    taken = 0
+    while pendants:
+        ns = adj.get(pendants.pop())
+        if ns is None or len(ns) != 1:
+            continue
+        (w,) = ns
+        taken += 1
+        for x in adj.pop(w):
+            adj[x].discard(w)
+            if not adj[x]:
+                del adj[x]
+            elif len(adj[x]) == 1:
+                pendants.append(x)
+    return taken
 
 
 def _vc_matching_lb(adj: dict[int, set[int]]) -> int:
@@ -282,46 +317,6 @@ def _vc_matching_lb(adj: dict[int, set[int]]) -> int:
                 size += 1
                 break
     return size
-
-
-def _vc_branch(adj: dict[int, set[int]], taken: int, best: int) -> int:
-    adj = {v: set(ns) for v, ns in adj.items() if ns}
-    # Reductions: resolve pendant vertices by taking their neighbors.
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj.keys()):
-            ns = adj.get(v)
-            if ns is None or len(ns) != 1:
-                continue
-            (w,) = ns
-            taken += 1
-            for x in list(adj.get(w, ())):
-                adj[x].discard(w)
-                if not adj[x]:
-                    del adj[x]
-            adj.pop(w, None)
-            adj.pop(v, None)
-            changed = True
-            if taken >= best:
-                return best
-    if not adj:
-        return min(best, taken)
-    if taken + _vc_matching_lb(adj) >= best:
-        return best
-    v = max(adj, key=lambda u: (len(adj[u]), -u))
-    neighbors = set(adj[v])
-
-    # Branch 1: v in the cover.
-    sub = {u: ns - {v} for u, ns in adj.items() if u != v}
-    best = _vc_branch(sub, taken + 1, best)
-
-    # Branch 2: v not in the cover, so all its neighbors are.
-    if taken + len(neighbors) < best:
-        removed = neighbors | {v}
-        sub = {u: ns - removed for u, ns in adj.items() if u not in removed}
-        best = _vc_branch(sub, taken + len(neighbors), best)
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +365,14 @@ def _twin_classes(pattern: Graph) -> list[list[int]]:
     return list(classes.values())
 
 
-def _embeddings(
-    pattern: Graph, host: Graph, budget: float = inf
-) -> Iterator[list[int]]:
+def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
     """Every edge-preserving injection of `pattern` into `host`.
 
     Backtracks along the placement plan with an explicit stack: a vertex's
     candidates are the common host neighbours of its placed neighbours, of
     at least its degree. Yields the host image of each plan position, in one list that
-    is reused between embeddings, so a caller may stop at the first. The
-    budget meters attempted partial assignments.
+    is reused between embeddings, so a caller may stop at the first. Each
+    attempted partial assignment spends one unit of `EMBEDDING_BUDGET`.
     """
     order, back = _placement_plan(pattern)
     k = len(order)
@@ -388,7 +381,7 @@ def _embeddings(
     host_adj = [host.neighbors(u) for u in range(host.n)]
     images = [-1] * k
     used = [False] * host.n
-    attempts = 0
+    attempts, budget = 0, EMBEDDING_BUDGET
     if k == 0:
         yield images
         return
@@ -407,7 +400,7 @@ def _embeddings(
         attempts += 1
         if attempts > budget:
             raise BudgetExceededError(
-                f"embedding budget of {budget} partial assignments exceeded"
+                f"embedding search: {attempts} partial assignments > budget {budget}"
             )
         images[i] = u
         used[u] = True
@@ -690,7 +683,8 @@ def _orbit(v: int, perms: list[list[int]]) -> set[int]:
 
 def isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for small graphs: with equal vertex and edge
-    counts, an edge-preserving injection a -> b is an isomorphism."""
+    counts, an edge-preserving injection a -> b is an isomorphism. The
+    search for one is metered by `EMBEDDING_BUDGET`."""
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):

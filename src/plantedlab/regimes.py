@@ -21,7 +21,7 @@ from .errors import (
     TooFewEdgesError,
 )
 from .graphs import Graph
-from .invariants import COVER_BUDGET_DEFAULT, GraphStats, vertex_cover_number
+from .invariants import GraphStats, vertex_cover_number
 
 
 class Regime(Enum):
@@ -102,9 +102,9 @@ def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
     return Decomposition(parts=tuple(parts), M=m)
 
 
-def vcd_balance_ratio(g: Graph, cover_budget: int = COVER_BUDGET_DEFAULT) -> float:
+def vcd_balance_ratio(g: Graph) -> float:
     """log(tau * d_max) / log|e|; tends to 1 exactly for balanced families."""
-    tau = vertex_cover_number(g, budget=cover_budget)
+    tau = vertex_cover_number(g)
     return balance_ratio_from_counts(tau, g.max_degree(), g.num_edges)
 
 

@@ -40,6 +40,45 @@ def random_pattern(rng, max_vertices: int, p_edge: float = 0.5) -> Graph:
             return g.without_isolated()
 
 
+def swapped_relabelling(rng, a: Graph, max_swaps: int) -> Graph:
+    """`a` after up to `max_swaps` random double edge swaps, relabelled at
+    random: the degree sequence stays, the isomorphism class may not."""
+    edges = set(a.edges)
+    for _ in range(int(rng.integers(0, max_swaps + 1)) if len(edges) > 1 else 0):
+        i, j = rng.choice(len(edges), 2, replace=False)
+        (u, v), (x, y) = sorted(edges)[i], sorted(edges)[j]
+        swapped = {(min(u, y), max(u, y)), (min(x, v), max(x, v))}
+        if len({u, v, x, y}) == 4 and not swapped & edges:
+            edges = (edges - {(u, v), (x, y)}) | swapped
+    perm = rng.permutation(a.n)
+    return Graph(a.n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+
+
+def random_cubic_graph(rng, n: int) -> Graph:
+    """Uniform 3-regular graph on an even n: pair 3n stubs at random until
+    the pairing has no loop and no double edge."""
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        edges = {(int(min(u, v)), int(max(u, v))) for u, v in stubs}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return Graph(n, sorted(edges))
+
+
+def prism(n: int) -> Graph:
+    """Two n-cycles joined by n rungs."""
+    rim = [(i, (i + 1) % n) for i in range(n)]
+    edges = rim + [(n + u, n + v) for u, v in rim] + [(i, n + i) for i in range(n)]
+    return Graph(2 * n, [(min(u, v), max(u, v)) for u, v in edges])
+
+
+def moebius_ladder(n: int) -> Graph:
+    """A 2n-cycle with its n long diagonals: cubic, like the prism, and not
+    isomorphic to it."""
+    edges = [(i, (i + 1) % (2 * n)) for i in range(2 * n)]
+    edges += [(i, i + n) for i in range(n)]
+    return Graph(2 * n, [(min(u, v), max(u, v)) for u, v in edges])
+
+
 def brute_max_density(g: Graph) -> Fraction:
     best = Fraction(0)
     verts = range(g.n)

@@ -196,7 +196,7 @@ def test_a7_decomposition_guarantee():
                 if part.num_edges == 0:
                     continue
                 trimmed = part.without_isolated()
-                tau = vertex_cover_number(trimmed, budget=trimmed.n)
+                tau = vertex_cover_number(trimmed)
                 assert tau * part.max_degree() <= bound * (1 + 1e-9), (
                     f"tau*d = {tau * part.max_degree()} > {bound}"
                 )

@@ -2,11 +2,14 @@
 
 import csv
 
+import numpy as np
 import pytest
 
-from plantedlab import parse_edge_list
+from plantedlab import parse_edge_list, write_edge_list
 from plantedlab.cli import run_command
 from plantedlab.risklab import CSV_HEADER
+
+from oracles import random_cubic_graph
 
 
 def run(capsys, *argv):
@@ -42,8 +45,11 @@ class TestStats:
         assert code == 0
         assert out == line
 
-    def test_budget_exit_code(self, capsys):
-        code, _, err = run(capsys, "stats", "--family", "clique:50")
+    def test_budget_exit_code(self, capsys, tmp_path):
+        # a random cubic graph on 300 vertices exhausts the vertex cover search
+        path = tmp_path / "cubic.txt"
+        write_edge_list(random_cubic_graph(np.random.default_rng(300), 300), str(path))
+        code, _, err = run(capsys, "stats", "--graph", str(path))
         assert code == 3
         assert "budget" in err
 

@@ -18,6 +18,7 @@ from plantedlab import (
     make_family,
     spanning_tree_count,
 )
+from plantedlab import counting, invariants
 from plantedlab.counting import _copy_overlaps, _labelled_copies
 
 from oracles import (
@@ -58,9 +59,11 @@ class TestCountCopies:
         with pytest.raises(ValueError):
             count_copies(Graph(3, [(0, 1)]), complete_graph(4))
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            count_copies(complete_graph(8), complete_graph(30), budget=1000)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(invariants, "EMBEDDING_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError) as err:
+            count_copies(complete_graph(8), complete_graph(30))
+        assert "1001 partial assignments > budget 1000" in str(err.value)
 
 
 class TestCopiesInComplete:
@@ -154,8 +157,13 @@ class TestSpanningTrees:
             spanning_tree_count(make_family("matching:2"))
 
     def test_vertex_limit(self):
-        with pytest.raises(BudgetExceededError):
-            spanning_tree_count(complete_graph(21))
+        # no vertex cap: the elimination's updates are checked up front
+        assert spanning_tree_count(complete_graph(21)) == 21**19
+        with pytest.raises(BudgetExceededError) as err:
+            spanning_tree_count(make_family("path:400"))
+        # path:400 has 401 vertices: sum_k (399 - k)^2 = 21253400 updates
+        budget = counting.SPANNING_TREE_BUDGET
+        assert f"21253400 elimination updates > budget {budget}" in str(err.value)
 
 
 def adjacency_of(n, edges):
@@ -222,9 +230,14 @@ class TestConnectedSets:
                 g, size, anchor
             )
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            connected_sets_count(complete_graph(20), 10, 0, budget=100)
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(counting, "CONNECTED_SETS_BUDGET", 100)
+        with pytest.raises(BudgetExceededError) as err:
+            connected_sets_count(complete_graph(20), 10, 0)
+        assert "101 steps > budget 100" in str(err.value)
+
+    def test_deeper_than_the_recursion_limit(self):
+        assert connected_sets_count(make_family("path:1100"), 1101, 0) == 1
 
 
 class TestAncillaryIdentities:

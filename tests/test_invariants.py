@@ -34,8 +34,11 @@ from oracles import (
     brute_isomorphic,
     brute_max_density,
     brute_vertex_cover,
+    moebius_ladder,
+    prism,
     random_connected_graph,
     random_graph,
+    swapped_relabelling,
 )
 
 
@@ -153,23 +156,28 @@ class TestVertexCover:
         assert vertex_cover_number(Graph(1, [])) == 0
         assert vertex_cover_number(complete_graph(5)) == 4
         assert vertex_cover_number(make_family("star:9")) == 1
-        assert vertex_cover_number(make_family("matching:6"), budget=12) == 6
+        assert vertex_cover_number(make_family("matching:6")) == 6
         assert vertex_cover_number(make_family("path:4")) == 2
+        # one small search per component, not one over 2^30 branches
+        assert vertex_cover_number(make_family("disjoint_triangles:30")) == 60
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(200)
         for _ in range(60):
             g = random_graph(rng, int(rng.integers(1, 12)), float(rng.uniform(0.1, 0.8)))
-            assert vertex_cover_number(g, budget=12) == brute_vertex_cover(g)
+            assert vertex_cover_number(g) == brute_vertex_cover(g)
 
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceededError):
+    def test_budget_enforced(self, monkeypatch):
+        assert vertex_cover_number(complete_graph(50)) == 49
+        monkeypatch.setattr(invariants, "COVER_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError) as err:
             vertex_cover_number(complete_graph(50))
-        assert vertex_cover_number(complete_graph(50), budget=50) == 49
+        spent = re.search(r"(\d+) work units > budget 1000", str(err.value)).group(1)
+        assert int(spent) > 1000
 
     def test_star_forest_within_large_budget(self):
         g = make_family("unbalanced_stars:81")
-        assert vertex_cover_number(g, budget=g.n) == 82
+        assert vertex_cover_number(g) == 82
 
     def test_matching_bound_sandwiches(self):
         rng = np.random.default_rng(201)
@@ -280,21 +288,24 @@ class TestIsomorphic:
         for _ in range(40):
             n = int(rng.integers(4, 8))
             a = random_graph(rng, n, float(rng.uniform(0.3, 0.7)))
-            edges = set(a.edges)
-            for _ in range(int(rng.integers(0, 4)) if len(edges) > 1 else 0):
-                i, j = rng.choice(len(edges), 2, replace=False)
-                (u, v), (x, y) = sorted(edges)[i], sorted(edges)[j]
-                swapped = {(min(u, y), max(u, y)), (min(x, v), max(x, v))}
-                if len({u, v, x, y}) == 4 and not swapped & edges:
-                    edges = (edges - {(u, v), (x, y)}) | swapped
-            perm = rng.permutation(n)
-            b = Graph(n, [(int(perm[u]), int(perm[v])) for u, v in edges])
+            b = swapped_relabelling(rng, a, 3)
             assert sorted(a.degrees()) == sorted(b.degrees())
             want = brute_isomorphic(a, b)
             assert isomorphic(a, b) == want
             assert isomorphic(b, a) == want
             outcomes.add(want)
         assert outcomes == {True, False}
+
+    def test_ladders_within_and_past_the_budget(self, monkeypatch):
+        # both cubic on 28 vertices, so only the embedding search tells them apart
+        assert not isomorphic(prism(14), moebius_ladder(14))
+        monkeypatch.setattr(invariants, "EMBEDDING_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError) as err:
+            isomorphic(prism(14), moebius_ladder(14))
+        spent, limit = re.search(
+            r"(\d+) partial assignments > budget (\d+)", str(err.value)
+        ).groups()
+        assert int(spent) > int(limit) == 1000
 
 
 class TestGraphStats:
@@ -319,8 +330,8 @@ class TestGraphStats:
         assert s.max_subgraph_density == Fraction(3, 2)
         assert s.num_components == 1
 
-    def test_budget_flows_through(self):
+    def test_budget_flows_through(self, monkeypatch):
+        assert graph_stats(complete_graph(60)).vertex_cover_number == 59
+        monkeypatch.setattr(invariants, "COVER_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             graph_stats(complete_graph(60))
-        s = graph_stats(complete_graph(60), cover_budget=60)
-        assert s.vertex_cover_number == 59

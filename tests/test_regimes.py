@@ -109,7 +109,7 @@ class TestVcdDecompose:
             if part.num_edges == 0:
                 continue
             trimmed = part.without_isolated()
-            tau = vertex_cover_number(trimmed, budget=trimmed.n)
+            tau = vertex_cover_number(trimmed)
             assert tau * part.max_degree() <= budget * (1 + 1e-9), (
                 f"part {i}: tau*d = {tau * part.max_degree()} "
                 f"exceeds 2|e|d^(1/M) = {budget}"
@@ -157,7 +157,7 @@ class TestBalanceRatio:
         g = make_family("unbalanced_stars:16")
         assert edges == g.num_edges
         assert d == g.max_degree()
-        assert cover == vertex_cover_number(g, budget=g.n)
+        assert cover == vertex_cover_number(g)
 
 
 class TestClassifyDense:
