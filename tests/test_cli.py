@@ -268,6 +268,14 @@ class TestClassify:
         assert code == 0
         assert out == "verdict=impossible boundary=edge-degree margin=0.45926\n"
 
+    def test_dense_clique_200(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--regime", "dense", "--family", "clique:200",
+            "--n", "1000", "--p", "0.8", "--q", "0.2",
+        )
+        assert code == 0
+        assert out == "verdict=easy boundary=scan margin=9.89181\n"
+
     def test_critical(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--regime", "critical",
@@ -310,6 +318,14 @@ class TestDecompose:
             "part=2 edges=32 tau=16 d_max=2 tau_x_dmax=32",
             "part=3 edges=0",
             "bound=160",
+        ]
+
+    def test_clique_200(self, capsys):
+        code, out, _ = run(capsys, "decompose", "--family", "clique:200", "--parts", "1")
+        assert code == 0
+        assert out.splitlines() == [
+            "part=1 edges=19900 tau=199 d_max=199 tau_x_dmax=39601",
+            "bound=7.9202e+06",
         ]
 
     def test_part_files(self, capsys, tmp_path):

@@ -175,6 +175,12 @@ class TestVertexCover:
         spent = re.search(r"(\d+) work units > budget 1000", str(err.value)).group(1)
         assert int(spent) > 1000
 
+    def test_dense_patterns_within_the_default_budget(self):
+        # the first dive into a clique is never pruned, so it copies ~m^3/3 entries
+        assert vertex_cover_number(complete_graph(200)) == 199
+        # the greedy start matches the matching bound, so the root is pruned
+        assert vertex_cover_number(make_family("complete_bipartite:300,300")) == 300
+
     def test_star_forest_within_large_budget(self):
         g = make_family("unbalanced_stars:81")
         assert vertex_cover_number(g) == 82

@@ -48,14 +48,14 @@ def check_meter(module, name, limit, call, largest_charge):
 
 
 @METERED
-@given(seed=SEED, limit=st.integers(0, 150))
+@given(seed=SEED, limit=st.integers(0, 1500))
 def test_cover(seed, limit):
     rng = np.random.default_rng(seed)
     g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
-    # a node's charge: itself plus at most every adjacency entry
+    # a node's charge: itself, 20 per vertex and at most every adjacency entry
     check_meter(
         invariants, "COVER_BUDGET", limit, lambda: vertex_cover_number(g),
-        1 + 2 * g.num_edges,
+        1 + 20 * g.n + 2 * g.num_edges,
     )
 
 
