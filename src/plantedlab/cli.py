@@ -2,7 +2,7 @@
 
 Subcommands: stats, gen, sample, detect, risk, sweep, moment, ldp,
 decompose, classify. Exit codes: 0 success, 2 usage or input error,
-3 exceeded computation budget.
+3 an exact call ran out of its work budget or memory cap.
 """
 
 from __future__ import annotations
@@ -151,9 +151,7 @@ def _cmd_detect(args) -> int:
     observed = read_edge_list(args.observation)
     pattern = _load_pattern(args)
     params = ModelParams(n=observed.n, p=args.p, q=args.q, pattern=pattern)
-    cfg = DetectorConfig(
-        scan_kappa_weight=args.kappa_weight, scan_copy_budget=args.scan_budget
-    )
+    cfg = DetectorConfig(scan_kappa_weight=args.kappa_weight)
     _, fn = resolve_detector(args.detector)
     verdict: Verdict = fn(Observation.from_graph(observed), params, cfg)
     print(
@@ -166,9 +164,7 @@ def _cmd_detect(args) -> int:
 def _cmd_risk(args) -> int:
     pattern = _load_pattern(args)
     params = ModelParams(n=args.n, p=args.p, q=args.q, pattern=pattern)
-    cfg = DetectorConfig(
-        scan_kappa_weight=args.kappa_weight, scan_copy_budget=args.scan_budget
-    )
+    cfg = DetectorConfig(scan_kappa_weight=args.kappa_weight)
     est = estimate_risk(
         args.detector, params, args.trials, args.seed, cfg, args.threads
     )
@@ -205,10 +201,7 @@ def _cmd_sweep(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    cfg = DetectorConfig(
-        scan_kappa_weight=args.kappa_weight, scan_copy_budget=args.scan_budget
-    )
-    rows = sweep(spec, cfg, args.threads)
+    rows = sweep(spec, DetectorConfig(scan_kappa_weight=args.kappa_weight), args.threads)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             write_csv(rows, fh)
@@ -345,7 +338,6 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
         "--detector", required=True, choices=sorted(DETECTORS), help="detector name"
     )
     p.add_argument("--kappa-weight", type=float, default=0.5)
-    p.add_argument("--scan-budget", type=int, default=5_000_000)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,29 +2,29 @@
 the complete graph, containment probabilities for a uniformly random copy,
 spanning trees, and connected vertex sets.
 
-All results are exact integers or rationals. Each search meters its work
-against a module constant (here `SPANNING_TREE_BUDGET` and
-`CONNECTED_SETS_BUDGET`, and `invariants.EMBEDDING_BUDGET` for copies), read
-at call time; exceeding one raises BudgetExceededError.
+All results are exact integers or rationals. Each public call spends from
+one work meter (`trace`), and the copy-overlap tally refuses past a memory
+cap; either raises BudgetExceededError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import BudgetExceededError, DisconnectedError
+from .errors import DisconnectedError, PlantedLabError
 from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
+from .trace import check_bytes, metered, spend
 
-CONNECTED_SETS_BUDGET = 10_000_000  # steps per connected-set count
-SPANNING_TREE_BUDGET = 750_000  # elimination updates per spanning tree count
+COPY_OVERLAP_BYTES = 10**7  # the copy-overlap arrays of about 10^6 copies
 
 
+@metered
 def count_copies(pattern: Graph, host: Graph) -> int:
     """Number of distinct subgraphs of `host` isomorphic to `pattern`.
 
@@ -56,6 +56,7 @@ def copies_in_complete(pattern: Graph, n: int) -> int:
     return comb(n, k) * factorial(k) // automorphism_count(pattern)
 
 
+@metered
 def containment_probability(sub: Graph, pattern: Graph, n: int) -> Fraction:
     """P[fixed copy of `sub` lies inside a uniform copy of `pattern` in K_n].
 
@@ -78,15 +79,16 @@ def containment_probability(sub: Graph, pattern: Graph, n: int) -> Fraction:
 def _labelled_copies(pattern: Graph) -> np.ndarray:
     """Edge bitmask of every labelled copy of the pattern on [k], sorted, as
     a read-only uint64 array; bit j stands for the j-th pair of
-    `combinations(range(k), 2)`, so k is at most 11.
+    `combinations(range(k), 2)`, so k is at most 11, or PlantedLabError.
 
     The labelled copies are the orbit of the pattern's edge set under
     adjacent transpositions, so the work is proportional to their number,
-    k!/|Aut|, not to k!.
+    k!/|Aut|, not to k!; each is charged for the transpositions it tries.
     """
     k = pattern.n
     pairs = list(combinations(range(k), 2))
-    assert len(pairs) <= 64, "pair masks are uint64"
+    if len(pairs) > 64:
+        raise PlantedLabError(f"uint64 pair masks fit at most 11 vertices, got {k}")
     bit = {pair: j for j, pair in enumerate(pairs)}
     swaps = []  # swaps[t][j]: pair j with labels t and t+1 exchanged
     for t in range(k - 1):
@@ -97,6 +99,7 @@ def _labelled_copies(pattern: Graph) -> np.ndarray:
     orbit = {start}
     queue = [start]
     for labelled in queue:
+        spend("labelled copies", 32 * len(swaps))
         for swap in swaps:
             image = frozenset(swap[j] for j in labelled)
             if image not in orbit:
@@ -108,12 +111,17 @@ def _labelled_copies(pattern: Graph) -> np.ndarray:
     return masks
 
 
-@lru_cache(maxsize=32)
-def _subset_cells(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=4)  # up to COPY_OVERLAP_BYTES each
+def _subset_cells(pattern: Graph, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(cells, weights): cells[s, j] is the flat index S[a]*n + S[b] of the
     j-th pair (a, b) of `combinations(range(k), 2)` carried onto the s-th
-    k-subset S of [n], and weights[j] = 2**j."""
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(-1, k)
+    k-subset S of [n], for the pattern's k vertices, and weights[j] = 2**j.
+    Refused past `COPY_OVERLAP_BYTES` of the tally's arrays: 9 bytes a copy,
+    8 a subset vertex and 17 a subset pair."""
+    k = pattern.n
+    needed = 9 * copies_in_complete(pattern, n) + comb(n, k) * (8 * k + 17 * comb(k, 2) + 8)
+    check_bytes("copy-overlap tally", needed, COPY_OVERLAP_BYTES)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp).reshape(-1, k)
     a, b = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
     cells = subsets[:, a] * n + subsets[:, b]
     weights = np.uint64(1) << np.arange(a.size, dtype=np.uint64)
@@ -132,28 +140,24 @@ def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
     increasing order; it shares with the graph what the labelled copy shares
     with the pairs of the graph inside S, renamed onto [k].
     """
-    cells, weights = _subset_cells(pattern.n, n)
+    cells, weights = _subset_cells(pattern, n)
     inside = adjacency.ravel()[cells] @ weights  # pair mask of each subset
     shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
 
 
+@metered
 def spanning_tree_count(g: Graph) -> int:
     """Exact spanning tree count by the matrix-tree theorem.
 
     Evaluates one cofactor of the combinatorial Laplacian with fraction-free
     (Bareiss) elimination, so every intermediate value is an integer and the
     result is exact. The elimination's updates, sum_k (size-1-k)^2 for the
-    size-by-size cofactor, are checked against `SPANNING_TREE_BUDGET` before
-    it starts.
+    size-by-size cofactor, are charged before it starts.
     """
     size = g.n - 1
     updates = (size - 1) * size * (2 * size - 1) // 6
-    if updates > SPANNING_TREE_BUDGET:
-        raise BudgetExceededError(
-            f"spanning tree count: {updates} elimination updates > budget"
-            f" {SPANNING_TREE_BUDGET}"
-        )
+    spend("spanning tree count", 20 * updates)
     if not g.is_connected():
         raise DisconnectedError("spanning trees exist only for connected graphs")
     if g.n <= 1:
@@ -189,6 +193,7 @@ def _bareiss_determinant(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+@metered
 def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
     """Number of connected vertex sets of the given size containing `anchor`.
 
@@ -196,7 +201,7 @@ def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
     time, in increasing order, forbidding the vertices already branched on
     so each set is visited exactly once. An explicit stack holds one level
     per vertex added, so the depth is not bounded by Python's recursion
-    limit. Each extension spends one step of `CONNECTED_SETS_BUDGET`.
+    limit. Each extension is charged as it is taken.
     """
     if not 0 <= anchor < g.n:
         raise ValueError(f"anchor {anchor} not a vertex of the graph")
@@ -204,7 +209,7 @@ def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
         raise ValueError(f"set size {size} out of range 1..{g.n}")
     if size == 1:
         return 1
-    total = steps = 0
+    total = 0
     frontier = set(g.neighbors(anchor))
     # each level: (set, its frontier, frontier vertices left to try, blocked)
     stack = [(frozenset((anchor,)), frontier, iter(sorted(frontier)), {anchor})]
@@ -214,11 +219,7 @@ def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
         if u is None:
             stack.pop()
             continue
-        steps += 1
-        if steps > CONNECTED_SETS_BUDGET:
-            raise BudgetExceededError(
-                f"connected-set count: {steps} steps > budget {CONNECTED_SETS_BUDGET}"
-            )
+        spend("connected-set count", 30)
         grown = current | {u}
         if len(grown) == size:
             total += 1

@@ -28,14 +28,11 @@ from math import comb, log
 import numpy as np
 
 from .counting import _copy_overlaps, copies_in_complete
-from .errors import BudgetExceededError, ScanBudgetExceededError
 from .graphs import Graph
 from .invariants import _placement_plan, _twin_classes, densest_subgraph
 from .moments import chi_square_bernoulli
 from .sampling import ModelParams, Observation
-
-LRT_MAX_VERTICES = 10
-LRT_MAX_COPIES = 10**6
+from .trace import metered, spend
 
 
 @dataclass(frozen=True)
@@ -49,7 +46,6 @@ class DetectorConfig:
     """
 
     scan_kappa_weight: float = 0.5
-    scan_copy_budget: int = 5_000_000
     degree_threshold_constant: float = 16.0
 
     def __post_init__(self):
@@ -57,8 +53,6 @@ class DetectorConfig:
             raise ValueError(
                 f"scan_kappa_weight must be in (0,1), got {self.scan_kappa_weight}"
             )
-        if self.scan_copy_budget < 1:
-            raise ValueError("scan_copy_budget must be >= 1")
         if self.degree_threshold_constant <= 0:
             raise ValueError("degree_threshold_constant must be positive")
 
@@ -131,18 +125,19 @@ def _densest_part(pattern: Graph) -> Graph:
     return densest_subgraph(pattern)
 
 
+@metered
 def scan_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
     """Max observed edge count over all copies of Gamma_max in K_n.
 
     Gamma_max is the (deterministically tie-broken) densest subgraph of the
-    pattern. Raises ScanBudgetExceededError when the copy count |S_Gamma_max|
-    exceeds the configured budget.
+    pattern.
     """
     return _scan(obs, params, cfg or DetectorConfig(), _densest_part(params.pattern))
 
 
+@metered
 def scan_test_over_pattern(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
@@ -157,11 +152,6 @@ def scan_test_over_pattern(
 def _scan(
     obs: Observation, params: ModelParams, cfg: DetectorConfig, target: Graph
 ) -> Verdict:
-    num_copies = copies_in_complete(target, obs.n)
-    if num_copies > cfg.scan_copy_budget:
-        raise ScanBudgetExceededError(
-            f"{num_copies} copies to scan > budget {cfg.scan_copy_budget}"
-        )
     w = cfg.scan_kappa_weight
     kappa = w * params.q + (1 - w) * params.p
     threshold = kappa * target.num_edges
@@ -215,7 +205,8 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     host vertices adjacent to at least t placed images, so the r later
     positions, each with at most cap[i] back-edges into the placed ones,
     gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
-    from them, plus the target edges among themselves.
+    from them, plus the target edges among themselves. A node is charged
+    for every host vertex it may try, by the batch of 4096 and at the end.
     """
     back, twin, rest, cap, inner, chain = _scan_plan(target)
     k, n, total = target.n, adjacency.shape[0], target.num_edges
@@ -225,15 +216,20 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     ]
     images = [0] * k
     best = 0
+    unit, tried = 16 + 3 * max(cap), 0  # work units per candidate, candidates not charged
 
     def place(i: int, edges: int, used: int, layers: list[int]) -> None:
-        nonlocal best
+        nonlocal best, tried
+        start = images[twin[i]] + 1 if twin[i] >= 0 else 0
+        tried += n - start
+        if tried > 4096:
+            spend("scan", unit * tried)
+            tried = 0
         placed = 0
         for j in back[i]:
             placed |= 1 << images[j]
         later, depth, own, tail = k - 1 - i, cap[i], inner[i], rest[i + 1]
         unused = ~used
-        start = images[twin[i]] + 1 if twin[i] >= 0 else 0
         for u in range(start, n):
             if used >> u & 1:
                 continue
@@ -263,9 +259,11 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
                 return
 
     place(0, 0, 0, [0] * max(cap))
+    spend("scan", unit * tried)
     return best
 
 
+@metered
 def likelihood_ratio_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
@@ -274,20 +272,10 @@ def likelihood_ratio_test(
     L(G) averages, over every copy of the pattern, the product of per-edge
     likelihood ratios (p/q when the edge is observed, (1-p)/(1-q) when not).
     A copy enters only through its number a of observed edges, so the copies
-    are tallied by a first. Enumeration is exact and restricted to n <= 10
-    and at most 10^6 copies.
+    are tallied by a first, within `counting.COPY_OVERLAP_BYTES`.
     """
-    n = params.n
-    if n > LRT_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"likelihood ratio enumeration limited to n <= {LRT_MAX_VERTICES}, got {n}"
-        )
-    num_copies = copies_in_complete(params.pattern, n)
-    if num_copies > LRT_MAX_COPIES:
-        raise BudgetExceededError(
-            f"{num_copies} pattern copies > enumeration limit {LRT_MAX_COPIES}"
-        )
-    tally = _copy_overlaps(params.pattern, n, obs.adjacency)
+    num_copies = copies_in_complete(params.pattern, params.n)
+    tally = _copy_overlaps(params.pattern, params.n, obs.adjacency)
     assert sum(tally) == num_copies
     weights = _lrt_weights(params.p, params.q, params.pattern.num_edges)
     total = sum(copies * weights[a] for a, copies in enumerate(tally) if copies)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-Every budgeted oracle raises :class:`BudgetExceededError` instead of silently
-falling back to an approximation; callers that want a cheaper bound must ask
-for one explicitly.
+An exact call past its work meter (`trace`) or a memory cap raises
+:class:`BudgetExceededError` instead of silently falling back to an
+approximation; callers that want a cheaper bound must ask for one explicitly.
 """
 
 
@@ -35,11 +35,11 @@ class DisconnectedError(PlantedLabError, ValueError):
 
 
 class BudgetExceededError(PlantedLabError):
-    """An exact computation exceeded, or would exceed, its work budget."""
+    """An exact computation exceeded, or would exceed, its work or memory budget."""
 
-
-class ScanBudgetExceededError(BudgetExceededError):
-    """The scan statistic would have to enumerate too many copies."""
+    def __init__(self, what: str, spent: int, limit: int, unit: str = "work units"):
+        super().__init__(f"{what}: {spent} {unit} > budget {limit}")
+        self.what, self.spent, self.limit = what, spent, limit
 
 
 class InvalidSpecError(PlantedLabError, ValueError):

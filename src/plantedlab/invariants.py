@@ -6,10 +6,9 @@ classes also drive the scan and the shared-edge count. Automorphisms are
 counted by individualisation and colour refinement on the twin quotient.
 
 Everything here is exact. Density values are rationals, counts are
-arbitrary-precision integers, and every potentially expensive oracle is
-metered against a module constant (`EMBEDDING_BUDGET`, `COVER_BUDGET`,
-`REFINEMENT_BUDGET`), read at call time, and raises BudgetExceededError
-instead of approximating.
+arbitrary-precision integers, and every search charges its work to the
+call's meter (`trace`), which raises BudgetExceededError instead of
+approximating.
 """
 
 from __future__ import annotations
@@ -22,12 +21,9 @@ from heapq import heapify, heappop, heappush
 from math import factorial, prod
 from typing import Iterator
 
-from .errors import BudgetExceededError, EmptyGraphError
+from .errors import EmptyGraphError
 from .graphs import Graph
-
-EMBEDDING_BUDGET = 10_000_000  # partial assignments per placement search
-COVER_BUDGET = 1 << 24  # work units per vertex cover number
-REFINEMENT_BUDGET = 1 << 22  # refinement units per automorphism count
+from .trace import metered, spend
 
 
 @dataclass(frozen=True)
@@ -44,6 +40,7 @@ class GraphStats:
     automorphism_count: int
 
 
+@metered
 def graph_stats(g: Graph) -> GraphStats:
     if g.n == 0:
         raise EmptyGraphError("stats of the empty graph are undefined")
@@ -63,6 +60,7 @@ def graph_stats(g: Graph) -> GraphStats:
 # Maximum subgraph density mu(G) = max over nonempty H of |e(H)| / |v(H)|
 # ---------------------------------------------------------------------------
 
+@metered
 def max_subgraph_density(g: Graph) -> Fraction:
     """Exact mu(G) by Dinkelbach's iteration on Goldberg's max-flow network
     (:func:`_densest_cut`): each flow either certifies its guess or yields a
@@ -83,6 +81,7 @@ def densest_subgraph(g: Graph) -> Graph:
     return g.induced_subgraph(vs)
 
 
+@metered
 def densest_vertex_set(g: Graph) -> list[int]:
     """The tie-broken optimal vertex set behind :func:`densest_subgraph`.
 
@@ -168,6 +167,7 @@ class _Dinic:
             level = self._bfs(s, t)
             if level is None:
                 return flow
+            spend("max-flow phase", 6 * len(self.to))
             it = [0] * self.n
             while True:
                 pushed = self._dfs(s, t, None, level, it)
@@ -217,6 +217,7 @@ class _Dinic:
                 if self.cap[eid ^ reverse] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
+        spend("residual search", 5 * len(queue))
         return seen
 
 
@@ -224,6 +225,7 @@ class _Dinic:
 # Vertex cover number tau(G)
 # ---------------------------------------------------------------------------
 
+@metered
 def vertex_cover_number(g: Graph) -> int:
     """Exact minimum vertex cover size: the sum over connected components
     of a branch and bound.
@@ -234,11 +236,10 @@ def vertex_cover_number(g: Graph) -> int:
     shows it cannot beat the best cover so far, and else branches on a
     maximum-degree vertex v: either v joins the cover or all its neighbours do.
 
-    Each node spends one unit of `COVER_BUDGET`, 20 per vertex it scans (a
-    vertex takes as long as ~20 entries) and one per adjacency entry it
-    copies; past the budget, BudgetExceededError is raised.
+    Each node is charged one unit, 20 per vertex it scans (a vertex takes
+    as long as ~20 entries) and one per adjacency entry it copies.
     """
-    total = spent = 0
+    total = 0
     for comp in g.components():
         root = {v: set(g.neighbors(v)) for v in comp if g.degree(v)}
         best = _vc_greedy(root)
@@ -253,11 +254,7 @@ def vertex_cover_number(g: Graph) -> int:
                 for u, ns in parent.items()
                 if u not in removed and (rest := ns - removed)
             }
-            spent += 1 + 20 * len(parent) + sum(map(len, adj.values()))
-            if spent > COVER_BUDGET:
-                raise BudgetExceededError(
-                    f"vertex cover search: {spent} work units > budget {COVER_BUDGET}"
-                )
+            spend("vertex cover search", 1 + 20 * len(parent) + sum(map(len, adj.values())))
             taken += _vc_take_pendants(adj)
             if not adj:
                 best = min(best, taken)
@@ -384,7 +381,8 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
     candidates are the common host neighbours of its placed neighbours, of
     at least its degree. Yields the host image of each plan position, in one list that
     is reused between embeddings, so a caller may stop at the first. Each
-    attempted partial assignment spends one unit of `EMBEDDING_BUDGET`.
+    attempted partial assignment costs 10 units, charged by the batch of 64
+    and when the search ends.
     """
     order, back = _placement_plan(pattern)
     k = len(order)
@@ -393,7 +391,7 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
     host_adj = [host.neighbors(u) for u in range(host.n)]
     images = [-1] * k
     used = [False] * host.n
-    attempts, budget = 0, EMBEDDING_BUDGET
+    attempts = 0  # not yet charged
     if k == 0:
         yield images
         return
@@ -410,10 +408,9 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
             stack.pop()
             continue
         attempts += 1
-        if attempts > budget:
-            raise BudgetExceededError(
-                f"embedding search: {attempts} partial assignments > budget {budget}"
-            )
+        if attempts == 64:
+            spend("embedding search", 10 * attempts)
+            attempts = 0
         images[i] = u
         used[u] = True
         if i + 1 == k:
@@ -427,6 +424,7 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
         for j in backs[1:]:
             common = common & host_adj[images[j]]
         stack.append(iter(common))
+    spend("embedding search", 10 * attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +432,15 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=128)
+@metered
 def automorphism_count(g: Graph) -> int:
     """|Aut(G)| as a product over connected components.
 
     For components C_1..C_r grouped into isomorphism classes with
     multiplicities m_i, |Aut(G)| = prod_i m_i! * |Aut(C_i)|^{m_i}.
     Isolated vertices form one class of singletons. Each component is
-    counted by :func:`_connected_aut`, whose search is metered against
-    `REFINEMENT_BUDGET`. Results are cached per graph; budget errors are not.
+    counted by :func:`_connected_aut`. Results are cached per graph; budget
+    errors are not.
     """
     classes: list[tuple[Graph, int]] = []
     for comp in g.components():
@@ -504,14 +503,13 @@ class _Refinement:
 
     Refinement is 1-WL by cell splitting, with Hopcroft's rule of queueing
     every fragment of a split cell but the largest (Berkholz, Bonsma and
-    Grohe, 2017). Each splitter vertex and each edge it reads spends one
-    unit of `REFINEMENT_BUDGET`, and so does each vertex of a partition
-    copied to individualise a vertex.
+    Grohe, 2017). Each splitter vertex and each edge it reads costs 3
+    units, and so does each vertex of a partition copied to individualise a
+    vertex.
     """
 
     def __init__(self, adj: list[frozenset[int]]):
         self.adj = adj
-        self.spent = 0
 
     def count(self, colours: list[int]) -> int:
         """Orbit-stabilizer along a chain of individualised vertices: the
@@ -520,7 +518,8 @@ class _Refinement:
         orbit when some automorphism carries v's individualisation onto
         u's. Levels are counted from the bottom, so the automorphisms found
         below, which fix v, move the points found since: only a vertex that
-        the automorphisms found so far do not reach from v needs a search."""
+        the automorphisms found so far do not reach from v needs a search,
+        which first tries matching the two refinements position by position."""
         n = len(colours)
         order = sorted(range(n), key=colours.__getitem__)
         pos, start, size = [0] * n, [0] * n, [0] * n
@@ -544,7 +543,9 @@ class _Refinement:
                 moved = self._individualise(cells, u, chain[depth + 1].steps)
                 if moved is None:
                     continue
-                image = self._joins(cells.start, chain[depth + 1 :], moved)
+                image = self._automorphism(cells.start, chain[depth + 1], moved)
+                if image is None:
+                    image = self._joins(cells.start, chain[depth + 1 :], moved)
                 if image is not None:
                     found.append(image)
                     orbit = _orbit(cell[0], found)
@@ -556,7 +557,7 @@ class _Refinement:
     ) -> _Cells | None:
         """`cells` with v split off as the last cell of its old run, then
         refined (see :meth:`_split`)."""
-        self.spent += len(cells.order)
+        spend("automorphism search", 3 * len(cells.order))
         out = _Cells(cells.order[:], cells.pos[:], cells.start[:], cells.size[:])
         c = out.start[v]
         last = c + out.size[c] - 1
@@ -590,12 +591,7 @@ class _Refinement:
             counts: Counter[int] = Counter()
             for w in order[s : s + size[s]]:
                 counts.update(self.adj[w])
-            self.spent += size[s] + sum(counts.values())
-            if self.spent > REFINEMENT_BUDGET:
-                raise BudgetExceededError(
-                    f"automorphism search: {self.spent} refinement units > budget"
-                    f" {REFINEMENT_BUDGET}"
-                )
+            spend("automorphism search", 3 * (size[s] + sum(counts.values())))
             touched: dict[int, list[int]] = {}
             for x in counts:
                 touched.setdefault(start[x], []).append(x)
@@ -650,7 +646,7 @@ class _Refinement:
             ours = chain[len(stack) - 1]
             cell = ours.first_cell()
             if not cell:
-                image = self._automorphism(base, ours.start, theirs.start)
+                image = self._automorphism(base, ours, theirs)
                 if image is not None:
                     return image
                 continue
@@ -664,16 +660,13 @@ class _Refinement:
         return None
 
     def _automorphism(
-        self, base: list[int], left: list[int], right: list[int]
+        self, base: list[int], left: _Cells, right: _Cells
     ) -> list[int] | None:
-        """The map matching the discrete colourings colour by colour, if it
-        is a permutation that keeps `base` and carries the edges onto the
+        """The map carrying each vertex to the vertex at its position from
+        `left` in `right`, if it keeps `base` and carries the edges onto the
         edges."""
-        at = [0] * len(right)
-        for v, c in enumerate(right):
-            at[c] = v
-        image = [at[c] for c in left]
-        if len(set(image)) == len(image) and all(
+        image = [right.order[p] for p in left.pos]
+        if all(
             base[image[v]] == base[v]
             and frozenset(image[w] for w in nbrs) == self.adj[image[v]]
             for v, nbrs in enumerate(self.adj)
@@ -693,10 +686,11 @@ def _orbit(v: int, perms: list[list[int]]) -> set[int]:
     return reached
 
 
+@metered
 def isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for small graphs: with equal vertex and edge
     counts, an edge-preserving injection a -> b is an isomorphism. The
-    search for one is metered by `EMBEDDING_BUDGET`."""
+    search for one is charged to the call's meter."""
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
     if sorted(a.degrees()) != sorted(b.degrees()):

@@ -11,9 +11,10 @@ their shared edges gives it exactly, and then
 where E[C(I, d)] is the subgraph sum over d-edge subsets H of a fixed copy
 of P[H in a uniform copy]; saturating D recovers E[L^2]. The count merges
 states under twin and component symmetries; on large patterns with few of
-them it runs out of budget, and E[C(I, d)] is then summed over the subsets
-H instead, which stays cheap at small D. Pair enumeration over all copies
-is kept as an independent check on small n.
+them it runs out of its share of the call's work meter (`trace`), and
+E[C(I, d)] is then summed over the subsets H instead, which stays cheap at
+small D. Pair enumeration over all copies is kept as an independent check
+on small n.
 
 Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
 Monte-Carlo paths are float with a reported standard error.
@@ -30,19 +31,13 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .counting import _copy_overlaps, containment_probability, copies_in_complete
-from .errors import (
-    BudgetExceededError,
-    DegenerateQError,
-    InvalidMomentError,
-    PatternTooLargeError,
-)
+from .errors import DegenerateQError, InvalidMomentError, PatternTooLargeError
 from .graphs import Graph, is_pattern
 from .invariants import _embedding_order, _twin_classes, isomorphic
 from .sampling import batched_copy_images
+from .trace import metered, spend
 
-SHARED_EDGE_BUDGET = 1 << 18
-SUBGRAPH_SUM_BUDGET = 1 << 20
-PAIR_ENUM_MAX_VERTICES = 8
+SHARED_EDGE_BUDGET = 1 << 18  # the shared-edge count's share of a call, in its units
 MC_CHUNK = 1 << 16
 
 EXACT_SUBGRAPH_SUM = "exact_subgraph_sum"
@@ -141,12 +136,14 @@ def intersection_distribution(
     return IntersectionHistogram(counts=dict(counter), trials=trials)
 
 
+@metered
 def second_moment_exact(mp: MomentParams) -> MomentResult:
     """E[L^2] = E[(1 + lambda^2)^I] from the exact shared-edge law."""
     value = _binomial_moment_sum(mp.pattern, mp.n, mp.lambda_sq, mp.pattern.num_edges)
     return MomentResult(value=value, method=EXACT_SUBGRAPH_SUM)
 
 
+@metered
 def ldp_norm_sq(mp: MomentParams, cfg: LdpConfig) -> MomentResult:
     """Squared norm of the degree-<=D projection of the likelihood ratio.
 
@@ -158,15 +155,12 @@ def ldp_norm_sq(mp: MomentParams, cfg: LdpConfig) -> MomentResult:
     return MomentResult(value=value, method=EXACT_SUBGRAPH_SUM)
 
 
+@metered
 def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     """E[(1+lambda^2)^intersection] by enumerating every copy and tallying
     its shared edges with a fixed one. Independent of the shared-edge law;
-    exact on small instances."""
+    exact on small instances (see `counting.COPY_OVERLAP_BYTES`)."""
     pattern, n = mp.pattern, mp.n
-    if n > PAIR_ENUM_MAX_VERTICES:
-        raise BudgetExceededError(
-            f"pair enumeration limited to n <= {PAIR_ENUM_MAX_VERTICES}, got {n}"
-        )
     fixed = np.zeros((n, n), dtype=bool)
     fixed[tuple(np.array(pattern.edges).T)] = True  # the copy on [k], u < v
     tally = _copy_overlaps(pattern, n, fixed)
@@ -238,18 +232,19 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
 
     Count c_j is weighted by w_j = sum over d <= D of lambda^(2d) C(j, d),
     built up as w_(j+1) = (1 + lambda^2) w_j - lambda^(2D+2) C(j, D). When
-    the counts run out of budget, E[C(I, d)] is summed over the edge
+    the counts run out of their share, E[C(I, d)] is summed over the edge
     subsets of a fixed copy instead, which stays cheap at small D on large
-    patterns with few twins. Rational throughout; a float lambda^2 is
-    rounded only at the end.
+    patterns with few twins. D = 0 gives 1 at once. Rational throughout; a
+    float lambda^2 is rounded only at the end.
     """
     depth = min(max_degree, pattern.num_edges)
     exact = isinstance(lambda_sq, (Fraction, int))
+    if depth == 0:
+        return Fraction(1) if exact else 1.0
     lam = Fraction(lambda_sq if exact else float(lambda_sq))
-    try:
-        counts = _shared_edge_counts(pattern, n)
-    except BudgetExceededError as err:
-        moments = _subset_moments(pattern, n, depth, str(err))
+    counts = _shared_edge_counts(pattern, n)
+    if counts is None:
+        moments = _subset_moments(pattern, n, depth)
         value = sum(lam**d * m for d, m in enumerate(moments))
     else:
         top = lam ** (depth + 1)
@@ -261,9 +256,10 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
     return value if exact else float(value)
 
 
-def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
+def _shared_edge_counts(pattern: Graph, n: int) -> list[int] | None:
     """c[j] = number of injections V(pattern) -> [n] whose image shares
-    exactly j edges with the fixed copy on vertices 0..k-1; sum(c) = (n)_k.
+    exactly j edges with the fixed copy on vertices 0..k-1; sum(c) = (n)_k;
+    or None past `SHARED_EDGE_BUDGET` units.
 
     Vertices are placed in embedding order, each on an unused fixed-copy
     vertex, gaining its back-edges that land on fixed edges, or on one of
@@ -283,9 +279,10 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
       of the state (`_component_sorter`).
 
     A state's counts are packed in one integer, count j at bit j*width, so
-    gaining g edges is a shift and merging states is an addition. Each
-    transition is charged to the budget before it is taken: one unit, one
-    per 4096 bits of counts it carries, and one per 8 components it sorts.
+    gaining g edges is a shift and merging states is an addition. A state's
+    transitions are counted, and charged at 40 work units per unit, before
+    they are taken: one unit, one per 4096 bits of counts each carries, and
+    one per 8 components it sorts.
     """
     k = pattern.n
     width = math.perm(n, k).bit_length()
@@ -326,13 +323,12 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
                 taken = (used & mask).bit_count()
                 if taken < len(members):
                     choices.append((members[taken], len(members) - taken))
-            cost = 1 + sort_units + (packed.bit_length() >> 12)
+            cost = (1 + sort_units + (packed.bit_length() >> 12)) * len(choices)
+            spent += cost
+            if spent > SHARED_EDGE_BUDGET:
+                return None
+            spend("shared-edge count", 40 * cost)
             for f, ways in choices:
-                spent += cost
-                if spent > SHARED_EDGE_BUDGET:
-                    raise BudgetExceededError(
-                        f"shared-edge count: {spent} work units > budget {SHARED_EDGE_BUDGET}"
-                    )
                 gain = sum(adjacency[f] >> images[t] & 1 for t in backs)
                 grown = images + (first.get(f, outside),)
                 state = (used if f == outside else used | 1 << f, [grown[t] for t in keep])
@@ -351,7 +347,7 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int]:
 def _component_sorter(pattern: Graph):
     """(sort, units): sort maps (used, images) to a state with the same
     future in which identical components come in order of their part of the
-    state, and units is its work per call in budget units; (None, 0) if no
+    state, and units is its work per call in the count's units; (None, 0) if no
     two components are identical.
 
     Components are identical when renaming each one's vertices in sorted
@@ -401,21 +397,18 @@ def _bits(mask: int) -> list[int]:
     return [f for f in range(mask.bit_length()) if mask >> f & 1]
 
 
-def _subset_moments(pattern: Graph, n: int, depth: int, reason: str) -> list[Fraction]:
+def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     """E[C(I, d)] for d = 0..depth: the sum over d-edge subsets H of a fixed
     copy of P[H inside a uniform copy].
 
     Subsets are grouped into isomorphism classes (cheap relabeled-edge key,
     then a degree-signature bucket with an exact isomorphism check) so the
-    containment probability is computed once per class. `reason` says why
-    the shared-edge counts were not used; a budget error repeats it.
+    containment probability is computed once per class. The subsets are
+    charged, 25 units each, before they are enumerated.
     """
     edges = pattern.edges
-    budget = sum(math.comb(len(edges), s) for s in range(depth + 1))
-    if budget > SUBGRAPH_SUM_BUDGET:
-        raise BudgetExceededError(
-            f"{reason}; {budget} edge subsets > budget {SUBGRAPH_SUM_BUDGET}"
-        )
+    subsets = sum(math.comb(len(edges), s) for s in range(depth + 1))
+    spend("edge subsets, after the shared-edge count ran out", 25 * subsets)
 
     # class key (relabeled edge tuple) -> index into class tables
     key_to_class: dict[tuple, int] = {}

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .invariants import GraphStats, vertex_cover_number
+from .trace import metered
 
 
 class Regime(Enum):
@@ -102,6 +103,7 @@ def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
     return Decomposition(parts=tuple(parts), M=m)
 
 
+@metered
 def vcd_balance_ratio(g: Graph) -> float:
     """log(tau * d_max) / log|e|; tends to 1 exactly for balanced families."""
     tau = vertex_cover_number(g)

@@ -128,13 +128,22 @@ class TestSampleAndDetect:
         run(capsys, "sample", "--family", "clique:3", "--n", "12",
             "--p", "0.9", "--q", "0.2", "--seed", "1", "--out", str(obs_path))
         capsys.readouterr()
-        code, _, err = run(
+        # no vertex cap: 220 triangles at n=12
+        code, out, _ = run(
             capsys, "detect", "--observation", str(obs_path),
             "--detector", "lrt", "--family", "clique:3",
             "--p", "0.9", "--q", "0.2",
         )
+        assert code == 0
+        assert out.startswith("decision=")
+        # 12!/2 copies of an 11-edge path: past the tally's memory cap
+        code, _, err = run(
+            capsys, "detect", "--observation", str(obs_path),
+            "--detector", "lrt", "--family", "path:11",
+            "--p", "0.9", "--q", "0.2",
+        )
         assert code == 3
-        assert "limited to n" in err
+        assert "copy-overlap tally" in err and "bytes > budget" in err
 
     def test_missing_observation_flag(self, capsys):
         code, _, _ = run(capsys, "detect", "--detector", "scan",
@@ -204,6 +213,20 @@ class TestRiskAndSweep:
         assert code == 0
         assert out.startswith("type1=0 type2=0 risk=0 ci=")
         assert "trials=20 seed=5" in out
+
+    def test_scan_risk_clique_seven_at_forty(self, capsys):
+        # 18.6M copies to scan, but few search nodes: no copy cap refuses it
+        code, out, _ = run(
+            capsys, "risk", "--detector", "scan", "--family", "clique:7",
+            "--n", "40", "--p", "1", "--q", "0.05", "--trials", "1",
+        )
+        assert code == 0
+        assert out.startswith("type1=0 type2=0 risk=0 ")
+        code, _, _ = run(
+            capsys, "risk", "--detector", "scan", "--family", "clique:7",
+            "--n", "40", "--p", "1", "--q", "0.05", "--scan-budget", "5000000",
+        )
+        assert code == 2
 
     def test_risk_csv(self, capsys, tmp_path):
         path = tmp_path / "risk.csv"

@@ -1,5 +1,6 @@
 """Copy counting, containment probabilities, spanning trees, connected sets."""
 
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,7 +19,7 @@ from plantedlab import (
     make_family,
     spanning_tree_count,
 )
-from plantedlab import counting, invariants
+from plantedlab import trace
 from plantedlab.counting import _copy_overlaps, _labelled_copies
 
 from oracles import (
@@ -60,10 +61,12 @@ class TestCountCopies:
             count_copies(Graph(3, [(0, 1)]), complete_graph(4))
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(invariants, "EMBEDDING_BUDGET", 1000)
+        # attempts cost 10 units, charged by the batch of at most 64
+        monkeypatch.setattr(trace, "WORK_BUDGET", 10000)
         with pytest.raises(BudgetExceededError) as err:
             count_copies(complete_graph(8), complete_graph(30))
-        assert "1001 partial assignments > budget 1000" in str(err.value)
+        assert re.fullmatch(r"embedding search: \d+ work units > budget 10000", str(err.value))
+        assert 10000 < err.value.spent <= 10000 + 640 and err.value.spent % 10 == 0
 
 
 class TestCopiesInComplete:
@@ -161,9 +164,12 @@ class TestSpanningTrees:
         assert spanning_tree_count(complete_graph(21)) == 21**19
         with pytest.raises(BudgetExceededError) as err:
             spanning_tree_count(make_family("path:400"))
-        # path:400 has 401 vertices: sum_k (399 - k)^2 = 21253400 updates
-        budget = counting.SPANNING_TREE_BUDGET
-        assert f"21253400 elimination updates > budget {budget}" in str(err.value)
+        # path:400 has 401 vertices: sum_k (399 - k)^2 = 21253400 updates,
+        # charged 20 units each before the elimination starts
+        budget = trace.WORK_BUDGET
+        assert str(err.value) == (
+            f"spanning tree count: {20 * 21253400} work units > budget {budget}"
+        )
 
 
 def adjacency_of(n, edges):
@@ -231,10 +237,11 @@ class TestConnectedSets:
             )
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setattr(counting, "CONNECTED_SETS_BUDGET", 100)
+        # 30 units per step: the 101st step crosses a limit of 100 steps
+        monkeypatch.setattr(trace, "WORK_BUDGET", 3000)
         with pytest.raises(BudgetExceededError) as err:
             connected_sets_count(complete_graph(20), 10, 0)
-        assert "101 steps > budget 100" in str(err.value)
+        assert "connected-set count: 3030 work units > budget 3000" in str(err.value)
 
     def test_deeper_than_the_recursion_limit(self):
         assert connected_sets_count(make_family("path:1100"), 1101, 0) == 1

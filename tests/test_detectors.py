@@ -1,6 +1,7 @@
 """Detector thresholds, decisions, budgets, and exact-risk comparisons."""
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -15,7 +16,7 @@ from plantedlab import (
     Graph,
     ModelParams,
     Observation,
-    ScanBudgetExceededError,
+    PlantedLabError,
     Verdict,
     complete_graph,
     count_test,
@@ -31,6 +32,8 @@ from plantedlab import (
     scan_test_over_pattern,
     stream,
 )
+from plantedlab import trace
+from plantedlab.detectors import _scan_statistic
 
 from oracles import (
     all_pairs,
@@ -168,11 +171,27 @@ class TestScanTest:
         v_full = scan_test_over_pattern(obs, params)
         assert v_full.threshold == pytest.approx(0.5 * (0.9 + 0.1) * 7)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # C(30, 10) copies, yet the search is small: no copy cap refuses it
         params = ModelParams(n=30, p=0.9, q=0.1, pattern=complete_graph(10))
         obs = sample_null(30, 0.1, stream(604))
-        with pytest.raises(ScanBudgetExceededError):
+        verdict = scan_test(obs, params)
+        assert verdict.statistic == _scan_statistic(obs.adjacency, complete_graph(10))
+        # the work meter is what stops a scan
+        monkeypatch.setattr(trace, "WORK_BUDGET", 1000)
+        with pytest.raises(BudgetExceededError) as err:
             scan_test(obs, params)
+        assert re.fullmatch(r"scan: \d+ work units > budget 1000", str(err.value))
+
+    def test_clique_seven_at_forty(self):
+        # 18.6M copies of K7 in K40, scanned within the default meter
+        params = ModelParams(n=40, p=1.0, q=0.05, pattern=complete_graph(7))
+        for k in range(2):
+            null = sample_null(40, 0.05, stream(612, k))
+            planted, _ = sample_planted(params, stream(613, k))
+            want = _scan_statistic(null.adjacency, params.pattern)
+            assert scan_test(null, params).statistic == want
+            assert scan_test(planted, params).statistic == 21
 
     @staticmethod
     def assert_scans_match_brute_force(rng, pattern, n, density=None):
@@ -320,10 +339,30 @@ class TestLikelihoodRatioTest:
             assert v.statistic == 1 and v.decision == 1
 
     def test_vertex_budget(self):
+        # no vertex cap: the 220 triangles at n=12 are tallied
         params = ModelParams(n=12, p=0.9, q=0.1, pattern=TRIANGLE)
         obs = sample_null(12, 0.1, stream(608))
-        with pytest.raises(BudgetExceededError):
+        p, q = Fraction(params.p), Fraction(params.q)
+        want = Fraction(0)
+        for triple in combinations(range(12), 3):
+            e = sum(obs.has_edge(u, v) for u, v in combinations(triple, 2))
+            want += (p / q) ** e * ((1 - p) / (1 - q)) ** (3 - e)
+        assert likelihood_ratio_test(obs, params).statistic == want / 220
+        # the tally's memory limits n: C(200, 3) triangles at 92 bytes each
+        params = ModelParams(n=200, p=0.9, q=0.1, pattern=TRIANGLE)
+        with pytest.raises(BudgetExceededError) as err:
+            likelihood_ratio_test(sample_null(200, 0.1, stream(608)), params)
+        assert str(err.value) == (
+            f"copy-overlap tally: {92 * math.comb(200, 3)} bytes > budget 10000000"
+        )
+
+    def test_more_than_eleven_pattern_vertices(self):
+        # one copy, but its 66 pairs do not fit the uint64 pair masks
+        params = ModelParams(n=12, p=0.9, q=0.1, pattern=complete_graph(12))
+        obs = sample_null(12, 0.1, stream(611))
+        with pytest.raises(PlantedLabError, match="at most 11 vertices") as err:
             likelihood_ratio_test(obs, params)
+        assert not isinstance(err.value, BudgetExceededError)
 
     def test_copy_budget(self):
         # path with 9 edges in K_10: 10!/2 placements > 10^6

@@ -25,7 +25,7 @@ from plantedlab import (
     vertex_cover_number,
 )
 
-from plantedlab import invariants
+from plantedlab import trace
 from plantedlab.invariants import _embeddings
 
 from oracles import (
@@ -169,7 +169,7 @@ class TestVertexCover:
 
     def test_budget_enforced(self, monkeypatch):
         assert vertex_cover_number(complete_graph(50)) == 49
-        monkeypatch.setattr(invariants, "COVER_BUDGET", 1000)
+        monkeypatch.setattr(trace, "WORK_BUDGET", 1000)
         with pytest.raises(BudgetExceededError) as err:
             vertex_cover_number(complete_graph(50))
         spent = re.search(r"(\d+) work units > budget 1000", str(err.value)).group(1)
@@ -250,6 +250,12 @@ class TestAutomorphisms:
         assert relabelled != g
         assert automorphism_count(relabelled) == want
 
+    def test_large_trees_within_the_default_budget(self):
+        # positional matching of the two refinements finds each generator
+        assert automorphism_count(make_family("regular_tree:3,8")) == 6 * 2**381
+        legs = [edge for i in range(1, 600, 2) for edge in ((0, i), (i, i + 1))]
+        assert automorphism_count(Graph(601, legs)) == factorial(300)
+
     def test_matches_embedding_search_on_connected_9_to_12_vertex_graphs(self):
         # past brute force: every automorphism is an embedding into itself
         rng = np.random.default_rng(305)
@@ -262,10 +268,12 @@ class TestAutomorphisms:
         rng = np.random.default_rng(301)
         g = random_graph(rng, 12, 0.5)
         automorphism_count.cache_clear()
-        monkeypatch.setattr(invariants, "REFINEMENT_BUDGET", 10)
+        monkeypatch.setattr(trace, "WORK_BUDGET", 10)
         with pytest.raises(BudgetExceededError) as err:
             automorphism_count(g)
-        spent, limit = re.search(r"(\d+) refinement units > budget (\d+)", str(err.value)).groups()
+        spent, limit = re.search(
+            r"automorphism search: (\d+) work units > budget (\d+)", str(err.value)
+        ).groups()
         assert int(spent) > int(limit) == 10
         monkeypatch.undo()
         # but many small components are fine regardless of total size
@@ -305,13 +313,14 @@ class TestIsomorphic:
     def test_ladders_within_and_past_the_budget(self, monkeypatch):
         # both cubic on 28 vertices, so only the embedding search tells them apart
         assert not isomorphic(prism(14), moebius_ladder(14))
-        monkeypatch.setattr(invariants, "EMBEDDING_BUDGET", 1000)
+        # 1000 attempts of 10 units
+        monkeypatch.setattr(trace, "WORK_BUDGET", 10000)
         with pytest.raises(BudgetExceededError) as err:
             isomorphic(prism(14), moebius_ladder(14))
         spent, limit = re.search(
-            r"(\d+) partial assignments > budget (\d+)", str(err.value)
+            r"embedding search: (\d+) work units > budget (\d+)", str(err.value)
         ).groups()
-        assert int(spent) > int(limit) == 1000
+        assert int(spent) > int(limit) == 10000
 
 
 class TestGraphStats:
@@ -338,6 +347,6 @@ class TestGraphStats:
 
     def test_budget_flows_through(self, monkeypatch):
         assert graph_stats(complete_graph(60)).vertex_cover_number == 59
-        monkeypatch.setattr(invariants, "COVER_BUDGET", 1000)
+        monkeypatch.setattr(trace, "WORK_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             graph_stats(complete_graph(60))

@@ -1,8 +1,11 @@
-"""Work meters: under any limit, every metered call either returns the value
-it returns unmetered or raises BudgetExceededError after spending more than
-the limit and at most the limit plus the call's largest single charge."""
+"""The work meter: under any limit L, every metered call, nested calls
+included, either returns the value it returns at the default limit, having
+spent at most L, or raises BudgetExceededError at the charge that takes it
+past L, so that L < spent <= L + the largest single charge. Each call has
+its own meter, on each thread."""
 
-import re
+import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +14,24 @@ from hypothesis import strategies as st
 
 from plantedlab import (
     BudgetExceededError,
+    LdpConfig,
+    ModelParams,
+    MomentParams,
+    Observation,
     connected_sets_count,
+    copies_in_complete,
     count_copies,
+    estimate_risk,
+    graph_stats,
     isomorphic,
+    ldp_norm_sq,
+    make_family,
+    scan_test,
+    second_moment_exact,
     spanning_tree_count,
     vertex_cover_number,
 )
-from plantedlab import counting, invariants
+from plantedlab import counting, detectors, invariants, moments, trace
 
 from oracles import (
     random_connected_graph,
@@ -28,77 +42,181 @@ from oracles import (
 
 METERED = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 SEED = st.integers(0, 2**32 - 1)
+CHARGING_MODULES = (counting, detectors, invariants, moments)
 
 
-def check_meter(module, name, limit, call, largest_charge):
-    """Compare call() at the default budget with call() under module.name =
-    limit; return the units a budget error stated as spent, or None."""
+def check_meter(percent, call, patch=()):
+    """call() at the default limit against call() under WORK_BUDGET = L,
+    `percent` of what it spends at the default limit under the extra
+    (module, name, value) patches; "returned" or "raised"."""
     want = call()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(module, name, limit)
+    charges = []
+
+    def spy(what, units):
+        charges.append(units)
+        trace.spend(what, units)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in CHARGING_MODULES:
+            mp.setattr(module, "spend", spy)
+        for module, name, value in patch:
+            mp.setattr(module, name, value)
+        call()
+        limit = sum(charges) * percent // 100
+        charges.clear()
+        mp.setattr(trace, "WORK_BUDGET", limit)
         try:
             assert call() == want
-            return None
+            assert sum(charges) <= limit, "returned past the limit"
+            return "returned"
         except BudgetExceededError as exc:
-            message = str(exc)
-    spent, stated = map(int, re.search(r"(\d+) [a-z ]+ > budget (\d+)", message).groups())
-    assert stated == limit
-    assert limit < spent <= limit + largest_charge, message
-    return spent
+            assert exc.limit == limit and exc.spent == sum(charges), str(exc)
+            assert limit < exc.spent <= limit + max(charges), str(exc)
+            assert exc.spent - charges[-1] <= limit, "raised after the crossing charge"
+            assert str(exc) == f"{exc.what}: {exc.spent} work units > budget {limit}"
+            return "raised"
 
 
-@METERED
-@given(seed=SEED, limit=st.integers(0, 1500))
-def test_cover(seed, limit):
-    rng = np.random.default_rng(seed)
-    g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
-    # a node's charge: itself, 20 per vertex and at most every adjacency entry
-    check_meter(
-        invariants, "COVER_BUDGET", limit, lambda: vertex_cover_number(g),
-        1 + 20 * g.n + 2 * g.num_edges,
-    )
+def both_outcomes(prop):
+    """Run the hypothesis property `prop`, which returns check_meter's
+    outcome for a limit of 0-200% of the call's spending, and require that
+    both outcomes occurred."""
+    outcomes = set()
+
+    @METERED
+    @given(seed=SEED, percent=st.integers(0, 200), data=st.data())
+    def run(seed, percent, data):
+        outcomes.add(prop(np.random.default_rng(seed), percent, data))
+
+    run()
+    assert outcomes == {"returned", "raised"}
 
 
-@METERED
-@given(seed=SEED, limit=st.integers(0, 250))
-def test_spanning_trees(seed, limit):
-    rng = np.random.default_rng(seed)
-    g = random_connected_graph(rng, int(rng.integers(1, 11)), 0.4)
-    updates = sum((g.n - 2 - k) ** 2 for k in range(g.n - 2))
-    spent = check_meter(
-        counting, "SPANNING_TREE_BUDGET", limit, lambda: spanning_tree_count(g), updates
-    )
-    assert spent in (None, updates)
+def test_cover():
+    def prop(rng, percent, data):
+        g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
+        return check_meter(percent, lambda: vertex_cover_number(g))
+
+    both_outcomes(prop)
 
 
-@METERED
-@given(seed=SEED, limit=st.integers(0, 60))
-def test_connected_sets(seed, limit):
-    rng = np.random.default_rng(seed)
-    g = random_graph(rng, int(rng.integers(1, 11)), 0.45)
-    size, anchor = int(rng.integers(1, g.n + 1)), int(rng.integers(0, g.n))
-    check_meter(
-        counting, "CONNECTED_SETS_BUDGET", limit,
-        lambda: connected_sets_count(g, size, anchor), 1,
-    )
+def test_spanning_trees():
+    def prop(rng, percent, data):
+        g = random_connected_graph(rng, int(rng.integers(1, 11)), 0.4)
+        return check_meter(percent, lambda: spanning_tree_count(g))
+
+    both_outcomes(prop)
 
 
-@METERED
-@given(seed=SEED, limit=st.integers(0, 200))
-def test_embeddings_through_count_copies(seed, limit):
-    rng = np.random.default_rng(seed)
-    pattern = random_pattern(rng, 5)
-    host = random_graph(rng, int(rng.integers(pattern.n, 11)), 0.5)
-    check_meter(
-        invariants, "EMBEDDING_BUDGET", limit, lambda: count_copies(pattern, host), 1
-    )
+def test_connected_sets():
+    def prop(rng, percent, data):
+        g = random_graph(rng, int(rng.integers(1, 11)), 0.45)
+        size, anchor = int(rng.integers(1, g.n + 1)), int(rng.integers(0, g.n))
+        return check_meter(percent, lambda: connected_sets_count(g, size, anchor))
+
+    both_outcomes(prop)
 
 
-@METERED
-@given(seed=SEED, limit=st.integers(0, 40))
-def test_embeddings_through_isomorphic(seed, limit):
-    # equal degree sequences, so the search decides
-    rng = np.random.default_rng(seed)
-    a = random_graph(rng, int(rng.integers(4, 11)), float(rng.uniform(0.3, 0.7)))
-    b = swapped_relabelling(rng, a, 3)
-    check_meter(invariants, "EMBEDDING_BUDGET", limit, lambda: isomorphic(a, b), 1)
+def test_embeddings_through_count_copies():
+    def prop(rng, percent, data):
+        pattern = random_pattern(rng, 5)
+        host = random_graph(rng, int(rng.integers(pattern.n, 11)), 0.5)
+        return check_meter(percent, lambda: count_copies(pattern, host))
+
+    both_outcomes(prop)
+
+
+def test_embeddings_through_isomorphic():
+    def prop(rng, percent, data):
+        # equal degree sequences, so the search decides
+        a = random_graph(rng, int(rng.integers(4, 11)), float(rng.uniform(0.3, 0.7)))
+        b = swapped_relabelling(rng, a, 3)
+        return check_meter(percent, lambda: isomorphic(a, b))
+
+    both_outcomes(prop)
+
+
+def test_graph_stats():
+    def prop(rng, percent, data):
+        g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
+        invariants.automorphism_count.cache_clear()
+        return check_meter(percent, lambda: graph_stats(g))
+
+    both_outcomes(prop)
+
+
+def test_scan_test():
+    def prop(rng, percent, data):
+        pattern = random_pattern(rng, 5)
+        n = int(rng.integers(pattern.n, 13))
+        obs = Observation.from_graph(random_graph(rng, n, float(rng.random())))
+        params = ModelParams(n=n, p=0.9, q=0.3, pattern=pattern)
+        return check_meter(percent, lambda: scan_test(obs, params))
+
+    both_outcomes(prop)
+
+
+def test_second_moment_exact():
+    # a small share for the shared-edge count sends some calls to the
+    # subset route, which must give the same value
+    def prop(rng, percent, data):
+        pattern = random_pattern(rng, 5)
+        mp = MomentParams(int(rng.integers(pattern.n, 9)), Fraction(1, 2), pattern)
+        share = data.draw(st.integers(0, 400))
+        return check_meter(
+            percent, lambda: second_moment_exact(mp), [(moments, "SHARED_EDGE_BUDGET", share)]
+        )
+
+    both_outcomes(prop)
+
+
+def test_ldp_norm_sq():
+    def prop(rng, percent, data):
+        pattern = random_pattern(rng, 5)
+        mp = MomentParams(int(rng.integers(pattern.n, 9)), Fraction(1, 3), pattern)
+        cfg = LdpConfig(degree=int(rng.integers(0, pattern.num_edges + 1)))
+        share = data.draw(st.integers(0, 400))
+        return check_meter(
+            percent, lambda: ldp_norm_sq(mp, cfg), [(moments, "SHARED_EDGE_BUDGET", share)]
+        )
+
+    both_outcomes(prop)
+
+
+def test_scan_risk_is_the_same_on_two_threads():
+    params = ModelParams(n=30, p=1.0, q=0.05, pattern=make_family("clique:5"))
+    one = estimate_risk("scan", params, trials=6, seed=11, threads=1)
+    two = estimate_risk("scan", params, trials=6, seed=11, threads=2)
+    assert one == two
+
+
+def test_each_thread_has_its_own_meter(monkeypatch):
+    # a call that has used its whole limit waits while a call on another
+    # thread spends; only the first then runs out
+    limit = 10_000
+    monkeypatch.setattr(trace, "WORK_BUDGET", limit)
+    full, done = threading.Event(), threading.Event()
+    errors = []
+
+    @trace.metered
+    def exhaust():
+        trace.spend("first call", limit)
+        full.set()
+        done.wait(10)
+        trace.spend("first call", 1)
+
+    def first():
+        try:
+            exhaust()
+        except BudgetExceededError as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=first)
+    thread.start()
+    assert full.wait(10)
+    pattern, host = make_family("path:3"), make_family("clique:6")
+    assert count_copies(pattern, host) == copies_in_complete(pattern, 6)
+    done.set()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert [(e.what, e.spent, e.limit) for e in errors] == [("first call", limit + 1, limit)]

@@ -26,9 +26,9 @@ from plantedlab import (
     second_moment_pair_enum,
 )
 
+from plantedlab import trace
 from plantedlab.moments import (
     SHARED_EDGE_BUDGET,
-    SUBGRAPH_SUM_BUDGET,
     _shared_edge_counts,
     _subset_moments,
 )
@@ -142,8 +142,12 @@ class TestSecondMomentExact:
         assert second_moment_pair_enum(mp).value == second_moment_exact(mp).value
 
     def test_pair_enum_budget(self):
-        with pytest.raises(BudgetExceededError):
-            second_moment_pair_enum(MomentParams(9, 1, TRIANGLE))
+        # 10!/2 copies of a 9-edge path in K_10, 9 bytes each, past the cap
+        with pytest.raises(BudgetExceededError) as err:
+            second_moment_pair_enum(MomentParams(10, 1, make_family("path:9")))
+        assert f"{9 * 1814400 + 8 * 10 + 17 * 45 + 8} bytes > budget 10000000" in str(
+            err.value
+        )
 
 
 class TestSharedEdgeLaw:
@@ -202,7 +206,7 @@ class TestSharedEdgeLaw:
             Fraction(sum(c * math.comb(j, d) for j, c in enumerate(counts)), total)
             for d in range(e + 1)
         ]
-        assert _subset_moments(pattern, n, e, "") == from_counts
+        assert _subset_moments(pattern, n, e) == from_counts
 
     def test_low_degree_on_a_large_clique(self):
         mp = MomentParams(30, Fraction(1, 2), make_family("clique:20"))
@@ -237,14 +241,24 @@ class TestSharedEdgeLaw:
         with pytest.raises(BudgetExceededError) as err:
             second_moment_exact(mp)
         message = str(err.value)
-        assert f"> budget {SHARED_EDGE_BUDGET}" in message
-        assert f"{2**30} edge subsets > budget {SUBGRAPH_SUM_BUDGET}" in message
+        assert message.startswith("edge subsets, after the shared-edge count ran out: ")
+        assert f" work units > budget {trace.WORK_BUDGET}" in message
+        # the counts were charged at most their share, then the 2^30 subsets
+        assert err.value.limit == trace.WORK_BUDGET
+        assert 0 < err.value.spent - 25 * 2**30 <= 40 * SHARED_EDGE_BUDGET
 
 
 class TestLdpNormSq:
     def test_degree_zero_is_one(self):
         mp = MomentParams(8, 3, TRIANGLE)
         assert ldp_norm_sq(mp, LdpConfig(degree=0)).value == 1
+
+    def test_degree_zero_spends_nothing(self, monkeypatch):
+        monkeypatch.setattr(trace, "WORK_BUDGET", 0)
+        for lambda_sq, want in ((Fraction(1, 2), Fraction(1)), (0.5, 1.0)):
+            mp = MomentParams(70, lambda_sq, make_family("matching:30"))
+            value = ldp_norm_sq(mp, LdpConfig(degree=0)).value
+            assert value == want and type(value) is type(want)
 
     def test_degree_one_closed_form(self):
         mp = MomentParams(6, 1, TRIANGLE)
