@@ -70,6 +70,14 @@ class TestEstimateRisk:
         threaded = estimate_risk("degree", PARAMS, 60, seed=3, threads=4)
         assert serial == threaded
 
+    def test_count_risk_is_the_same_on_two_threads(self):
+        # sampled observations answer the edge count from their bits
+        params = ModelParams(n=200, p=0.9, q=0.3, pattern=complete_graph(12))
+        one = estimate_risk("count", params, 40, seed=5, threads=1)
+        two = estimate_risk("count", params, 40, seed=5, threads=2)
+        assert 0 < one.type1 < 1 and 0 < one.type2 < 1
+        assert two == one
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             estimate_risk("count", PARAMS, 0, seed=1)

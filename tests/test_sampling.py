@@ -5,9 +5,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import reference_sample
+from oracles import random_pattern, reference_sample
 from plantedlab import (
     DegenerateQError,
     EmbeddedCopy,
@@ -26,6 +28,8 @@ from plantedlab.sampling import _edge_endpoints
 
 
 TRIANGLE = complete_graph(3)
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+SEED = st.integers(0, 2**32 - 1)
 
 
 class TestStream:
@@ -225,6 +229,29 @@ class TestSamplePlanted:
         assert pvalue > 1e-3
 
 
+def assert_same_observation(obs, expected):
+    """A fresh sampled `obs` reads as `Observation(expected)` on every
+    accessor, before its adjacency is built and after, and the adjacency it
+    builds is read-only."""
+    want = Observation(expected)
+    counts = (obs.num_edges, obs.degrees(), obs.max_degree())
+    assert obs._adjacency is None, "edge count or degrees built the matrix"
+    assert counts[0] == want.num_edges and counts[2] == want.max_degree()
+    assert counts[1].dtype == np.int64
+    assert np.array_equal(counts[1], want.degrees())
+    adjacency = obs.adjacency
+    assert adjacency.tobytes() == want.adjacency.tobytes()
+    assert not adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        adjacency[0, 0] = True
+    assert obs.adjacency is adjacency
+    assert (obs.num_edges, obs.max_degree()) == (counts[0], counts[2])
+    assert np.array_equal(obs.degrees(), counts[1])
+    assert obs.edges() == want.edges()
+    assert obs == want and want == obs
+    assert hash(obs) == hash(want)
+
+
 class TestDrawContract:
     """The samplers reproduce `oracles.reference_sample` bit for bit."""
 
@@ -238,6 +265,7 @@ class TestDrawContract:
             expected, _, _ = reference_sample(n, self.Q, stream(*key))
             obs = sample_null(n, self.Q, stream(*key))
             assert obs.adjacency.tobytes() == expected.tobytes()
+            assert_same_observation(sample_null(n, self.Q, stream(*key)), expected)
 
     @pytest.mark.parametrize("spec", ["clique:3", "star:4", "path:3", "matching:2", "clique:8"])
     @pytest.mark.parametrize("p", [Q, 0.9, 1.0])
@@ -255,6 +283,7 @@ class TestDrawContract:
                 assert obs.adjacency.tobytes() == expected.tobytes()
                 assert copy.vertex_map == images
                 assert copy.edge_set == copy_edges
+                assert_same_observation(sample_planted(params, stream(*key))[0], expected)
 
 
 class TestEmbeddedCopy:
@@ -280,3 +309,56 @@ class TestEmbeddedCopy:
         assert ends.tolist() == [[0, 1], [0, 2], [0, 3]]
         with pytest.raises(ValueError):
             ends[0, 0] = 5
+
+
+class TestBitsBackedObservation:
+    """An observation kept as its row-major bits against the public
+    constructor, and a copy's lazy edge set against the eager formula."""
+
+    @DERANDOMIZED
+    @given(n=st.integers(1, 40), density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=SEED)
+    def test_agrees_with_the_public_observation(self, n, density, seed):
+        bits = np.random.default_rng(seed).random(n * (n - 1) // 2) < density
+        a = np.zeros((n, n), dtype=bool)
+        a[np.triu_indices(n, 1)] = bits
+        a |= a.T
+        want = Observation(a)
+        lazy = Observation._from_bits(n, bits.copy())
+        assert lazy.n == want.n
+        assert lazy.num_edges == want.num_edges == int(bits.sum())
+        assert np.array_equal(lazy.degrees(), want.degrees())
+        assert lazy.degrees().dtype == want.degrees().dtype
+        assert lazy.max_degree() == want.max_degree()
+        assert repr(lazy) == repr(want)
+        assert lazy.adjacency.tobytes() == want.adjacency.tobytes()
+        assert not lazy.adjacency.flags.writeable
+        assert lazy.edges() == want.edges()
+        assert lazy.to_graph() == want.to_graph()
+        u, v = np.random.default_rng(seed).integers(0, n, 2)
+        assert lazy.has_edge(u, v) == want.has_edge(u, v)
+        assert lazy == want and hash(lazy) == hash(want)
+        assert lazy.num_edges == want.num_edges  # again, with adjacency built
+        assert np.array_equal(lazy.degrees(), want.degrees())
+
+    @DERANDOMIZED
+    @given(seed=SEED, same_pattern=st.booleans(), same_map=st.booleans())
+    def test_copies(self, seed, same_pattern, same_map):
+        rng = np.random.default_rng(seed)
+        pattern = random_pattern(rng, 6)
+        # a different pattern on as many vertices, so that the maps can match
+        other = pattern if same_pattern else Graph(pattern.n, pattern.edges[1:])
+        n = pattern.n + int(rng.integers(0, 4))
+        perm = rng.permutation(n)
+        images = tuple(int(x) for x in perm[: pattern.n])
+        others = tuple(int(x) for x in (perm if same_map else rng.permutation(n))[: other.n])
+        a = EmbeddedCopy.from_map(pattern, images)
+        b = EmbeddedCopy.from_map(other, tuple(np.array(others)))
+        equal = pattern == other and images == others
+        assert (a == b) == equal  # before either edge set is built
+        for copy, g, vmap in ((a, pattern, images), (b, other, others)):
+            assert copy.edge_set == frozenset(
+                (min(vmap[u], vmap[v]), max(vmap[u], vmap[v])) for u, v in g.edges
+            )
+        assert (a == b) == equal
+        if equal:
+            assert hash(a) == hash(b)
