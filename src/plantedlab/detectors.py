@@ -29,7 +29,7 @@ import numpy as np
 
 from .counting import _copy_overlaps, copies_in_complete
 from .graphs import Graph
-from .invariants import _placement_plan, _twin_classes, densest_subgraph
+from .invariants import _placement_plan, densest_subgraph
 from .moments import chi_square_bernoulli
 from .sampling import ModelParams, Observation
 from .trace import metered, spend
@@ -159,28 +159,17 @@ def _scan(
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(
-    target: Graph,
-) -> tuple[list[list[int]], list[int], list[int], list[int], list[int], list[bool]]:
+def _scan_plan(target: Graph) -> tuple[list[int], list[int], list[int], list[bool]]:
     """Per-position tables along `_placement_plan`, for the scan's bounds:
 
-    back[i]: the positions of the back-edges of position i;
-    twin[i]: the position of the previous member of its twin class, or -1;
     rest[i]: the back-edges at position i and after it;
     cap[i]: the most back-edges any later position has into positions <= i;
     inner[i]: the back-edges of later positions into later positions;
     chain[i]: whether every later position continues the twin chain of
         position i, so every later image is above the image of i.
     """
-    order, back = _placement_plan(target)
+    order, back, twin = _placement_plan(target)
     k = len(order)
-    classes = _twin_classes(target)
-    twin_class = {v: c for c, members in enumerate(classes) for v in members}
-    last: dict[int, int] = {}
-    twin = []
-    for i, v in enumerate(order):
-        twin.append(last.get(twin_class[v], -1))
-        last[twin_class[v]] = i
     rest = [0] * (k + 1)
     for i in reversed(range(k)):
         rest[i] = rest[i + 1] + len(back[i])
@@ -188,7 +177,7 @@ def _scan_plan(
            for i in range(k)]
     inner = [sum(b > i for j in range(i + 1, k) for b in back[j]) for i in range(k)]
     chain = [all(twin[j] == j - 1 for j in range(i + 1, k)) for i in range(k)]
-    return back, twin, rest, cap, inner, chain
+    return rest, cap, inner, chain
 
 
 def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
@@ -208,7 +197,8 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     from them, plus the target edges among themselves. A node is charged
     for every host vertex it may try, by the batch of 4096 and at the end.
     """
-    back, twin, rest, cap, inner, chain = _scan_plan(target)
+    _, back, twin = _placement_plan(target)
+    rest, cap, inner, chain = _scan_plan(target)
     k, n, total = target.n, adjacency.shape[0], target.num_edges
     masks = [
         int.from_bytes(row.tobytes(), "little")

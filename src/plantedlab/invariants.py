@@ -350,16 +350,26 @@ def _embedding_order(pattern: Graph) -> list[int]:
     return order
 
 
-def _placement_plan(pattern: Graph) -> tuple[list[int], list[list[int]]]:
-    """(order, back): the vertices in `_embedding_order`, and for each
-    position the positions of its neighbours placed before it."""
+@lru_cache(maxsize=128)
+def _placement_plan(
+    pattern: Graph,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(order, back, twin): the vertices in `_embedding_order`; for each
+    position, the positions of its neighbours placed before it; and the
+    position of the previous member of its twin class, or -1. Cached, so
+    the scan, the placement search and the shared-edge count share one."""
     order = _embedding_order(pattern)
     position = {v: i for i, v in enumerate(order)}
-    back = [
-        [position[w] for w in pattern.neighbors(v) if position[w] < i]
+    back = tuple(
+        tuple(position[w] for w in pattern.neighbors(v) if position[w] < i)
         for i, v in enumerate(order)
-    ]
-    return order, back
+    )
+    twin = [-1] * len(order)
+    for members in _twin_classes(pattern):
+        placed = sorted(position[v] for v in members)
+        for a, b in zip(placed, placed[1:]):
+            twin[b] = a
+    return tuple(order), back, tuple(twin)
 
 
 def _twin_classes(pattern: Graph) -> list[list[int]]:
@@ -384,7 +394,7 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
     attempted partial assignment costs 10 units, charged by the batch of 64
     and when the search ends.
     """
-    order, back = _placement_plan(pattern)
+    order, back, _ = _placement_plan(pattern)
     k = len(order)
     degs = [pattern.degree(v) for v in order]
     host_degree = host.degrees()

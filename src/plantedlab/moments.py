@@ -13,8 +13,12 @@ of P[H in a uniform copy]; saturating D recovers E[L^2]. The count merges
 states under twin and component symmetries; on large patterns with few of
 them it runs out of its share of the call's work meter (`trace`), and
 E[C(I, d)] is then summed over the subsets H instead, which stays cheap at
-small D. Pair enumeration over all copies is kept as an independent check
-on small n.
+small D. There P[H in a uniform copy] = N(H, Gamma) / N(H, K_n), and the
+number w of d-edge subsets of the fixed copy Gamma isomorphic to H is
+N(H, Gamma) itself, so an isomorphism class adds w^2 / N(H, K_n) and no
+copy is searched for. That holds only if each class holds every subset
+isomorphic to it, so the class merge must be complete. Pair enumeration
+over all copies is kept as an independent check on small n.
 
 Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
 Monte-Carlo paths are float with a reported standard error.
@@ -30,10 +34,11 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .counting import _copy_overlaps, containment_probability, copies_in_complete
+from .counting import _copy_overlaps, copies_in_complete
+from .counting import containment_probability  # noqa: F401  bench/spans.py wraps it by this name
 from .errors import DegenerateQError, InvalidMomentError, PatternTooLargeError
 from .graphs import Graph, is_pattern
-from .invariants import _embedding_order, _twin_classes, isomorphic
+from .invariants import _placement_plan, _twin_classes, isomorphic
 from .sampling import batched_copy_images
 from .trace import metered, spend
 
@@ -292,20 +297,19 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int] | None:
     class_masks = [sum(1 << f for f in members) for members in classes]
     first = {f: members[0] for members in classes for f in members}
     sort_components, sort_units = _component_sorter(pattern)
-    order = _embedding_order(pattern)
-    position = {v: i for i, v in enumerate(order)}
-    last = [max(position[w] for w in pattern.neighbors(v)) for v in order]
+    order, back, _ = _placement_plan(pattern)
+    last = {j: i for i, b in enumerate(back) for j in b}  # last position with a back-edge to j
     spent = 0
     frontier: list[int] = []  # positions placed with a neighbour unplaced
     layer = {(0, ()): 1}
-    for i, v in enumerate(order):
+    for i in range(k):
         slot = {j: t for t, j in enumerate(frontier)}
-        backs = [slot[position[w]] for w in pattern.neighbors(v) if position[w] < i]
+        backs = [slot[j] for j in back[i]]
         placed = frontier + [i]
         # twins kept in the frontier sit side by side, in runs
         twin_class = [first[order[j]] for j in placed]
         keep = sorted(
-            (t for t, j in enumerate(placed) if last[j] > i),
+            (t for t, j in enumerate(placed) if last.get(j, -1) > i),
             key=lambda t: (twin_class[t], placed[t]),
         )
         frontier = [placed[t] for t in keep]
@@ -399,12 +403,14 @@ def _bits(mask: int) -> list[int]:
 
 def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     """E[C(I, d)] for d = 0..depth: the sum over d-edge subsets H of a fixed
-    copy of P[H inside a uniform copy].
+    copy Gamma of P[H inside a uniform copy] = N(H, Gamma) / N(H, K_n).
 
     Subsets are grouped into isomorphism classes (cheap relabeled-edge key,
-    then a degree-signature bucket with an exact isomorphism check) so the
-    containment probability is computed once per class. The subsets are
-    charged, 25 units each, before they are enumerated.
+    then a degree-signature bucket with an exact isomorphism check). A class
+    of w subsets has w = N(H, Gamma), so it adds w^2 / N(H, K_n). This needs
+    the merge to be complete: two classes of one isomorphism type, with w1
+    and w2 subsets, would add w1^2 + w2^2 in place of (w1 + w2)^2. The
+    subsets are charged, 25 units each, before they are enumerated.
     """
     edges = pattern.edges
     subsets = sum(math.comb(len(edges), s) for s in range(depth + 1))
@@ -439,7 +445,7 @@ def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
 
     moments = [Fraction(1)] + [Fraction(0)] * depth
     for rep, weight in zip(class_reps, class_weights):
-        moments[rep.num_edges] += weight * containment_probability(rep, pattern, n)
+        moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
     return moments
 
 

@@ -26,7 +26,8 @@ from plantedlab import (
     second_moment_pair_enum,
 )
 
-from plantedlab import trace
+from plantedlab import moments, trace
+from plantedlab.invariants import isomorphic
 from plantedlab.moments import (
     SHARED_EDGE_BUDGET,
     _shared_edge_counts,
@@ -231,6 +232,20 @@ class TestSharedEdgeLaw:
         expected = Fraction(199852585119278581393, 169698890400399360000)
         assert second_moment_exact(mp).value == expected
 
+    def test_path_twelve_at_thirty_inside_twenty_million_units(self, monkeypatch):
+        monkeypatch.setattr(trace, "WORK_BUDGET", 20_000_000)
+        mp = MomentParams(30, Fraction(1, 2), make_family("path:12"))
+        expected = Fraction(199852585119278581393, 169698890400399360000)
+        assert second_moment_exact(mp).value == expected
+
+    def test_path_fourteen_at_thirty(self):
+        mp = MomentParams(30, Fraction(1, 2), make_family("path:14"))
+        full = LdpConfig(degree=mp.pattern.num_edges)
+        # also the shared-edge count's value with no cap on its share
+        expected = Fraction(691566995610980763924203, 553897178266903511040000)
+        assert second_moment_exact(mp).value == expected
+        assert ldp_norm_sq(mp, full).value == expected
+
     def test_float_signal_rounds_the_exact_value(self):
         exact = second_moment_exact(MomentParams(7, Fraction(1, 2), TRIANGLE))
         approx = second_moment_exact(MomentParams(7, 0.5, TRIANGLE))
@@ -246,6 +261,29 @@ class TestSharedEdgeLaw:
         # the counts were charged at most their share, then the 2^30 subsets
         assert err.value.limit == trace.WORK_BUDGET
         assert 0 < err.value.spent - 25 * 2**30 <= 40 * SHARED_EDGE_BUDGET
+
+
+class TestSubsetRoute:
+    def test_class_tallies_give_the_brute_binomial_moments(self, monkeypatch):
+        # a class of w subsets isomorphic to H adds w^2 / N(H, K_n), which
+        # holds only if `isomorphic` merged every such subset into it
+        merges = []
+
+        def spy(a, b):
+            same = isomorphic(a, b)
+            merges.append(same)
+            return same
+
+        monkeypatch.setattr(moments, "isomorphic", spy)
+        rng = np.random.default_rng(1313)
+        for _ in range(30):
+            pattern = random_pattern(rng, 6)
+            n = pattern.n + int(rng.integers(0, 3))
+            e = pattern.num_edges
+            law = brute_intersection_law(pattern, n)
+            want = [sum(pr * math.comb(j, d) for j, pr in enumerate(law)) for d in range(e + 1)]
+            assert _subset_moments(pattern, n, e) == want
+        assert any(merges)
 
 
 class TestLdpNormSq:
