@@ -8,6 +8,7 @@ decompose, classify. Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -340,6 +341,7 @@ def _add_detector_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kappa-weight", type=float, default=0.5)
 
 
+@functools.lru_cache(maxsize=1)  # handlers read module globals when they run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plantedlab",

@@ -10,11 +10,12 @@ likelihood-ratio convention L >= 1. Every detector takes (obs, params,
 cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 
 The scan statistic, for every target, comes from one branch and bound over
-placements of the target along its placement plan, with twins of the target
-placed on increasing host vertices. A branch dies when the target edges
-still to place, or the neighbour counts of the free host vertices (how many
-placed images each is adjacent to, kept as bit-sliced layers), cannot lift
-it above the incumbent.
+placements of the target along its placement plan. Host vertices are tried
+in rank order (degree, highest first, ties by label), and twins of the
+target take increasing ranks. A branch dies when the target edges still to
+place, the degree sum of the ranks the later positions may take, or the
+neighbour counts of the free host vertices (how many placed images each is
+adjacent to, kept as bit-sliced layers), cannot lift it above the incumbent.
 The likelihood-ratio test tallies copies by shared edges from the adjacency.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, log
 
 import numpy as np
@@ -55,6 +57,9 @@ class DetectorConfig:
             )
         if self.degree_threshold_constant <= 0:
             raise ValueError("degree_threshold_constant must be positive")
+
+
+_DEFAULT_CONFIG = DetectorConfig()
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,7 @@ def degree_condition_value(params: ModelParams) -> float:
 def degree_condition_satisfied(
     params: ModelParams, cfg: DetectorConfig | None = None
 ) -> bool:
-    cfg = cfg or DetectorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     return degree_condition_value(params) > cfg.degree_threshold_constant
 
 
@@ -134,7 +139,7 @@ def scan_test(
     Gamma_max is the (deterministically tie-broken) densest subgraph of the
     pattern.
     """
-    return _scan(obs, params, cfg or DetectorConfig(), _densest_part(params.pattern))
+    return _scan(obs, params, cfg or _DEFAULT_CONFIG, _densest_part(params.pattern))
 
 
 @metered
@@ -146,7 +151,7 @@ def scan_test_over_pattern(
     Kept for comparison; scanning the densest subgraph is the better test on
     general patterns.
     """
-    return _scan(obs, params, cfg or DetectorConfig(), params.pattern)
+    return _scan(obs, params, cfg or _DEFAULT_CONFIG, params.pattern)
 
 
 def _scan(
@@ -159,17 +164,21 @@ def _scan(
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(target: Graph) -> tuple[list[int], list[int], list[int], list[bool]]:
-    """Per-position tables along `_placement_plan`, for the scan's bounds:
+def _scan_plan(
+    target: Graph,
+) -> tuple[tuple, tuple, list[int], list[int], list[int], list[bool], int]:
+    """The back-edges and twins of `_placement_plan`, with per-position
+    tables for the scan's bounds and the number of neighbour-count layers,
+    max(cap):
 
     rest[i]: the back-edges at position i and after it;
     cap[i]: the most back-edges any later position has into positions <= i;
     inner[i]: the back-edges of later positions into later positions;
     chain[i]: whether every later position continues the twin chain of
-        position i, so every later image is above the image of i.
+        position i, so every later image is ranked after the image of i.
     """
-    order, back, twin = _placement_plan(target)
-    k = len(order)
+    _, back, twin = _placement_plan(target)
+    k = len(back)
     rest = [0] * (k + 1)
     for i in reversed(range(k)):
         rest[i] = rest[i + 1] + len(back[i])
@@ -177,40 +186,60 @@ def _scan_plan(target: Graph) -> tuple[list[int], list[int], list[int], list[boo
            for i in range(k)]
     inner = [sum(b > i for j in range(i + 1, k) for b in back[j]) for i in range(k)]
     chain = [all(twin[j] == j - 1 for j in range(i + 1, k)) for i in range(k)]
-    return rest, cap, inner, chain
+    return back, twin, rest, cap, inner, chain, max(cap)
 
 
 def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
     """Max number of observed edges over the injective placements of target.
 
     Branch and bound along the placement plan, on host neighbourhoods kept
-    as bitmasks. Twins of the target take increasing host vertices:
-    permuting them is an automorphism, so each copy is still reached (a
-    clique is searched as vertex sets).
+    as bitmasks in label space. Each position tries the host vertices in
+    rank order: by degree, highest first, ties in label order. Twins of the
+    target take increasing ranks: permuting them is an automorphism, so
+    each copy is still reached (a clique is searched as vertex sets). The
+    maximum does not depend on host labels, so neither does the statistic.
 
     A candidate dies when even the best completion cannot beat the
-    incumbent. That completion is bounded by the remaining target edges,
-    and also by the free vertices' neighbour counts: layers[t-1] holds the
-    host vertices adjacent to at least t placed images, so the r later
-    positions, each with at most cap[i] back-edges into the placed ones,
-    gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
-    from them, plus the target edges among themselves. A node is charged
-    for every host vertex it may try, by the batch of 4096 and at the end.
+    incumbent. That completion is bounded three ways:
+    - by the target edges still to place;
+    - by degree sums: every edge gained after position i has an endpoint
+      at one of the r = k-1-i later images, so they gain at most the sum
+      of the r highest degrees they may take; when every later position
+      continues i's twin chain, those are the next r ranks, read off a
+      prefix sum. Later candidates have no higher degree and no larger
+      sum, so once the candidate's own degree plus that sum cannot win,
+      the walk of the position stops;
+    - by the free vertices' neighbour counts: layers[t-1] holds the host
+      vertices adjacent to at least t placed images, so the r later
+      positions, each with at most cap[i] back-edges into the placed ones,
+      gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
+      from them, plus the target edges among themselves.
+    The search ends once the incumbent holds every target edge or every
+    host edge. A node is charged for every host vertex it may try, by the
+    batch of 4096 and at the end.
     """
-    _, back, twin = _placement_plan(target)
-    rest, cap, inner, chain = _scan_plan(target)
-    k, n, total = target.n, adjacency.shape[0], target.num_edges
-    masks = [
-        int.from_bytes(row.tobytes(), "little")
-        for row in np.packbits(adjacency, axis=1, bitorder="little")
-    ]
-    images = [0] * k
+    back, twin, rest, cap, inner, chain, nlayers = _scan_plan(target)
+    k, n = target.n, adjacency.shape[0]
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    rows, width = packed.tobytes(), packed.shape[1]
+    masks = [int.from_bytes(rows[i : i + width], "little")
+             for i in range(0, n * width, width)]
+    degree = [mask.bit_count() for mask in masks]
+    ranked = sorted(range(n), key=degree.__getitem__, reverse=True)  # ties by label
+    prefix = list(accumulate(sorted(degree, reverse=True), initial=0))
+    total = min(target.num_edges, prefix[-1] // 2)  # no placement sees more
+    prefix += [prefix[-1]] * k  # so prefix[r + 1 + later] stays in range
+    after, bits = [0] * n, 0  # after[r]: the vertices ranked after r
+    for r in range(n - 1, 0, -1):
+        bits |= 1 << ranked[r]
+        after[r - 1] = bits
+    images, ranks = [0] * k, [0] * k  # host vertex and its rank, per position
     best = 0
-    unit, tried = 16 + 3 * max(cap), 0  # work units per candidate, candidates not charged
+    unit, tried = 16 + 3 * nlayers, 0  # work units per candidate, candidates not charged
 
     def place(i: int, edges: int, used: int, layers: list[int]) -> None:
         nonlocal best, tried
-        start = images[twin[i]] + 1 if twin[i] >= 0 else 0
+        start = ranks[twin[i]] + 1 if twin[i] >= 0 else 0
         tried += n - start
         if tried > 4096:
             spend("scan", unit * tried)
@@ -219,8 +248,10 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
         for j in back[i]:
             placed |= 1 << images[j]
         later, depth, own, tail = k - 1 - i, cap[i], inner[i], rest[i + 1]
+        chained, nb = chain[i], len(back[i])
         unused = ~used
-        for u in range(start, n):
+        for r in range(start, n):
+            u = ranked[r]
             if used >> u & 1:
                 continue
             gain = (masks[u] & placed).bit_count()
@@ -232,23 +263,31 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
                 if best == total:
                     return
                 continue
+            if chained:
+                window = prefix[r + 1 + later] - prefix[r + 1]
+                if window <= room:
+                    # later ranks have no higher degree and no larger
+                    # window, so none of them can win either
+                    if window + min(degree[u], nb) <= best - edges:
+                        break
+                    continue
             nbrs, below, grown = masks[u], ~0, []
             for layer in layers:
                 grown.append(layer | below & nbrs)
                 below = layer
             if own <= room:  # else no count of free vertices can prune
-                free = unused & (~0 << (u + 1) if chain[i] else ~(1 << u))
+                free = unused & (after[r] if chained else ~(1 << u))
                 bound = own
                 for layer in grown[:depth]:
                     bound += min(later, (layer & free).bit_count())
                 if bound <= room:
                     continue
-            images[i] = u
+            images[i], ranks[i] = u, r
             place(i + 1, edges + gain, used | 1 << u, grown)
             if best == total:
                 return
 
-    place(0, 0, 0, [0] * max(cap))
+    place(0, 0, 0, [0] * nlayers)
     spend("scan", unit * tried)
     return best
 

@@ -17,6 +17,7 @@ from statistics import NormalDist
 from typing import Callable, TextIO
 
 from .detectors import (
+    _DEFAULT_CONFIG,
     DetectorConfig,
     Verdict,
     count_test,
@@ -99,7 +100,7 @@ def estimate_risk(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _, fn = resolve_detector(detector)
-    cfg = cfg or DetectorConfig()
+    cfg = cfg or _DEFAULT_CONFIG
 
     def run_range(lo: int, hi: int) -> tuple[int, int]:
         false_alarms = 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plantedlab import parse_edge_list, write_edge_list
-from plantedlab.cli import run_command
+from plantedlab.cli import _build_parser, run_command
 from plantedlab.risklab import CSV_HEADER
 
 from oracles import random_cubic_graph
@@ -406,3 +406,34 @@ class TestExitCodes:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+
+class TestParserReuse:
+    # run_command builds its parser once; no call may leave state for the next
+    RISK = (
+        "risk", "--detector", "count", "--family", "clique:4", "--n", "10",
+        "--p", "0.9", "--q", "0.2", "--trials", "3", "--seed", "2",
+    )
+
+    def test_out_does_not_carry_over(self, capsys, tmp_path):
+        path = tmp_path / "risk.csv"
+        code, first, _ = run(capsys, *self.RISK, "--out", str(path))
+        assert code == 0
+        written = path.read_bytes()
+        path.unlink()
+        code, again, _ = run(capsys, *self.RISK)
+        assert code == 0
+        assert again == first
+        assert list(tmp_path.iterdir()) == []
+        assert written.startswith(",".join(CSV_HEADER).encode())
+
+    def test_usage_error_and_help_leave_no_trace(self, capsys):
+        _build_parser.cache_clear()
+        code, fresh, _ = run(capsys, *self.RISK)
+        assert code == 0
+        assert run(capsys, "risk", "--detector", "count", "--bogus")[0] == 2
+        code, out, _ = run(capsys, "risk", "--help")
+        assert code == 0 and "--trials" in out
+        code, out, err = run(capsys, *self.RISK)
+        assert (code, out, err) == (0, fresh, "")
+        assert _build_parser() is _build_parser()

@@ -286,6 +286,57 @@ class TestScanTest:
             for _ in range(4):
                 self.assert_scans_match_brute_force(rng, pattern, n)
 
+    # Targets with chain positions (the clique, the star's leaves, the
+    # K_{2,3} side of three) and without them (the path's inner vertices).
+    SKEWED_TARGETS = (
+        complete_graph(3),
+        complete_graph(4),
+        make_family("star:4"),
+        make_family("path:4"),
+        make_family("path:5"),
+        make_family("complete_bipartite:2,3"),
+    )
+
+    @staticmethod
+    def skewed_host(rng, kind: str, n: int) -> np.ndarray:
+        """A host whose degrees are far apart: a clique or a star added to
+        G(n, .05), or G(m, .5) on m < n vertices with the rest isolated,
+        shuffled among the labels."""
+        if kind == "isolated":
+            m = int(rng.integers(2, n))
+            a = np.zeros((n, n), dtype=bool)
+            a[:m, :m] = rng.random((m, m)) < 0.5
+            perm = rng.permutation(n)
+            a = a[np.ix_(perm, perm)]
+        else:
+            a = rng.random((n, n)) < 0.05
+            if kind == "clique":
+                members = rng.permutation(n)[: int(rng.integers(3, min(n, 6) + 1))]
+                a[np.ix_(members, members)] = True
+            else:
+                centre, *leaves = rng.permutation(n)[: int(rng.integers(3, n + 1))]
+                a[centre, leaves] = True
+        a = np.triu(a, 1)
+        return a | a.T
+
+    @settings(derandomize=True, database=None, max_examples=240, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["clique", "star", "isolated"]),
+        target=st.sampled_from(range(len(SKEWED_TARGETS))),
+    )
+    def test_skewed_degree_hosts(self, seed, kind, target):
+        # the rank walk and the degree-sum bound: the statistic is the brute
+        # maximum and does not depend on how the host is labelled
+        rng = np.random.default_rng(seed)
+        pattern = self.SKEWED_TARGETS[target]
+        n = int(rng.integers(max(pattern.n, 4), 10))
+        a = self.skewed_host(rng, kind, n)
+        got = _scan_statistic(a, pattern)
+        assert got == brute_scan_statistic(a, pattern)
+        perm = rng.permutation(n)
+        assert _scan_statistic(a[perm][:, perm], pattern) == got
+
     def test_kappa_weight_moves_threshold(self):
         params = ModelParams(n=6, p=0.8, q=0.2, pattern=TRIANGLE)
         obs = sample_null(6, 0.3, stream(605))
