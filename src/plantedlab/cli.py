@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -195,7 +196,8 @@ def _cmd_risk(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = SweepSpec(
         detector=args.detector,
-        families=tuple(args.family.split(",")),
+        # a spec's parameters hold commas too, so split only where a `kind:` starts
+        families=tuple(re.split(r",(?=\s*[a-z_]+:)", args.family)),
         ns=tuple(int(x) for x in args.n.split(",")),
         ps=tuple(float(x) for x in args.p.split(",")),
         qs=tuple(float(x) for x in args.q.split(",")),

@@ -10,15 +10,18 @@ their shared edges gives it exactly, and then
 
 where E[C(I, d)] is the subgraph sum over d-edge subsets H of a fixed copy
 of P[H in a uniform copy]; saturating D recovers E[L^2]. The count merges
-states under twin and component symmetries; on large patterns with few of
-them it runs out of its share of the call's work meter (`trace`), and
-E[C(I, d)] is then summed over the subsets H instead, which stays cheap at
-small D. There P[H in a uniform copy] = N(H, Gamma) / N(H, K_n), and the
-number w of d-edge subsets of the fixed copy Gamma isomorphic to H is
-N(H, Gamma) itself, so an isomorphism class adds w^2 / N(H, K_n) and no
-copy is searched for. That holds only if each class holds every subset
-isomorphic to it, so the class merge must be complete. Pair enumeration
-over all copies is kept as an independent check on small n.
+states under twin and component symmetries, and may spend what summing
+E[C(I, d)] over the subsets H would cost, a price known from the input: 25
+units of the call's work meter (`trace`) per subset of at most D edges. On
+large patterns with few symmetries it gives up there and the subsets are
+summed instead, which stays cheap at small D, so a call spends at most
+about twice what the cheaper route costs. There P[H in a uniform copy] =
+N(H, Gamma) / N(H, K_n), and the number w of d-edge subsets of the fixed
+copy Gamma isomorphic to H is N(H, Gamma) itself, so an isomorphism class
+adds w^2 / N(H, K_n) and no copy is searched for. That holds only if each
+class holds every subset isomorphic to it, so the class merge must be
+complete. Pair enumeration over all copies is kept as an independent check
+on small n.
 
 Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
 Monte-Carlo paths are float with a reported standard error.
@@ -42,7 +45,6 @@ from .invariants import _placement_plan, _twin_classes, isomorphic
 from .sampling import batched_copy_images
 from .trace import metered, spend
 
-SHARED_EDGE_BUDGET = 1 << 18  # the shared-edge count's share of a call, in its units
 MC_CHUNK = 1 << 16
 
 EXACT_SUBGRAPH_SUM = "exact_subgraph_sum"
@@ -236,18 +238,22 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
     D = max_degree; D >= |e| gives E[(1 + lambda^2)^I].
 
     Count c_j is weighted by w_j = sum over d <= D of lambda^(2d) C(j, d),
-    built up as w_(j+1) = (1 + lambda^2) w_j - lambda^(2D+2) C(j, D). When
-    the counts run out of their share, E[C(I, d)] is summed over the edge
-    subsets of a fixed copy instead, which stays cheap at small D on large
-    patterns with few twins. D = 0 gives 1 at once. Rational throughout; a
-    float lambda^2 is rounded only at the end.
+    built up as w_(j+1) = (1 + lambda^2) w_j - lambda^(2D+2) C(j, D). The
+    count may spend what the edge-subset route costs, 25 units for each of
+    the sum over d <= D of C(|e|, d) subsets; past that, E[C(I, d)] is
+    summed over the edge subsets of a fixed copy instead, which stays cheap
+    at small D on large patterns with few twins. When that price is more
+    than the meter holds, the count runs until the meter raises. D = 0
+    gives 1 at once. Rational throughout; a float lambda^2 is rounded only
+    at the end.
     """
     depth = min(max_degree, pattern.num_edges)
     exact = isinstance(lambda_sq, (Fraction, int))
     if depth == 0:
         return Fraction(1) if exact else 1.0
     lam = Fraction(lambda_sq if exact else float(lambda_sq))
-    counts = _shared_edge_counts(pattern, n)
+    subsets = sum(math.comb(pattern.num_edges, d) for d in range(depth + 1))
+    counts = _shared_edge_counts(pattern, n, 25 * subsets)
     if counts is None:
         moments = _subset_moments(pattern, n, depth)
         value = sum(lam**d * m for d, m in enumerate(moments))
@@ -261,10 +267,10 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
     return value if exact else float(value)
 
 
-def _shared_edge_counts(pattern: Graph, n: int) -> list[int] | None:
+def _shared_edge_counts(pattern: Graph, n: int, limit: float) -> list[int] | None:
     """c[j] = number of injections V(pattern) -> [n] whose image shares
     exactly j edges with the fixed copy on vertices 0..k-1; sum(c) = (n)_k;
-    or None past `SHARED_EDGE_BUDGET` units.
+    or None once its charges would pass `limit` work units.
 
     Vertices are placed in embedding order, each on an unused fixed-copy
     vertex, gaining its back-edges that land on fixed edges, or on one of
@@ -285,9 +291,9 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int] | None:
 
     A state's counts are packed in one integer, count j at bit j*width, so
     gaining g edges is a shift and merging states is an addition. A state's
-    transitions are counted, and charged at 40 work units per unit, before
-    they are taken: one unit, one per 4096 bits of counts each carries, and
-    one per 8 components it sorts.
+    transitions are charged to the meter before they are taken, 40 work
+    units per step, each transition one step plus one per 4096 bits of
+    counts it carries and one per 8 components it sorts.
     """
     k = pattern.n
     width = math.perm(n, k).bit_length()
@@ -327,11 +333,11 @@ def _shared_edge_counts(pattern: Graph, n: int) -> list[int] | None:
                 taken = (used & mask).bit_count()
                 if taken < len(members):
                     choices.append((members[taken], len(members) - taken))
-            cost = (1 + sort_units + (packed.bit_length() >> 12)) * len(choices)
+            cost = 40 * (1 + sort_units + (packed.bit_length() >> 12)) * len(choices)
             spent += cost
-            if spent > SHARED_EDGE_BUDGET:
+            if spent > limit:
                 return None
-            spend("shared-edge count", 40 * cost)
+            spend("shared-edge count", cost)
             for f, ways in choices:
                 gain = sum(adjacency[f] >> images[t] & 1 for t in backs)
                 grown = images + (first.get(f, outside),)

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, files, and exit codes."""
 
 import csv
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,35 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_examples():
+    """(argv, printed lines) for each `$ plantedlab ...` example in the
+    README's CLI block, in order; a trailing backslash continues a command."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    examples = []
+    lines = iter(block.splitlines())
+    for line in lines:
+        if line.startswith("$ plantedlab "):
+            command = line
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines)
+            examples.append((shlex.split(command)[2:], []))
+        elif line and examples:
+            examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    # run in order: `detect` reads the observation that `sample` wrote
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) == 9
+    for argv, printed in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines() == printed, argv
 
 
 class TestStats:
@@ -257,6 +288,19 @@ class TestRiskAndSweep:
             "clique:3", "clique:3", "star:3", "star:3"
         ]
         assert [r[6] for r in rows[1:]] == ["1", "2", "3", "4"]
+
+    def test_sweep_splits_families_only_before_a_kind(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run(
+            capsys, "sweep", "--detector", "count",
+            "--family", "complete_bipartite:2,3,clique:3", "--n", "10",
+            "--p", "0.9", "--q", "0.2",
+            "--trials", "5", "--seed", "1", "--out", str(path),
+        )
+        assert code == 0
+        header, *rows = csv.reader(path.open())
+        assert [r[1] for r in rows] == ["complete_bipartite:2,3", "clique:3"]
+        assert [r[header.index("error")] for r in rows] == ["", ""]
 
 
 class TestClassify:

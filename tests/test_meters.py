@@ -45,10 +45,10 @@ SEED = st.integers(0, 2**32 - 1)
 CHARGING_MODULES = (counting, detectors, invariants, moments)
 
 
-def check_meter(percent, call, patch=()):
+def check_meter(percent, call):
     """call() at the default limit against call() under WORK_BUDGET = L,
-    `percent` of what it spends at the default limit under the extra
-    (module, name, value) patches; "returned" or "raised"."""
+    `percent` of what it spends at the default limit; "returned" or
+    "raised"."""
     want = call()
     charges = []
 
@@ -59,8 +59,6 @@ def check_meter(percent, call, patch=()):
     with pytest.MonkeyPatch.context() as mp:
         for module in CHARGING_MODULES:
             mp.setattr(module, "spend", spy)
-        for module, name, value in patch:
-            mp.setattr(module, name, value)
         call()
         limit = sum(charges) * percent // 100
         charges.clear()
@@ -156,31 +154,43 @@ def test_scan_test():
     both_outcomes(prop)
 
 
-def test_second_moment_exact():
-    # a small share for the shared-edge count sends some calls to the
-    # subset route, which must give the same value
+def answering_routes(monkeypatch):
+    """The set of moment routes that answered, filled in as calls run."""
+    routes = set()
+    count = moments._shared_edge_counts
+
+    def spy(*args):
+        counts = count(*args)
+        routes.add("edge subsets" if counts is None else "shared-edge count")
+        return counts
+
+    monkeypatch.setattr(moments, "_shared_edge_counts", spy)
+    return routes
+
+
+def test_second_moment_exact(monkeypatch):
+    routes = answering_routes(monkeypatch)
+
     def prop(rng, percent, data):
         pattern = random_pattern(rng, 5)
         mp = MomentParams(int(rng.integers(pattern.n, 9)), Fraction(1, 2), pattern)
-        share = data.draw(st.integers(0, 400))
-        return check_meter(
-            percent, lambda: second_moment_exact(mp), [(moments, "SHARED_EDGE_BUDGET", share)]
-        )
+        return check_meter(percent, lambda: second_moment_exact(mp))
 
     both_outcomes(prop)
+    assert routes == {"shared-edge count", "edge subsets"}
 
 
-def test_ldp_norm_sq():
+def test_ldp_norm_sq(monkeypatch):
+    routes = answering_routes(monkeypatch)
+
     def prop(rng, percent, data):
         pattern = random_pattern(rng, 5)
         mp = MomentParams(int(rng.integers(pattern.n, 9)), Fraction(1, 3), pattern)
         cfg = LdpConfig(degree=int(rng.integers(0, pattern.num_edges + 1)))
-        share = data.draw(st.integers(0, 400))
-        return check_meter(
-            percent, lambda: ldp_norm_sq(mp, cfg), [(moments, "SHARED_EDGE_BUDGET", share)]
-        )
+        return check_meter(percent, lambda: ldp_norm_sq(mp, cfg))
 
     both_outcomes(prop)
+    assert routes == {"shared-edge count", "edge subsets"}
 
 
 def test_scan_risk_is_the_same_on_two_threads():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from plantedlab import (
     BudgetExceededError,
@@ -24,15 +25,12 @@ from plantedlab import (
     second_moment_exact,
     second_moment_mc,
     second_moment_pair_enum,
+    stream,
 )
 
 from plantedlab import moments, trace
 from plantedlab.invariants import isomorphic
-from plantedlab.moments import (
-    SHARED_EDGE_BUDGET,
-    _shared_edge_counts,
-    _subset_moments,
-)
+from plantedlab.moments import _shared_edge_counts, _subset_moments
 
 from oracles import (
     brute_intersection_law,
@@ -154,7 +152,7 @@ class TestSecondMomentExact:
 class TestSharedEdgeLaw:
     @staticmethod
     def law(pattern, n):
-        counts = _shared_edge_counts(pattern, n)
+        counts = _shared_edge_counts(pattern, n, math.inf)
         total = math.perm(n, pattern.n)
         assert sum(counts) == total
         return [Fraction(c, total) for c in counts]
@@ -200,7 +198,7 @@ class TestSharedEdgeLaw:
     )
     def test_counts_and_edge_subsets_agree_at_every_degree(self, spec, n):
         pattern = make_family(spec)
-        counts = _shared_edge_counts(pattern, n)
+        counts = _shared_edge_counts(pattern, n, math.inf)
         total = math.perm(n, pattern.n)
         e = pattern.num_edges
         from_counts = [
@@ -241,7 +239,7 @@ class TestSharedEdgeLaw:
     def test_path_fourteen_at_thirty(self):
         mp = MomentParams(30, Fraction(1, 2), make_family("path:14"))
         full = LdpConfig(degree=mp.pattern.num_edges)
-        # also the shared-edge count's value with no cap on its share
+        # also the value the shared-edge count gives when it runs to the end
         expected = Fraction(691566995610980763924203, 553897178266903511040000)
         assert second_moment_exact(mp).value == expected
         assert ldp_norm_sq(mp, full).value == expected
@@ -251,16 +249,35 @@ class TestSharedEdgeLaw:
         approx = second_moment_exact(MomentParams(7, 0.5, TRIANGLE))
         assert approx.value == float(exact.value)
 
-    def test_budget_error_states_spent_and_limits(self):
+    def test_budget_error_states_spent_and_limits(self, monkeypatch):
+        # the 2^30 subsets cost more than the meter holds, so the count runs
+        # until the meter raises
+        charges = []
+
+        def spy(what, units):
+            charges.append(units)
+            trace.spend(what, units)
+
+        monkeypatch.setattr(moments, "spend", spy)
         mp = MomentParams(40, 1, make_family("path:30"))
+        with pytest.raises(BudgetExceededError) as err:
+            second_moment_exact(mp)
+        message = str(err.value)
+        assert message.startswith("shared-edge count: ")
+        assert f" work units > budget {trace.WORK_BUDGET}" in message
+        assert err.value.limit == trace.WORK_BUDGET
+        assert trace.WORK_BUDGET < err.value.spent <= trace.WORK_BUDGET + max(charges)
+
+    def test_budget_error_in_the_subsets_states_spent_and_limits(self):
+        mp = MomentParams(30, 1, make_family("path:20"))
         with pytest.raises(BudgetExceededError) as err:
             second_moment_exact(mp)
         message = str(err.value)
         assert message.startswith("edge subsets, after the shared-edge count ran out: ")
         assert f" work units > budget {trace.WORK_BUDGET}" in message
-        # the counts were charged at most their share, then the 2^30 subsets
+        # the count spent at most what the 2^20 subsets cost, then they were charged
         assert err.value.limit == trace.WORK_BUDGET
-        assert 0 < err.value.spent - 25 * 2**30 <= 40 * SHARED_EDGE_BUDGET
+        assert 0 < err.value.spent - 25 * 2**20 <= 25 * 2**20
 
 
 class TestSubsetRoute:
@@ -319,6 +336,24 @@ class TestLdpNormSq:
             LdpConfig(degree=-1)
 
 
+def pooled(observed, expected, least=5):
+    """(observed, expected) with each cell expected below `least` merged into
+    the next one, and a small last cell into the one before it."""
+    cells = []
+    for o, e in zip(observed, expected):
+        if cells and cells[-1][1] < least:
+            cells[-1] = (cells[-1][0] + o, cells[-1][1] + e)
+        else:
+            cells.append((o, e))
+    if len(cells) > 1 and cells[-1][1] < least:
+        o, e = cells.pop()
+        cells[-1] = (cells[-1][0] + o, cells[-1][1] + e)
+    return [o for o, _ in cells], [e for _, e in cells]
+
+
+MC_REFERENCES = [("clique:3", 7), ("star:3", 8), ("path:3", 9), ("matching:2", 9)]
+
+
 class TestSecondMomentMC:
     def test_zero_signal_exact(self):
         rng = np.random.default_rng(700)
@@ -337,6 +372,14 @@ class TestSecondMomentMC:
         assert abs(res.value - exact) < 4 * res.std_error, (
             f"MC estimate {res.value} off exact {exact} by more than 4 SE"
         )
+
+    @pytest.mark.parametrize("spec,n", MC_REFERENCES)
+    def test_within_four_standard_errors_on_small_families(self, spec, n):
+        mp = MomentParams(n, 1, make_family(spec))
+        exact = float(second_moment_exact(mp).value)
+        res = second_moment_mc(mp, 20_000, stream(721, n))
+        assert res.std_error > 0
+        assert abs(res.value - exact) < 4 * res.std_error
 
     def test_deterministic_under_seed(self):
         mp = MomentParams(7, 2, make_family("star:3"))
@@ -367,6 +410,21 @@ class TestIntersectionDistribution:
         p_hat = hist.probabilities().get(1, 0.0)
         sigma = math.sqrt((1 / 6) * (5 / 6) / trials)
         assert abs(p_hat - 1 / 6) < 4 * sigma
+
+    @pytest.mark.parametrize("spec,n", MC_REFERENCES)
+    def test_fits_the_brute_law(self, spec, n):
+        # chi-square goodness of fit at level 1e-3, cells expected below 5 pooled
+        pattern = make_family(spec)
+        trials = 20_000
+        hist = intersection_distribution(pattern, n, trials, stream(720, n))
+        law = brute_intersection_law(pattern, n)
+        assert all(law[j] > 0 for j in hist.counts)
+        observed, expected = pooled(
+            [hist.counts.get(j, 0) for j in range(len(law))], [float(pr) * trials for pr in law]
+        )
+        assert len(observed) > 1
+        _, pvalue = scipy_stats.chisquare(observed, expected)
+        assert pvalue > 1e-3
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
