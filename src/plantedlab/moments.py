@@ -12,14 +12,17 @@ where E[C(I, d)] is the subgraph sum over d-edge subsets H of a fixed copy
 of P[H in a uniform copy]; saturating D recovers E[L^2]. The count merges
 states under twin and component symmetries, and may spend what summing
 E[C(I, d)] over the subsets H would cost, a price known from the input: 25
-units of the call's work meter (`trace`) per subset of at most D edges. On
-large patterns with few symmetries it gives up there and the subsets are
-summed instead, which stays cheap at small D, so a call spends at most
-about twice what the cheaper route costs. There P[H in a uniform copy] =
-N(H, Gamma) / N(H, K_n), and the number w of d-edge subsets of the fixed
-copy Gamma isomorphic to H is N(H, Gamma) itself, so an isomorphism class
-adds w^2 / N(H, K_n) and no copy is searched for. That holds only if each
-class holds every subset isomorphic to it, so the class merge must be
+units of the call's work meter (`trace`) per subset of at most D edges,
+but never so much that the meter could no longer pay that price. On large
+patterns with few symmetries it gives up there and the subsets are summed
+instead, which stays cheap at small D, so a call spends at most about
+twice the cheaper route's price in work units, plus the subset route's
+isomorphism and automorphism searches. In time it can be more: on dense
+patterns a subset takes longer than its 25 units. There P[H in a uniform
+copy] = N(H, Gamma) / N(H, K_n), and the number w of d-edge subsets of the
+fixed copy Gamma isomorphic to H is N(H, Gamma) itself, so an isomorphism
+class adds w^2 / N(H, K_n) and no copy is searched for. That holds only if
+each class holds every subset isomorphic to it, so the class merge must be
 complete. Pair enumeration over all copies is kept as an independent check
 on small n.
 
@@ -43,7 +46,7 @@ from .errors import DegenerateQError, InvalidMomentError, PatternTooLargeError
 from .graphs import Graph, is_pattern
 from .invariants import _placement_plan, _twin_classes, isomorphic
 from .sampling import batched_copy_images
-from .trace import metered, spend
+from .trace import left, metered, spend
 
 MC_CHUNK = 1 << 16
 
@@ -239,21 +242,23 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
 
     Count c_j is weighted by w_j = sum over d <= D of lambda^(2d) C(j, d),
     built up as w_(j+1) = (1 + lambda^2) w_j - lambda^(2D+2) C(j, D). The
-    count may spend what the edge-subset route costs, 25 units for each of
-    the sum over d <= D of C(|e|, d) subsets; past that, E[C(I, d)] is
-    summed over the edge subsets of a fixed copy instead, which stays cheap
-    at small D on large patterns with few twins. When that price is more
-    than the meter holds, the count runs until the meter raises. D = 0
-    gives 1 at once. Rational throughout; a float lambda^2 is rounded only
-    at the end.
+    count may spend what the edge-subset route is charged, 25 work units
+    for each of the sum over d <= D of C(|e|, d) subsets, and no more than
+    leaves that charge on the meter; past that, E[C(I, d)] is summed over
+    the edge subsets of a fixed copy instead, which stays cheap at small D
+    on large patterns with few twins. When the meter holds less than that
+    charge, the count runs until the meter raises. D = 0 gives 1 at once.
+    Rational throughout; a float lambda^2 is rounded only at the end.
     """
     depth = min(max_degree, pattern.num_edges)
     exact = isinstance(lambda_sq, (Fraction, int))
     if depth == 0:
         return Fraction(1) if exact else 1.0
     lam = Fraction(lambda_sq if exact else float(lambda_sq))
-    subsets = sum(math.comb(pattern.num_edges, d) for d in range(depth + 1))
-    counts = _shared_edge_counts(pattern, n, 25 * subsets)
+    price, room = _subset_price(pattern.num_edges, depth), left()
+    # the count leaves the subsets room to run after it, unless they never fit
+    limit = math.inf if price > room else min(price, room - price)
+    counts = _shared_edge_counts(pattern, n, limit)
     if counts is None:
         moments = _subset_moments(pattern, n, depth)
         value = sum(lam**d * m for d, m in enumerate(moments))
@@ -419,8 +424,7 @@ def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     subsets are charged, 25 units each, before they are enumerated.
     """
     edges = pattern.edges
-    subsets = sum(math.comb(len(edges), s) for s in range(depth + 1))
-    spend("edge subsets, after the shared-edge count ran out", 25 * subsets)
+    spend("edge subsets, after the shared-edge count ran out", _subset_price(len(edges), depth))
 
     # class key (relabeled edge tuple) -> index into class tables
     key_to_class: dict[tuple, int] = {}
@@ -453,6 +457,12 @@ def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     for rep, weight in zip(class_reps, class_weights):
         moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
     return moments
+
+
+def _subset_price(num_edges: int, depth: int) -> int:
+    """What `_subset_moments` charges: 25 work units per subset of at most
+    depth edges."""
+    return 25 * sum(math.comb(num_edges, d) for d in range(depth + 1))
 
 
 def _relabel_key(subset: tuple[tuple[int, int], ...]) -> tuple:

@@ -6,12 +6,14 @@ it makes spend from the same meter. Each thread has one meter, a list kept
 in a ContextVar and reopened in place, since binding a new one per call
 costs exhaustive-n6 ~6%. Searches charge their work with :func:`spend`, each
 kind of step weighted by its measured cost so that a unit takes about 100 ns
-(2-core machine, Python 3.11.7). BudgetExceededError is raised only here.
+(2-core machine, Python 3.11.7); :func:`left` reads what the open meter
+still holds. BudgetExceededError is raised only here.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from contextvars import ContextVar
 
 from .errors import BudgetExceededError
@@ -48,6 +50,14 @@ def spend(what: str, units: int) -> None:
         meter[0] += units
         if meter[0] > meter[1]:
             raise BudgetExceededError(what, meter[0], meter[1])
+
+
+def left() -> float:
+    """Units the open meter has left; infinity when none is open."""
+    meter = _meter.get(None)
+    if meter is None or not meter[2]:
+        return math.inf
+    return meter[1] - meter[0]
 
 
 def check_bytes(what: str, needed: int, cap: int) -> None:

@@ -230,3 +230,16 @@ def test_each_thread_has_its_own_meter(monkeypatch):
     thread.join(10)
     assert not thread.is_alive()
     assert [(e.what, e.spent, e.limit) for e in errors] == [("first call", limit + 1, limit)]
+
+
+def test_left_is_what_the_open_meter_holds(monkeypatch):
+    monkeypatch.setattr(trace, "WORK_BUDGET", 100)
+
+    @trace.metered
+    def call():
+        trace.spend("first charge", 7)
+        return trace.left()
+
+    assert trace.left() == float("inf")
+    assert call() == 93
+    assert trace.left() == float("inf")
