@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, log
+from math import comb, lcm, log
+from operator import mul
 
 import numpy as np
 
@@ -296,26 +297,31 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
 def likelihood_ratio_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
-    """Exact likelihood ratio L(G) against 1, computed in rational arithmetic.
+    """Exact likelihood ratio L(G) against 1, as one Fraction.
 
     L(G) averages, over every copy of the pattern, the product of per-edge
     likelihood ratios (p/q when the edge is observed, (1-p)/(1-q) when not).
     A copy enters only through its number a of observed edges, so the copies
-    are tallied by a first, within `counting.COPY_OVERLAP_BYTES`.
+    are tallied by a first, within `counting.COPY_OVERLAP_BYTES`. The sum
+    over a is taken in integers, on weights cached over one common
+    denominator, and divided once.
     """
     num_copies = copies_in_complete(params.pattern, params.n)
     tally = _copy_overlaps(params.pattern, params.n, obs.adjacency)
     assert sum(tally) == num_copies
-    weights = _lrt_weights(params.p, params.q, params.pattern.num_edges)
-    total = sum(copies * weights[a] for a, copies in enumerate(tally) if copies)
-    stat = total / num_copies
-    return _verdict(stat, Fraction(1))
+    weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
+    total = sum(map(mul, tally, weights))
+    return _verdict(Fraction(total, denominator * num_copies), Fraction(1))
 
 
 @lru_cache(maxsize=128)
-def _lrt_weights(p: float, q: float, e: int) -> tuple[Fraction, ...]:
-    """weights[a]: the likelihood ratio of a copy with a of its e edges
-    observed, (p/q)**a * ((1-p)/(1-q))**(e-a), in exact arithmetic."""
+def _lrt_weights(p: float, q: float, e: int) -> tuple[tuple[int, ...], int]:
+    """(weights, D): weights[a]/D is the likelihood ratio of a copy with a of
+    its e edges observed, (p/q)**a * ((1-p)/(1-q))**(e-a), exactly; D is the
+    least common denominator of the e+1 ratios."""
     p, q = Fraction(p), Fraction(q)
     present, absent = p / q, (1 - p) / (1 - q)
-    return tuple(present**a * absent ** (e - a) for a in range(e + 1))
+    ratios = [present**a * absent ** (e - a) for a in range(e + 1)]
+    denominator = lcm(*(r.denominator for r in ratios))
+    weights = tuple(r.numerator * (denominator // r.denominator) for r in ratios)
+    return weights, denominator

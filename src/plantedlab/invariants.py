@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import factorial, prod
 from typing import Iterator
 
@@ -88,26 +89,35 @@ def densest_vertex_set(g: Graph) -> list[int]:
     Read from the max flow at mu (Picard-Queyranne): the min cuts are the
     residual-closed node sets holding the source but not the sink, and the
     vertex nodes on a min cut's source side, if any, form an optimal set.
-    So what {source, v} reaches in the residual graph is the minimal optimal
-    set containing v, or holds the sink if v is in no optimal set. Every
-    minimum-cardinality optimal set is such a core (of any of its vertices),
-    so the tie rule picks among them. One search backwards from the sink
-    first finds the vertices in no optimal set, which need no search of
-    their own.
+    A closed set is a union of strongly connected components of the
+    residual graph, with every component they reach. So the
+    inclusion-minimal optimal sets are the vertices of the components that
+    hold a vertex and reach no other component holding one, every other
+    optimal set strictly contains one of them, and the tie rule picks
+    among these. (A component that reaches the sink reaches the vertices of
+    every optimal set through it, since their arcs to the sink carry flow,
+    so the sink needs no test of its own.) One pass of Tarjan's algorithm
+    numbers the components, and one sweep in its order (reverse
+    topological) finds what each reaches.
     """
     if g.n == 0:
         raise EmptyGraphError("densest subgraph of the empty graph is undefined")
     _, dinic = _densest_cut(g)
     first = 1 + g.num_edges  # node of vertex 0; the sink follows vertex n-1
-    to_sink = dinic.reachable(first + g.n, reverse=True)
+    comp, members = dinic.residual_components()
+    head, to, cap = dinic.head, dinic.to, dinic.cap
+    holds: list[bool] = []  # per component: holds or reaches a vertex
     best: list[int] | None = None
-    for v in range(g.n):
-        if to_sink[first + v]:
-            continue
-        reach = dinic.reachable(0, first + v)
-        core = [w for w in range(g.n) if reach[first + w]]
-        if best is None or (len(core), core) < (len(best), best):
-            best = core
+    for c, nodes in enumerate(members):
+        core = sorted(u - first for u in nodes if first <= u < first + g.n)
+        below = any(
+            comp[to[eid]] != c and holds[comp[to[eid]]]
+            for u in nodes for eid in head[u] if cap[eid] > 0
+        )
+        holds.append(below or bool(core))
+        if core and not below:
+            if best is None or (len(core), core) < (len(best), best):
+                best = core
     assert best is not None, "some vertex lies in an optimal set"
     return best
 
@@ -203,10 +213,9 @@ class _Dinic:
             it[u] += 1
         return 0
 
-    def reachable(self, *starts: int, reverse: bool = False) -> list[bool]:
+    def reachable(self, *starts: int) -> list[bool]:
         """Residual reachability from `starts` after max_flow; from the
-        source alone, the source side of the minimal min cut. With
-        `reverse`, the nodes that reach `starts` instead."""
+        source alone, the source side of the minimal min cut."""
         seen = [False] * self.n
         for s in starts:
             seen[s] = True
@@ -214,11 +223,54 @@ class _Dinic:
         for u in queue:
             for eid in self.head[u]:
                 v = self.to[eid]
-                if self.cap[eid ^ reverse] > 0 and not seen[v]:
+                if self.cap[eid] > 0 and not seen[v]:
                     seen[v] = True
                     queue.append(v)
         spend("residual search", 5 * len(queue))
         return seen
+
+    def residual_components(self) -> tuple[list[int], list[list[int]]]:
+        """(comp, members): the strongly connected components of the
+        residual graph after max_flow, by Tarjan's algorithm on an explicit
+        stack. comp[u] numbers u's component and members[c] lists its
+        nodes. Components are numbered as they close, so every residual arc
+        leads to a component numbered no higher than its own."""
+        spend("residual components", 5 * (self.n + len(self.to)))
+        head, to, cap = self.head, self.to, self.cap
+        index, low, comp = [-1] * self.n, [0] * self.n, [-1] * self.n
+        stack: list[int] = []
+        members: list[list[int]] = []
+        order = count()
+        for start in range(self.n):
+            if index[start] >= 0:
+                continue
+            index[start] = low[start] = next(order)
+            path = [(start, iter(head[start]))]
+            stack.append(start)
+            while path:
+                u, arcs = path[-1]
+                for eid in arcs:
+                    v = to[eid]
+                    if cap[eid] <= 0:
+                        continue
+                    if index[v] < 0:
+                        index[v] = low[v] = next(order)
+                        path.append((v, iter(head[v])))
+                        stack.append(v)
+                        break
+                    if comp[v] < 0 and index[v] < low[u]:
+                        low[u] = index[v]  # v is still on the stack
+                else:
+                    path.pop()
+                    if path and low[u] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[u]
+                    if low[u] == index[u]:
+                        nodes = []
+                        while not nodes or nodes[-1] != u:
+                            nodes.append(stack.pop())
+                            comp[nodes[-1]] = len(members)
+                        members.append(nodes)
+        return comp, members
 
 
 # ---------------------------------------------------------------------------

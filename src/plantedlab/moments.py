@@ -176,9 +176,11 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     tally = _copy_overlaps(pattern, n, fixed)
     num_copies = sum(tally)
     assert num_copies == copies_in_complete(pattern, n)
-    base = 1 + Fraction(mp.lambda_sq)
-    total = sum(copies * base**j for j, copies in enumerate(tally))
-    return MomentResult(value=total / num_copies, method=EXACT_INTERSECTION_MGF)
+    base = 1 + Fraction(mp.lambda_sq)  # a/b, so every term is over b**e
+    a, b, e = base.numerator, base.denominator, pattern.num_edges
+    total = sum(copies * a**j * b ** (e - j) for j, copies in enumerate(tally))
+    value = Fraction(total, b**e * num_copies)
+    return MomentResult(value=value, method=EXACT_INTERSECTION_MGF)
 
 
 def second_moment_mc(

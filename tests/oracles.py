@@ -3,7 +3,9 @@
 Everything here is the dumbest correct computation: exhaustive enumeration
 over vertex subsets, permutations, edge subsets, or (for the exact risk
 oracle) the entire observation space. None of it shares code or algorithmic
-ideas with the implementations under test.
+ideas with the implementations under test, except
+`per_vertex_densest_vertex_set`, which reads the package's max flow the
+slow way.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from math import comb
 import numpy as np
 
 from plantedlab import Graph
+from plantedlab.invariants import _densest_cut
 
 
 def random_graph(rng, n: int, p_edge: float) -> Graph:
@@ -101,6 +104,22 @@ def brute_densest_vertex_set(g: Graph) -> list[int]:
             if key > best:
                 best = key
     return sorted(-v for v in best[2])
+
+
+def per_vertex_densest_vertex_set(g: Graph) -> list[int]:
+    """The tie rule read off the package's final max flow one vertex at a
+    time: what {source, v} reaches in the residual graph is the minimal
+    optimal set holding v, or holds the sink when v is in no optimal set.
+    It shares the flow with the package, but not the reading of it."""
+    _, dinic = _densest_cut(g)
+    first, sink = 1 + g.num_edges, 1 + g.num_edges + g.n
+    best = None
+    for v in range(g.n):
+        reach = dinic.reachable(0, first + v)
+        core = [w for w in range(g.n) if reach[first + w]]
+        if not reach[sink] and (best is None or (len(core), core) < (len(best), best)):
+            best = core
+    return best
 
 
 def brute_vertex_cover(g: Graph) -> int:

@@ -126,7 +126,8 @@ def test_a5_scan_test_risk():
 
 
 def test_a6_optimality_oracle():
-    """Exhaustive n=6 enumeration: the likelihood ratio test dominates."""
+    """Exhaustive n=6 enumeration: the likelihood ratio test's statistic is
+    P_H1(G)/P_H0(G) on every graph, and the test dominates."""
     n = 6
     p, q = Fraction(0.9), Fraction(0.3)
     null, planted = exact_distributions(TRIANGLE, n, p, q)
@@ -140,7 +141,9 @@ def test_a6_optimality_oracle():
             if mask >> i & 1:
                 a[u, v] = a[v, u] = True
         obs = Observation(a)
-        decisions["lrt"].append(likelihood_ratio_test(obs, params).decision)
+        verdict = likelihood_ratio_test(obs, params)
+        assert verdict.statistic == planted[mask] / null[mask], f"L(G) of graph {mask}"
+        decisions["lrt"].append(verdict.decision)
         decisions["count"].append(count_test(obs, params).decision)
         decisions["degree"].append(degree_test(obs, params).decision)
         decisions["scan"].append(scan_test(obs, params).decision)

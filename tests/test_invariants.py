@@ -35,6 +35,7 @@ from oracles import (
     brute_max_density,
     brute_vertex_cover,
     moebius_ladder,
+    per_vertex_densest_vertex_set,
     prism,
     random_connected_graph,
     random_graph,
@@ -144,6 +145,20 @@ class TestMaxSubgraphDensity:
         g = make_family(spec)
         assert max_subgraph_density(g) == brute_max_density(g)
         assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_densest_vertex_set_matches_per_vertex_searches(self, seed):
+        # the one-pass reading of the residual graph against one residual
+        # search per vertex, on small graphs, ties and seeded G(n, p) hosts
+        rng = np.random.default_rng(105 + seed)
+        graphs = [
+            random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.05, 0.8)))
+            for _ in range(40)
+        ]
+        graphs += [make_family(spec) for spec in ("disjoint_triangles:3", "matching:4")]
+        graphs += [random_graph(rng, 200, 0.1), random_graph(rng, 300, 0.05)]
+        for g in graphs:
+            assert densest_vertex_set(g) == per_vertex_densest_vertex_set(g)
 
     def test_densest_subgraph_is_induced_restriction(self):
         g = make_family("unbalanced_stars:16")
