@@ -567,7 +567,8 @@ class _Refinement:
     every fragment of a split cell but the largest (Berkholz, Bonsma and
     Grohe, 2017). Each splitter vertex and each edge it reads costs 3
     units, and so does each vertex of a partition copied to individualise a
-    vertex.
+    vertex, of a map checked as an automorphism, and of a found map merged
+    into the orbits.
     """
 
     def __init__(self, adj: list[frozenset[int]]):
@@ -576,12 +577,11 @@ class _Refinement:
     def count(self, colours: list[int]) -> int:
         """Orbit-stabilizer along a chain of individualised vertices: the
         automorphisms number |orbit(v)| times those fixing v, for v in the
-        first non-singleton cell, and so on down the chain. u joins v's
-        orbit when some automorphism carries v's individualisation onto
-        u's. Levels are counted from the bottom, so the automorphisms found
-        below, which fix v, move the points found since: only a vertex that
-        the automorphisms found so far do not reach from v needs a search,
-        which first tries matching the two refinements position by position."""
+        first non-singleton cell, and so on down the chain. Levels are
+        counted from the bottom, and a union-find holds the orbits of the
+        automorphisms found so far; those found below fix v, so only a
+        vertex u of v's cell that they do not join to v needs a search
+        (:meth:`_joins`)."""
         n = len(colours)
         order = sorted(range(n), key=colours.__getitem__)
         pos, start, size = [0] * n, [0] * n, [0] * n
@@ -594,24 +594,27 @@ class _Refinement:
         self._split(chain[0], sorted(set(start)), None)
         while cell := chain[-1].first_cell():
             chain.append(self._individualise(chain[-1], cell[0], None))
-        total, found = 1, []
+        parent = list(range(n))
+
+        def find(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        total = 1
         for depth in reversed(range(len(chain) - 1)):
-            cells = chain[depth]
-            cell = cells.first_cell()
-            orbit = {cell[0]}
-            for u in cell:
-                if u in orbit:
+            cell = chain[depth].first_cell()
+            for u in cell[1:]:
+                if find(u) == find(cell[0]):
                     continue
-                moved = self._individualise(cells, u, chain[depth + 1].steps)
-                if moved is None:
-                    continue
-                image = self._automorphism(cells.start, chain[depth + 1], moved)
-                if image is None:
-                    image = self._joins(cells.start, chain[depth + 1 :], moved)
+                image = self._joins(chain[depth], chain[depth + 1 :], u)
                 if image is not None:
-                    found.append(image)
-                    orbit = _orbit(cell[0], found)
-            total *= len(orbit)
+                    spend("automorphism search", 3 * n)
+                    for v, w in enumerate(image):
+                        parent[find(v)] = find(w)
+            root = find(cell[0])
+            total *= sum(find(u) == root for u in cell)
         return total
 
     def _individualise(
@@ -691,34 +694,31 @@ class _Refinement:
             return None
         return cells
 
-    def _joins(
-        self, base: list[int], chain: list[_Cells], right: _Cells
-    ) -> list[int] | None:
-        """An automorphism keeping the colouring `base`, as a vertex map,
-        that carries chain[0] onto `right`, or None. `chain` continues by
-        individualising the first vertex of the first non-singleton cell;
-        at each depth the right side tries every vertex of that cell's
-        colour whose refinement matches the chain's. Backtracks."""
-        stack = [iter((right,))]
-        while stack:
-            theirs = next(stack[-1], None)
-            if theirs is None:
-                stack.pop()
+    def _joins(self, cells: _Cells, chain: list[_Cells], u: int) -> list[int] | None:
+        """An automorphism keeping the colouring of `cells`, as a vertex map,
+        that carries the vertex chain[0] individualises onto u, or None.
+        `chain` continues by individualising the first vertex of the first
+        non-singleton cell. Backtracks over explicit frames, each holding a
+        right-side partition and the vertices of that cell's colour in it
+        left to try. A candidate whose refinement matches the chain's is
+        tried as the position-by-position map (:meth:`_automorphism`)
+        before the search descends below it."""
+        frames = [(cells, [u])]
+        while frames:
+            theirs, candidates = frames[-1]
+            if not candidates:
+                frames.pop()
                 continue
-            ours = chain[len(stack) - 1]
-            cell = ours.first_cell()
-            if not cell:
-                image = self._automorphism(base, ours, theirs)
-                if image is not None:
-                    return image
+            ours = chain[len(frames) - 1]
+            right = self._individualise(theirs, candidates.pop(), ours.steps)
+            if right is None:
                 continue
-            c, deeper = ours.start[cell[0]], chain[len(stack)]
-            stack.append(
-                filter(None, (
-                    self._individualise(theirs, u, deeper.steps)
-                    for u in theirs.order[c : c + theirs.size[c]]
-                ))
-            )
+            image = self._automorphism(cells.start, ours, right)
+            if image is not None:
+                return image
+            if cell := ours.first_cell():
+                c = ours.start[cell[0]]
+                frames.append((right, right.order[c : c + right.size[c]][::-1]))
         return None
 
     def _automorphism(
@@ -727,6 +727,7 @@ class _Refinement:
         """The map carrying each vertex to the vertex at its position from
         `left` in `right`, if it keeps `base` and carries the edges onto the
         edges."""
+        spend("automorphism search", 3 * len(self.adj))
         image = [right.order[p] for p in left.pos]
         if all(
             base[image[v]] == base[v]
@@ -735,17 +736,6 @@ class _Refinement:
         ):
             return image
         return None
-
-
-def _orbit(v: int, perms: list[list[int]]) -> set[int]:
-    """The points that the group generated by `perms` reaches from v."""
-    orbit, reached = [v], {v}
-    for w in orbit:
-        for perm in perms:
-            if perm[w] not in reached:
-                reached.add(perm[w])
-                orbit.append(perm[w])
-    return reached
 
 
 @metered

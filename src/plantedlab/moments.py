@@ -33,7 +33,6 @@ Monte-Carlo paths are float with a reported standard error.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -48,7 +47,7 @@ from .invariants import _placement_plan, _twin_classes, isomorphic
 from .sampling import batched_copy_images
 from .trace import left, metered, spend
 
-MC_CHUNK = 1 << 16
+MC_CHUNK_BYTES = 1 << 24  # copy images held at once by the Monte Carlo paths
 
 EXACT_SUBGRAPH_SUM = "exact_subgraph_sum"
 EXACT_INTERSECTION_MGF = "exact_intersection_mgf"
@@ -140,10 +139,10 @@ def intersection_distribution(
         raise PatternTooLargeError(
             f"pattern on {pattern.n} vertices does not fit in n={n}"
         )
-    counter: Counter[int] = Counter()
-    for chunk in _intersection_chunks(pattern, n, trials, rng):
-        counter.update(chunk.tolist())
-    return IntersectionHistogram(counts=dict(counter), trials=trials)
+    hist = _intersection_counts(pattern, n, trials, rng)
+    return IntersectionHistogram(
+        counts={j: int(c) for j, c in enumerate(hist) if c}, trials=trials
+    )
 
 
 @metered
@@ -186,22 +185,18 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
 def second_moment_mc(
     mp: MomentParams, trials: int, rng: np.random.Generator
 ) -> MomentResult:
-    """Sample mean of (1+lambda^2)^intersection with its standard error."""
+    """Sample mean of (1+lambda^2)^intersection with its standard error,
+    both read off the histogram of intersections with `math.fsum`, so the
+    chunk size moves neither."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    base = 1 + float(mp.lambda_sq)
-    total = 0.0
-    total_sq = 0.0
-    for chunk in _intersection_chunks(mp.pattern, mp.n, trials, rng):
-        vals = np.power(base, chunk)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / trials
+    hist = _intersection_counts(mp.pattern, mp.n, trials, rng).tolist()
+    values = [(1 + float(mp.lambda_sq)) ** j for j in range(len(hist))]
+    mean = math.fsum(c * v for c, v in zip(hist, values)) / trials
+    std_error = 0.0
     if trials > 1:
-        variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-        std_error = math.sqrt(variance / trials)
-    else:
-        std_error = 0.0
+        variance = math.fsum(c * (v - mean) ** 2 for c, v in zip(hist, values))
+        std_error = math.sqrt(variance / (trials - 1) / trials)
     return MomentResult(value=mean, method=MONTE_CARLO, std_error=std_error)
 
 
@@ -222,20 +217,25 @@ def risk_lower_bounds(second_moment, p, q, num_planted_edges: int):
     return sm_bound, tv_edge_bound
 
 
-def _intersection_chunks(pattern: Graph, n: int, trials: int, rng):
-    """Yield int arrays of per-trial intersection edge counts, chunked."""
-    fixed = np.zeros((n, n), dtype=bool)
+def _intersection_counts(pattern: Graph, n: int, trials: int, rng) -> np.ndarray:
+    """Entry j: the trials whose uniform copy shares j edges with the fixed
+    copy on 0..k-1. Images past k-1 are clamped to k, which no fixed edge
+    touches, so a (k+1)x(k+1) table reads the shared edges. A trial's draw
+    holds two n-rows of int64, and the chunks hold MC_CHUNK_BYTES of them;
+    `Generator.permuted` draws row by row, so chunking changes no draw."""
+    k = pattern.n
+    shared = np.zeros((k + 1, k + 1), dtype=bool)
     for u, v in pattern.edges:
-        fixed[u, v] = fixed[v, u] = True
-    done = 0
-    while done < trials:
-        b = min(MC_CHUNK, trials - done)
-        images = batched_copy_images(pattern, n, b, rng)
-        counts = np.zeros(b, dtype=np.int64)
+        shared[u, v] = shared[v, u] = True
+    rows = max(1, MC_CHUNK_BYTES // (16 * n))
+    hist = np.zeros(pattern.num_edges + 1, dtype=np.int64)
+    for done in range(0, trials, rows):
+        images = np.minimum(batched_copy_images(pattern, n, min(rows, trials - done), rng), k)
+        counts = np.zeros(len(images), dtype=np.int64)
         for a, c in pattern.edges:
-            counts += fixed[images[:, a], images[:, c]]
-        done += b
-        yield counts
+            counts += shared[images[:, a], images[:, c]]
+        hist += np.bincount(counts, minlength=len(hist))
+    return hist
 
 
 def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):

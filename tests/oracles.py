@@ -5,7 +5,8 @@ over vertex subsets, permutations, edge subsets, or (for the exact risk
 oracle) the entire observation space. None of it shares code or algorithmic
 ideas with the implementations under test, except
 `per_vertex_densest_vertex_set`, which reads the package's max flow the
-slow way.
+slow way, and `embedding_automorphisms`, which counts automorphisms with
+the package's placement search rather than its refinement.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from math import comb
 import numpy as np
 
 from plantedlab import Graph
-from plantedlab.invariants import _densest_cut
+from plantedlab.invariants import _densest_cut, _embeddings
 
 
 def random_graph(rng, n: int, p_edge: float) -> Graph:
@@ -82,6 +83,15 @@ def moebius_ladder(n: int) -> Graph:
     return Graph(2 * n, [(min(u, v), max(u, v)) for u, v in edges])
 
 
+def hub_joined(parts: list[Graph]) -> Graph:
+    """The disjoint union of `parts` plus one vertex joined to all of them."""
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for u, v in part.edges]
+        offset += part.n
+    return Graph(offset + 1, edges + [(v, offset) for v in range(offset)])
+
+
 def brute_max_density(g: Graph) -> Fraction:
     best = Fraction(0)
     verts = range(g.n)
@@ -141,6 +151,13 @@ def brute_automorphisms(g: Graph) -> int:
         if mapped == edges:
             count += 1
     return count
+
+
+def embedding_automorphisms(g: Graph) -> int:
+    """|Aut(G)| as the number of edge-preserving injections of G into
+    itself, each of which is an automorphism. Past brute force, but it
+    walks every automorphism, so keep |Aut| small."""
+    return sum(1 for _ in _embeddings(g, g))
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:

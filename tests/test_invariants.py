@@ -26,7 +26,6 @@ from plantedlab import (
 )
 
 from plantedlab import trace
-from plantedlab.invariants import _embeddings
 
 from oracles import (
     brute_automorphisms,
@@ -34,10 +33,13 @@ from oracles import (
     brute_isomorphic,
     brute_max_density,
     brute_vertex_cover,
+    embedding_automorphisms,
+    hub_joined,
     moebius_ladder,
     per_vertex_densest_vertex_set,
     prism,
     random_connected_graph,
+    random_cubic_graph,
     random_graph,
     swapped_relabelling,
 )
@@ -50,6 +52,19 @@ PETERSEN = Graph(
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     + [(i, i + 5) for i in range(5)],
 )
+# vertex 16 joined to two cubic graphs, on 0-7 and on 8-15
+HUB_17 = Graph(17, [
+    tuple(map(int, e.split("-"))) for e in (
+        "0-1 0-4 0-6 1-2 1-5 2-3 2-7 3-4 3-5 4-7 5-6 6-7 "
+        "8-10 8-14 8-15 9-10 9-11 9-12 10-15 11-12 11-14 12-13 13-14 13-15"
+    ).split()
+] + [(v, 16) for v in range(16)])
+
+
+def spider(m: int) -> Graph:
+    """A centre joined to m paths of length 2; for m >= 2 its automorphisms
+    permute the paths."""
+    return Graph(2 * m + 1, [e for i in range(1, 2 * m, 2) for e in ((0, i), (i, i + 1))])
 
 
 class TestMaxSubgraphDensity:
@@ -268,8 +283,12 @@ class TestAutomorphisms:
     def test_large_trees_within_the_default_budget(self):
         # positional matching of the two refinements finds each generator
         assert automorphism_count(make_family("regular_tree:3,8")) == 6 * 2**381
-        legs = [edge for i in range(1, 600, 2) for edge in ((0, i), (i, i + 1))]
-        assert automorphism_count(Graph(601, legs)) == factorial(300)
+        assert automorphism_count(spider(300)) == factorial(300)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 100, 400])
+    def test_spiders(self, m):
+        # each level's orbit is met by one search and one union pass
+        assert automorphism_count(spider(m)) == factorial(m)
 
     def test_matches_embedding_search_on_connected_9_to_12_vertex_graphs(self):
         # past brute force: every automorphism is an embedding into itself
@@ -277,7 +296,20 @@ class TestAutomorphisms:
         for _ in range(12):
             n = int(rng.integers(9, 13))
             g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
-            assert automorphism_count(g) == sum(1 for _ in _embeddings(g, g))
+            assert automorphism_count(g) == embedding_automorphisms(g)
+
+    def test_hub_joined_cubic_graphs(self):
+        # refinement splits no cubic graph, so the orbit search backtracks
+        assert automorphism_count(HUB_17) == 64 == embedding_automorphisms(HUB_17)
+        assert graph_stats(HUB_17).automorphism_count == 64
+
+    @pytest.mark.parametrize("seed", [3, 11, 35, 47, 318, 559, 659, 1091, 1189, 1618])
+    def test_hub_joined_relabelled_cubic_graphs_match_embedding_count(self, seed):
+        rng = np.random.default_rng(seed)
+        base = random_cubic_graph(rng, int(rng.choice([8, 10])))
+        parts = [swapped_relabelling(rng, base, 2) for _ in range(int(rng.integers(2, 6)))]
+        g = hub_joined(parts)
+        assert automorphism_count(g) == embedding_automorphisms(g)
 
     def test_budget_enforced_per_component(self, monkeypatch):
         rng = np.random.default_rng(301)

@@ -1,6 +1,7 @@
 """Second-moment computations, low-degree norms, and risk lower bounds."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -360,6 +361,18 @@ def pooled(observed, expected, least=5):
 
 MC_REFERENCES = [("clique:3", 7), ("star:3", 8), ("path:3", 9), ("matching:2", 9)]
 
+# (spec, n, trials, seed, counts, E[L^2] and its standard error at
+# lambda^2 = 3): the counts are those of 65536-row chunks, so clique:3 at
+# n=200 spans two of those; path:4 at n=200 and clique:20 at n=1000 span
+# several chunks of MC_CHUNK_BYTES
+MC_PINS = [
+    ("clique:3", 200, 70_000, 2, {0: 69976, 1: 24}, 1.0010285714285714, 2.09921767525737e-4),
+    ("star:3", 8, 20_000, 3, {0: 14661, 1: 4482, 2: 773, 3: 84}, 2.51665, 0.03541466996623632),
+    ("path:4", 200, 20_000, 9, {0: 19980, 1: 20}, 1.003, 6.70501661909895e-4),
+    ("clique:20", 1000, 5_000, 12, {0: 4703, 1: 275, 3: 20, 6: 1, 10: 1}, 211.951,
+     209.7163593656845),
+]
+
 
 class TestSecondMomentMC:
     def test_zero_signal_exact(self):
@@ -387,6 +400,22 @@ class TestSecondMomentMC:
         res = second_moment_mc(mp, 20_000, stream(721, n))
         assert res.std_error > 0
         assert abs(res.value - exact) < 4 * res.std_error
+
+    @pytest.mark.parametrize("spec,n,trials,seed,counts,value,std_error", MC_PINS)
+    def test_pinned_seeded_values(self, spec, n, trials, seed, counts, value, std_error):
+        pattern = make_family(spec)
+        hist = intersection_distribution(pattern, n, trials, np.random.default_rng(seed))
+        assert hist.counts == counts
+        res = second_moment_mc(MomentParams(n, 3, pattern), trials, np.random.default_rng(seed))
+        assert res.value == pytest.approx(value, rel=1e-12)
+        assert res.std_error == pytest.approx(std_error, rel=1e-12)
+
+    def test_chunk_size_moves_nothing(self, monkeypatch):
+        mp = MomentParams(30, 3, make_family("path:4"))
+        whole = second_moment_mc(mp, 5000, np.random.default_rng(708))
+        monkeypatch.setattr(moments, "MC_CHUNK_BYTES", 16 * 30 * 7)  # 7 trials a chunk
+        chunked = second_moment_mc(mp, 5000, np.random.default_rng(708))
+        assert (chunked.value, chunked.std_error) == (whole.value, whole.std_error)
 
     def test_deterministic_under_seed(self):
         mp = MomentParams(7, 2, make_family("star:3"))
@@ -432,6 +461,17 @@ class TestIntersectionDistribution:
         assert len(observed) > 1
         _, pvalue = scipy_stats.chisquare(observed, expected)
         assert pvalue > 1e-3
+
+    def test_memory_is_bounded_by_the_chunk_size(self):
+        # one chunk of 10^4 permutations of n=4000 would hold ~640 MB
+        tracemalloc.start()
+        try:
+            hist = intersection_distribution(TRIANGLE, 4000, 10_000, np.random.default_rng(709))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(hist.counts.values()) == 10_000
+        assert peak < 64 * 2**20
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
