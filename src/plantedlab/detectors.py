@@ -61,7 +61,6 @@ class DetectorConfig:
 
 
 _DEFAULT_CONFIG = DetectorConfig()
-_ONE = Fraction(1)  # the likelihood ratio test's threshold
 
 
 @dataclass(frozen=True)
@@ -305,15 +304,14 @@ def likelihood_ratio_test(
     A copy enters only through its number a of observed edges, so the copies
     are tallied by a first, within `counting.COPY_OVERLAP_BYTES`. The sum
     over a is taken in integers, on weights cached over one common
-    denominator, and divided once; the decision is the integer test
-    total >= D*N.
+    denominator, and divided once.
     """
     num_copies = copies_in_complete(params.pattern, params.n)
     tally = _copy_overlaps(params.pattern, params.n, obs.adjacency)
     assert sum(tally) == num_copies
     weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
-    total, scale = sum(map(mul, tally, weights)), denominator * num_copies
-    return Verdict(int(total >= scale), Fraction(total, scale), _ONE)
+    total = sum(map(mul, tally, weights))
+    return _verdict(Fraction(total, denominator * num_copies), Fraction(1))
 
 
 @lru_cache(maxsize=128)

@@ -566,9 +566,10 @@ class _Refinement:
     Refinement is 1-WL by cell splitting, with Hopcroft's rule of queueing
     every fragment of a split cell but the largest (Berkholz, Bonsma and
     Grohe, 2017). Each splitter vertex and each edge it reads costs 3
-    units, and so does each vertex of a partition copied to individualise a
-    vertex, of a map checked as an automorphism, and of a found map merged
-    into the orbits.
+    units, and so does each vertex of a map checked as an automorphism and
+    each edge the check reads until the map fails, each vertex of a
+    partition copied to individualise a vertex, and each vertex of a found
+    map merged into the orbits.
     """
 
     def __init__(self, adj: list[frozenset[int]]):
@@ -727,15 +728,14 @@ class _Refinement:
         """The map carrying each vertex to the vertex at its position from
         `left` in `right`, if it keeps `base` and carries the edges onto the
         edges."""
-        spend("automorphism search", 3 * len(self.adj))
-        image = [right.order[p] for p in left.pos]
-        if all(
-            base[image[v]] == base[v]
-            and frozenset(image[w] for w in nbrs) == self.adj[image[v]]
-            for v, nbrs in enumerate(self.adj)
-        ):
-            return image
-        return None
+        image, read = [right.order[p] for p in left.pos], len(self.adj)
+        for v, nbrs in enumerate(self.adj):
+            read += len(nbrs)
+            if base[image[v]] != base[v] or frozenset(image[w] for w in nbrs) != self.adj[image[v]]:
+                image = None
+                break
+        spend("automorphism search", 3 * read)
+        return image
 
 
 @metered

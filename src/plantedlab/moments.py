@@ -186,17 +186,19 @@ def second_moment_mc(
     mp: MomentParams, trials: int, rng: np.random.Generator
 ) -> MomentResult:
     """Sample mean of (1+lambda^2)^intersection with its standard error,
-    both read off the histogram of intersections with `math.fsum`, so the
-    chunk size moves neither."""
+    both read off the histogram of intersections, so the chunk size moves
+    neither. Only drawn bins are raised to their power; one past the float
+    range reads inf, and so does a variance past it."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    hist = _intersection_counts(mp.pattern, mp.n, trials, rng).tolist()
-    values = [(1 + float(mp.lambda_sq)) ** j for j in range(len(hist))]
-    mean = math.fsum(c * v for c, v in zip(hist, values)) / trials
-    std_error = 0.0
-    if trials > 1:
-        variance = math.fsum(c * (v - mean) ** 2 for c, v in zip(hist, values))
-        std_error = math.sqrt(variance / (trials - 1) / trials)
+    hist = _intersection_counts(mp.pattern, mp.n, trials, rng)
+    drawn = np.flatnonzero(hist)
+    counts = hist[drawn]
+    with np.errstate(over="ignore"):
+        values = np.power(1 + float(mp.lambda_sq), drawn)
+        mean = float(counts @ values) / trials
+        variance = float(counts @ (values - mean) ** 2) if math.isfinite(mean) else math.inf
+    std_error = math.sqrt(variance / (trials - 1) / trials) if trials > 1 else 0.0
     return MomentResult(value=mean, method=MONTE_CARLO, std_error=std_error)
 
 

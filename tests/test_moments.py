@@ -410,6 +410,16 @@ class TestSecondMomentMC:
         assert res.value == pytest.approx(value, rel=1e-12)
         assert res.std_error == pytest.approx(std_error, rel=1e-12)
 
+    def test_powers_past_the_float_range(self):
+        # clique:46 has 1035 edges and 2^1035 is past the float range; only
+        # drawn bins are raised to their power, and a drawn one past it reads inf
+        pattern = make_family("clique:46")
+        res = second_moment_mc(MomentParams(1000, 1, pattern), 300, np.random.default_rng(5))
+        assert res.value == pytest.approx(7391.826666666667, rel=1e-12)
+        assert res.std_error == pytest.approx(6991.710377394868, rel=1e-12)
+        full = second_moment_mc(MomentParams(46, 1, pattern), 20, np.random.default_rng(8))
+        assert full.value == full.std_error == math.inf
+
     def test_chunk_size_moves_nothing(self, monkeypatch):
         mp = MomentParams(30, 3, make_family("path:4"))
         whole = second_moment_mc(mp, 5000, np.random.default_rng(708))
