@@ -65,7 +65,8 @@ def graph_stats(g: Graph) -> GraphStats:
 def max_subgraph_density(g: Graph) -> Fraction:
     """Exact mu(G) by Dinkelbach's iteration on Goldberg's max-flow network
     (:func:`_densest_cut`): each flow either certifies its guess or yields a
-    denser set, so a random host takes one or two flows."""
+    denser set. The first guess is the peeling density, which on a random
+    host is usually mu, so one flow certifies it."""
     if g.n == 0:
         raise EmptyGraphError("density of the empty graph is undefined")
     return _densest_cut(g)[0]
@@ -133,29 +134,72 @@ def _densest_cut(g: Graph) -> tuple[Fraction, _Dinic]:
     flow is den*m exactly when no S has e(S)/|S| > num/den, which certifies
     the guess. Otherwise the source side of the minimal min cut is a denser
     S, and the next guess is e(S)/|S|. Guesses rise strictly through the
-    finitely many densities, starting from m/n.
+    finitely many densities, starting from the peeling density, which is
+    attained and on random hosts usually mu itself, so one flow certifies
+    it.
+
+    Dinic's first phase runs flat: its level graph is source -> edge ->
+    endpoint -> sink, and its search sends each edge's den units to what
+    its first endpoint's sink arc has left, then to its second's, in edge
+    order. Later phases search the residual graph as usual. Every maximum
+    flow leaves the same min cuts, so neither the start nor the flow
+    chosen moves mu or the set read from the cuts.
     """
     m = g.num_edges
-    guess = Fraction(m, g.n)
+    sink = m + g.n + 1
+    guess = _peeled_density(g)
     while True:
         num, den = guess.numerator, guess.denominator
-        dinic = _Dinic(m + g.n + 2)
-        sink = m + g.n + 1
+        dinic = _Dinic(sink + 1)
         unbounded = den * m + 1  # more than the source can send
+        left, sent = [num] * g.n, 0  # vertex -> sink capacity left; flow so far
         for j, (u, v) in enumerate(g.edges):
-            dinic.add(0, 1 + j, den)
-            dinic.add(1 + j, 1 + m + u, unbounded)
-            dinic.add(1 + j, 1 + m + v, unbounded)
+            a = min(den, left[u])
+            b = min(den - a, left[v])
+            left[u] -= a
+            left[v] -= b
+            sent += a + b
+            dinic.add(0, 1 + j, den, a + b)
+            dinic.add(1 + j, 1 + m + u, unbounded, a)
+            dinic.add(1 + j, 1 + m + v, unbounded, b)
         for v in range(g.n):
-            dinic.add(1 + m + v, sink, num)
-        if dinic.max_flow(0, sink) == den * m:
+            dinic.add(1 + m + v, sink, num, num - left[v])
+        spend("max-flow phase", 6 * len(dinic.to))
+        if sent + dinic.max_flow(0, sink) == den * m:
             return guess, dinic
         reach = dinic.reachable(0)
         guess = Fraction(sum(reach[1 : 1 + m]), sum(reach[1 + m : sink]))
 
 
+def _peeled_density(g: Graph) -> Fraction:
+    """The densest of the vertex sets left while removing a vertex of least
+    degree at a time (Charikar 2000): a density some set attains, so at
+    most mu. A lazy heap; each removal is charged with the neighbours it
+    updates."""
+    degree = g.degrees()
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapify(heap)
+    edges, size = g.num_edges, g.n
+    best = (edges, size)
+    while edges:
+        d, v = heappop(heap)
+        if d != degree[v]:
+            continue  # stale, or v is gone
+        spend("density peel", 5 + 5 * d)
+        degree[v] = -1
+        for w in g.neighbors(v):
+            if degree[w] > 0:
+                degree[w] -= 1
+                heappush(heap, (degree[w], w))
+        edges, size = edges - d, size - 1
+        if edges * best[1] > best[0] * size:
+            best = (edges, size)
+    return Fraction(*best)
+
+
 class _Dinic:
-    """Plain integer Dinic max-flow; sized for a few thousand nodes."""
+    """Integer Dinic max-flow; each blocking flow augments along an explicit
+    path stack, so path length is not bounded by Python's recursion."""
 
     def __init__(self, n: int):
         self.n = n
@@ -163,27 +207,51 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add(self, u: int, v: int, c: int) -> None:
+    def add(self, u: int, v: int, c: int, flow: int) -> None:
+        """An arc u -> v of capacity c that already carries `flow`."""
         self.head[u].append(len(self.to))
         self.to.append(v)
-        self.cap.append(c)
+        self.cap.append(c - flow)
         self.head[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
 
     def max_flow(self, s: int, t: int) -> int:
+        """The flow this adds from s to t, up to a maximum one."""
+        head, to, cap = self.head, self.to, self.cap
         flow = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            spend("max-flow phase", 6 * len(self.to))
+        while (level := self._bfs(s, t)) is not None:
+            spend("max-flow phase", 6 * len(to))
             it = [0] * self.n
+            path: list[int] = []  # the arcs from s to u
+            u = s
             while True:
-                pushed = self._dfs(s, t, None, level, it)
-                if not pushed:
+                if u == t:
+                    pushed = min(cap[eid] for eid in path)
+                    for eid in path:
+                        cap[eid] -= pushed
+                        cap[eid ^ 1] += pushed
+                    flow += pushed
+                    k = next(k for k, eid in enumerate(path) if not cap[eid])
+                    del path[k:]  # back to the first saturated arc
+                    u = to[path[-1]] if path else s
+                    continue
+                arcs, i, deeper = head[u], it[u], level[u] + 1
+                end = len(arcs)
+                while i < end and not (cap[arcs[i]] > 0 and level[to[arcs[i]]] == deeper):
+                    i += 1
+                it[u] = i
+                if i < end:
+                    eid = arcs[i]
+                    path.append(eid)
+                    u = to[eid]
+                elif u == s:
                     break
-                flow += pushed
+                else:
+                    level[u] = -1  # a dead end for the rest of the phase
+                    path.pop()
+                    u = to[path[-1]] if path else s
+        return flow
 
     def _bfs(self, s: int, t: int):
         level = [-1] * self.n
@@ -196,22 +264,6 @@ class _Dinic:
                     level[v] = level[u] + 1
                     queue.append(v)
         return level if level[t] >= 0 else None
-
-    def _dfs(self, u: int, t: int, limit, level, it) -> int:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            eid = self.head[u][it[u]]
-            v = self.to[eid]
-            if self.cap[eid] > 0 and level[v] == level[u] + 1:
-                avail = self.cap[eid] if limit is None else min(limit, self.cap[eid])
-                pushed = self._dfs(v, t, avail, level, it)
-                if pushed:
-                    self.cap[eid] -= pushed
-                    self.cap[eid ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
 
     def reachable(self, *starts: int) -> list[bool]:
         """Residual reachability from `starts` after max_flow; from the

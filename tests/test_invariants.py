@@ -26,6 +26,7 @@ from plantedlab import (
 )
 
 from plantedlab import trace
+from plantedlab.invariants import _peeled_density
 
 from oracles import (
     brute_automorphisms,
@@ -65,6 +66,37 @@ def spider(m: int) -> Graph:
     """A centre joined to m paths of length 2; for m >= 2 its automorphisms
     permute the paths."""
     return Graph(2 * m + 1, [e for i in range(1, 2 * m, 2) for e in ((0, i), (i, i + 1))])
+
+
+def dumbbell(length: int) -> Graph:
+    """Two triangles joined by a path of `length` edges, on length + 5
+    vertices. The whole graph is densest, at (length + 6) / (length + 5),
+    and its max flow augments along the joining path."""
+    right = length + 2
+    return Graph(length + 5, [(0, 1), (0, 2), (1, 2)]
+                 + [(v, v + 1) for v in range(2, right)]
+                 + [(right, right + 1), (right, right + 2), (right + 1, right + 2)])
+
+
+def gadget_host(rng) -> Graph:
+    """A sparse seeded G(n, p) on 60-120 vertices with one to three pendant
+    paths and dumbbells, each dumbbell hung by an edge or apart: mu sits
+    near 1, where max flows need long augmenting paths."""
+    n = int(rng.integers(60, 121))
+    edges = list(random_graph(rng, n, float(rng.uniform(0.5, 3.0)) / n).edges)
+    size = n
+    for _ in range(int(rng.integers(1, 4))):
+        length, at = int(rng.integers(1, 60)), int(rng.integers(0, size))
+        if rng.random() < 0.5:
+            edges += [(at, size)] + [(size + i, size + i + 1) for i in range(length - 1)]
+            size += length
+        else:
+            gadget = dumbbell(length)
+            edges += [(u + size, v + size) for u, v in gadget.edges]
+            if rng.random() < 0.5:
+                edges.append((at, size))
+            size += gadget.n
+    return Graph(size, edges)
 
 
 class TestMaxSubgraphDensity:
@@ -118,13 +150,13 @@ class TestMaxSubgraphDensity:
         g = Graph(n, [
             (int(perm[u]), int(perm[v])) for u, v in g.edges if (u < split) == (v < split)
         ])
-        assert max_subgraph_density(g) == brute_max_density(g)
+        assert _peeled_density(g) <= max_subgraph_density(g) == brute_max_density(g)
         assert densest_vertex_set(g) == brute_densest_vertex_set(g)
 
     @pytest.mark.parametrize("length", [6, 34])
     def test_clique_with_pendant_path(self, length):
         # K6 on 0..5 and a path 5-6-...: the whole graph is sparser than the
-        # clique, so the iteration must move past its starting guess m/n
+        # clique, which the iteration must find
         g = Graph(
             6 + length,
             [(i, j) for i in range(6) for j in range(i + 1, 6)]
@@ -136,6 +168,30 @@ class TestMaxSubgraphDensity:
         if g.n <= 12:
             assert max_subgraph_density(g) == brute_max_density(g)
             assert densest_vertex_set(g) == brute_densest_vertex_set(g)
+
+    def test_iteration_moves_past_the_peeling_density(self):
+        # peeling a least-degree vertex at a time first removes 0, a leaf
+        # of the densest set {0, 1, 3}, so the first flow finds that set
+        g = Graph(5, [(0, 3), (1, 3), (2, 4)])
+        assert _peeled_density(g) == Fraction(3, 5)
+        assert max_subgraph_density(g) == Fraction(2, 3) == brute_max_density(g)
+        assert densest_vertex_set(g) == [0, 1, 3] == brute_densest_vertex_set(g)
+
+    @pytest.mark.parametrize("length", [800, 1500])
+    def test_dumbbell_needs_no_recursion(self, length):
+        # augmenting paths run along the whole joining path, deeper than
+        # Python's recursion limit
+        g = dumbbell(length)
+        assert max_subgraph_density(g) == Fraction(length + 6, length + 5)
+        assert densest_vertex_set(g) == list(range(length + 5))
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_gadget_hosts_match_per_vertex_searches(self, seed):
+        g = gadget_host(np.random.default_rng(seed))
+        vs = densest_vertex_set(g)
+        assert vs == per_vertex_densest_vertex_set(g)
+        assert max_subgraph_density(g) == Fraction(g.induced_subgraph(vs).num_edges, len(vs))
 
     @pytest.mark.parametrize("tree_size,k", [(6, 4), (7, 3), (300, 5), (300, 3)])
     def test_tree_with_clique(self, tree_size, k):

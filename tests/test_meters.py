@@ -21,11 +21,13 @@ from plantedlab import (
     connected_sets_count,
     copies_in_complete,
     count_copies,
+    densest_vertex_set,
     estimate_risk,
     graph_stats,
     isomorphic,
     ldp_norm_sq,
     make_family,
+    max_subgraph_density,
     scan_test,
     second_moment_exact,
     spanning_tree_count,
@@ -139,6 +141,19 @@ def test_graph_stats():
         g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
         invariants.automorphism_count.cache_clear()
         return check_meter(percent, lambda: graph_stats(g))
+
+    both_outcomes(prop)
+
+
+def test_max_subgraph_density():
+    # the peel is charged per vertex removed, each flow phase (the flat
+    # first one too) per arc, and the densest set's residual pass per node
+    # and arc
+    def prop(rng, percent, data):
+        n = int(rng.integers(40, 121))
+        g = random_graph(rng, n, float(rng.uniform(1, 12)) / n)
+        call = (max_subgraph_density, densest_vertex_set)[int(rng.integers(0, 2))]
+        return check_meter(percent, lambda: call(g))
 
     both_outcomes(prop)
 
