@@ -24,11 +24,12 @@ from .graphs import (
     read_edge_list,
     write_edge_list,
 )
-from .invariants import graph_stats, vertex_cover_number
+from .invariants import automorphism_count, graph_stats, vertex_cover_number
 from .moments import (
     LdpConfig,
     MomentParams,
     MomentResult,
+    _float,
     chi_square_bernoulli,
     intersection_distribution,
     ldp_norm_sq,
@@ -56,6 +57,7 @@ from .risklab import (
     write_csv,
 )
 from .sampling import ModelParams, Observation, sample_null, sample_planted, stream
+from .trace import metered
 
 
 def main() -> None:
@@ -111,13 +113,14 @@ def _emit(text: str, out: str | None) -> None:
 # subcommand handlers
 # --------------------------------------------------------------------------
 
+@metered  # mu, tau and |Aut| spend from one meter
 def _cmd_stats(args) -> int:
     g = _load_pattern(args)
     s = graph_stats(g)
     print(
         f"|v|={s.num_vertices} |e|={s.num_edges} d_max={s.max_degree} "
-        f"mu={s.max_subgraph_density} tau={s.vertex_cover_number} "
-        f"aut={s.automorphism_count}"
+        f"mu={s.max_subgraph_density} tau={vertex_cover_number(g)} "
+        f"aut={automorphism_count(g)}"
     )
     return 0
 
@@ -214,7 +217,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _print_moment(res: MomentResult) -> None:
-    line = f"value={_stat_str(res.value)} float={float(res.value):.6g} method={res.method}"
+    line = f"value={_stat_str(res.value)} float={_float(res.value):.6g} method={res.method}"
     if res.std_error is not None:
         line += f" std_error={_fmt(res.std_error)}"
     print(line)

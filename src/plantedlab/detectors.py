@@ -40,27 +40,23 @@ from .trace import metered, spend
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Tunable pieces of the scan and degree tests.
+    """Tunable piece of the scan test.
 
     scan_kappa_weight w sets the scan threshold level kappa = w*q + (1-w)*p
     (any w in (0,1) yields a consistent test; 1/2 is the symmetric default).
-    degree_threshold_constant is the constant in the degree-test guarantee
-    condition; 16 is the provable default, 2 the optimized variant.
     """
 
     scan_kappa_weight: float = 0.5
-    degree_threshold_constant: float = 16.0
 
     def __post_init__(self):
         if not 0 < self.scan_kappa_weight < 1:
             raise ValueError(
                 f"scan_kappa_weight must be in (0,1), got {self.scan_kappa_weight}"
             )
-        if self.degree_threshold_constant <= 0:
-            raise ValueError("degree_threshold_constant must be positive")
 
 
 _DEFAULT_CONFIG = DetectorConfig()
+_DEGREE_THRESHOLD_CONSTANT = 16  # the provable constant of the degree-test guarantee
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,8 @@ def degree_test(
 def degree_condition_value(params: ModelParams) -> float:
     """min(d^2 chi^2/(n log n), d(p-q)/log n), the degree-test guarantee lhs.
 
-    The test's risk provably vanishes when this exceeds the configured
-    constant (16 by default). Purely diagnostic; the test itself runs
-    regardless.
+    The test's risk provably vanishes when this exceeds the constant 16.
+    Purely diagnostic; the test itself runs regardless.
     """
     n, p, q = params.n, params.p, params.q
     d = params.pattern.max_degree()
@@ -119,11 +114,8 @@ def degree_condition_value(params: ModelParams) -> float:
     return min(d * d * chi2 / (n * log(n)), d * (p - q) / log(n))
 
 
-def degree_condition_satisfied(
-    params: ModelParams, cfg: DetectorConfig | None = None
-) -> bool:
-    cfg = cfg or _DEFAULT_CONFIG
-    return degree_condition_value(params) > cfg.degree_threshold_constant
+def degree_condition_satisfied(params: ModelParams) -> bool:
+    return degree_condition_value(params) > _DEGREE_THRESHOLD_CONSTANT
 
 
 @lru_cache(maxsize=128)

@@ -316,8 +316,6 @@ def make_family(spec: FamilySpec | str) -> Graph:
                     nxt.append(next_id)
                     next_id += 1
             level = nxt
-        if not edges:
-            raise InvalidSpecError("regular_tree with branching 1 at depth > 0 only; got no edges")
         return Graph(next_id, edges)
 
     if kind == "matching":

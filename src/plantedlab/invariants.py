@@ -1,6 +1,6 @@
 """Exact graph invariants: maximum subgraph density, densest subgraph,
-vertex cover number, automorphism count, isomorphism, and an aggregate
-stats record. One placement search (edge-preserving injections, by
+vertex cover number, automorphism count, isomorphism, and the record of
+the threshold inputs. One placement search (edge-preserving injections, by
 backtracking) serves copy counting and isomorphism; its plan and the twin
 classes also drive the scan and the shared-edge count. Automorphisms are
 counted by individualisation and colour refinement on the twin quotient.
@@ -29,16 +29,13 @@ from .trace import metered, spend
 
 @dataclass(frozen=True)
 class GraphStats:
-    """Every invariant the threshold formulas consume, computed exactly."""
+    """The invariants the threshold formulas read: |v|, |e|, d_max and mu,
+    with mu exact."""
 
     num_vertices: int
     num_edges: int
     max_degree: int
-    density: Fraction
     max_subgraph_density: Fraction
-    vertex_cover_number: int
-    num_components: int
-    automorphism_count: int
 
 
 @metered
@@ -49,11 +46,7 @@ def graph_stats(g: Graph) -> GraphStats:
         num_vertices=g.n,
         num_edges=g.num_edges,
         max_degree=g.max_degree(),
-        density=Fraction(g.num_edges, g.n),
         max_subgraph_density=max_subgraph_density(g),
-        vertex_cover_number=vertex_cover_number(g),
-        num_components=len(g.components()),
-        automorphism_count=automorphism_count(g),
     )
 
 
@@ -220,7 +213,7 @@ class _Dinic:
         """The flow this adds from s to t, up to a maximum one."""
         head, to, cap = self.head, self.to, self.cap
         flow = 0
-        while (level := self._bfs(s, t)) is not None:
+        while (level := self._bfs(s)[0])[t] >= 0:
             spend("max-flow phase", 6 * len(to))
             it = [0] * self.n
             path: list[int] = []  # the arcs from s to u
@@ -253,33 +246,27 @@ class _Dinic:
                     u = to[path[-1]] if path else s
         return flow
 
-    def _bfs(self, s: int, t: int):
+    def _bfs(self, *starts: int) -> tuple[list[int], int]:
+        """(level, reached): each node's residual distance from `starts`, -1
+        where none leads, and the number of nodes reached."""
         level = [-1] * self.n
-        level[s] = 0
-        queue = [s]
+        for s in starts:
+            level[s] = 0
+        queue = list(starts)
         for u in queue:
             for eid in self.head[u]:
                 v = self.to[eid]
                 if self.cap[eid] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level, len(queue)
 
     def reachable(self, *starts: int) -> list[bool]:
         """Residual reachability from `starts` after max_flow; from the
         source alone, the source side of the minimal min cut."""
-        seen = [False] * self.n
-        for s in starts:
-            seen[s] = True
-        queue = list(starts)
-        for u in queue:
-            for eid in self.head[u]:
-                v = self.to[eid]
-                if self.cap[eid] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        spend("residual search", 5 * len(queue))
-        return seen
+        level, reached = self._bfs(*starts)
+        spend("residual search", 5 * reached)
+        return [d >= 0 for d in level]
 
     def residual_components(self) -> tuple[list[int], list[list[int]]]:
         """(comp, members): the strongly connected components of the

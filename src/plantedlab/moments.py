@@ -213,7 +213,7 @@ def risk_lower_bounds(second_moment, p, q, num_planted_edges: int):
         raise InvalidMomentError(
             f"second moment must be >= 1, got {second_moment}"
         )
-    sm = float(second_moment)
+    sm = _float(second_moment)
     sm_bound = max(1 - math.sqrt(sm - 1) / 2, 1 / (2 * sm))
     tv_edge_bound = max(0.0, 1 - abs(p - q) * num_planted_edges)
     return sm_bound, tv_edge_bound
@@ -252,7 +252,8 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
     the edge subsets of a fixed copy instead, which stays cheap at small D
     on large patterns with few twins. When the meter holds less than that
     charge, the count runs until the meter raises. D = 0 gives 1 at once.
-    Rational throughout; a float lambda^2 is rounded only at the end.
+    Rational throughout; a float lambda^2 is rounded only at the end, to
+    inf past the float range.
     """
     depth = min(max_degree, pattern.num_edges)
     exact = isinstance(lambda_sq, (Fraction, int))
@@ -273,7 +274,16 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
             total += c * weight
             weight = (1 + lam) * weight - top * math.comb(j, depth)
         value = total / math.perm(n, pattern.n)
-    return value if exact else float(value)
+    return value if exact else _float(value)
+
+
+def _float(x) -> float:
+    """float(x) of a moment (at least 1), reading inf past the float range
+    rather than raising."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 def _shared_edge_counts(pattern: Graph, n: int, limit: float) -> list[int] | None:

@@ -233,6 +233,24 @@ class TestMomentAndLdp:
         assert code == 0
         assert out == "value=8/5 float=1.6 method=exact_subgraph_sum\n"
 
+    @pytest.mark.parametrize(
+        "argv, method",
+        [
+            (("moment", "--family", "clique:40", "--n", "50", "--lambda-sq", "1000"),
+             "exact_subgraph_sum"),
+            (("ldp", "--family", "clique:40", "--n", "50", "--lambda-sq", "1000",
+              "--degree", "780"), "exact_subgraph_sum"),
+            (("moment", "--family", "clique:8", "--n", "9", "--lambda-sq", str(10**40),
+              "--method", "pairs"), "exact_intersection_mgf"),
+        ],
+    )
+    def test_exact_value_past_the_float_range(self, capsys, argv, method):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        value, rest = out.split(" ", 1)
+        assert value.startswith("value=") and len(value) > 320
+        assert rest == f"float=inf method={method}\n"
+
 
 class TestRiskAndSweep:
     def test_risk_line(self, capsys):
@@ -350,6 +368,23 @@ class TestClassify:
         )
         assert code == 0
         assert out == "verdict=easy boundary=trivial-scan margin=1.75\n"
+
+    def test_cubic_300_needs_no_vertex_cover(self, capsys, tmp_path):
+        # the thresholds read mu but not tau, whose search on this graph
+        # runs out of the budget, as `stats` still shows
+        path = tmp_path / "cubic300.txt"
+        write_edge_list(random_cubic_graph(np.random.default_rng(300), 300), str(path))
+        assert run(
+            capsys, "classify", "--regime", "dense", "--graph", str(path),
+            "--n", "100000", "--lambda-sq", "1",
+        ) == (0, "verdict=impossible boundary=edge-degree margin=0.369357\n", "")
+        assert run(
+            capsys, "classify", "--regime", "critical", "--graph", str(path),
+            "--n", "100000", "--alpha", "0.5",
+        ) == (0, "verdict=indeterminate boundary=bounded-density-window margin=0.280643\n", "")
+        assert run(capsys, "stats", "--graph", str(path)) == (
+            3, "", "error: vertex cover search: 50001958 work units > budget 50000000\n"
+        )
 
     def test_sparse_missing_exponents(self, capsys):
         code, _, err = run(capsys, "classify", "--regime", "sparse")

@@ -119,9 +119,6 @@ class TestDegreeTest:
         assert value == pytest.approx(expected)
         assert 16 < value < 20
         assert degree_condition_satisfied(params)
-        assert not degree_condition_satisfied(
-            params, DetectorConfig(degree_threshold_constant=20)
-        )
 
 
 class TestScanTest:

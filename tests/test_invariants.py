@@ -23,9 +23,11 @@ from plantedlab import (
     matching_cover_bound,
     max_subgraph_density,
     vertex_cover_number,
+    write_edge_list,
 )
 
-from plantedlab import trace
+from plantedlab import invariants, trace
+from plantedlab.cli import run_command
 from plantedlab.invariants import _peeled_density
 
 from oracles import (
@@ -350,10 +352,13 @@ class TestAutomorphisms:
             g = random_connected_graph(rng, n, float(rng.uniform(0.1, 0.6)))
             assert automorphism_count(g) == embedding_automorphisms(g)
 
-    def test_hub_joined_cubic_graphs(self):
+    def test_hub_joined_cubic_graphs(self, capsys, tmp_path):
         # refinement splits no cubic graph, so the orbit search backtracks
         assert automorphism_count(HUB_17) == 64 == embedding_automorphisms(HUB_17)
-        assert graph_stats(HUB_17).automorphism_count == 64
+        path = tmp_path / "hub17.txt"
+        write_edge_list(HUB_17, str(path))
+        assert run_command(["stats", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out == "|v|=17 |e|=40 d_max=16 mu=40/17 tau=11 aut=64\n"
 
     @pytest.mark.parametrize("seed", [3, 11, 35, 47, 318, 559, 659, 1091, 1189, 1618])
     def test_hub_joined_relabelled_cubic_graphs_match_embedding_count(self, seed):
@@ -424,28 +429,35 @@ class TestIsomorphic:
 
 class TestGraphStats:
     def test_k4_record(self):
-        s = graph_stats(complete_graph(4))
-        assert s == GraphStats(
+        k4 = complete_graph(4)
+        assert graph_stats(k4) == GraphStats(
             num_vertices=4,
             num_edges=6,
             max_degree=3,
-            density=Fraction(3, 2),
             max_subgraph_density=Fraction(3, 2),
-            vertex_cover_number=3,
-            num_components=1,
-            automorphism_count=24,
         )
+        assert vertex_cover_number(k4) == 3
+        assert automorphism_count(k4) == 24
 
     def test_density_vs_max_density(self):
         # pendant edge drags global density below the densest part
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
         s = graph_stats(g)
-        assert s.density == Fraction(7, 5)
+        assert Fraction(s.num_edges, s.num_vertices) == Fraction(7, 5)
         assert s.max_subgraph_density == Fraction(3, 2)
-        assert s.num_components == 1
+
+    def test_computes_no_cover_or_automorphisms(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("not a threshold input")
+
+        monkeypatch.setattr(invariants, "vertex_cover_number", refuse)
+        monkeypatch.setattr(invariants, "automorphism_count", refuse)
+        assert graph_stats(make_family("clique:5")) == GraphStats(
+            num_vertices=5, num_edges=10, max_degree=4, max_subgraph_density=Fraction(2)
+        )
 
     def test_budget_flows_through(self, monkeypatch):
-        assert graph_stats(complete_graph(60)).vertex_cover_number == 59
+        assert vertex_cover_number(complete_graph(60)) == 59
         monkeypatch.setattr(trace, "WORK_BUDGET", 1000)
         with pytest.raises(BudgetExceededError):
             graph_stats(complete_graph(60))

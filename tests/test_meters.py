@@ -18,6 +18,7 @@ from plantedlab import (
     ModelParams,
     MomentParams,
     Observation,
+    automorphism_count,
     connected_sets_count,
     copies_in_complete,
     count_copies,
@@ -139,8 +140,20 @@ def test_embeddings_through_isomorphic():
 def test_graph_stats():
     def prop(rng, percent, data):
         g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
-        invariants.automorphism_count.cache_clear()
         return check_meter(percent, lambda: graph_stats(g))
+
+    both_outcomes(prop)
+
+
+def test_automorphism_count():
+    def prop(rng, percent, data):
+        g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
+
+        def call():
+            automorphism_count.cache_clear()  # a cached count spends nothing
+            return automorphism_count(g)
+
+        return check_meter(percent, call)
 
     both_outcomes(prop)
 

@@ -251,6 +251,12 @@ class TestSharedEdgeLaw:
         approx = second_moment_exact(MomentParams(7, 0.5, TRIANGLE))
         assert approx.value == float(exact.value)
 
+    def test_float_signal_past_the_float_range_reads_inf(self):
+        # the exact value is about 2 * 10^2330, past the float range
+        mp = MomentParams(50, 1000.0, make_family("clique:40"))
+        assert second_moment_exact(mp).value == math.inf
+        assert ldp_norm_sq(mp, LdpConfig(degree=780)).value == math.inf
+
     def test_budget_error_states_spent_and_limits(self, monkeypatch):
         # the 2^30 subsets cost more than the meter holds, so the count runs
         # until the meter raises
@@ -511,3 +517,8 @@ class TestRiskLowerBounds:
     def test_invalid_moment(self):
         with pytest.raises(InvalidMomentError):
             risk_lower_bounds(0.5, 0.4, 0.3, 3)
+
+    def test_moment_past_the_float_range(self):
+        sm_bound, tv_bound = risk_lower_bounds(Fraction(10**400), 0.9, 0.1, 5)
+        assert sm_bound == 0.0
+        assert tv_bound == 0.0

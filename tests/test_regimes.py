@@ -38,17 +38,13 @@ from oracles import random_graph
 TRIANGLE = complete_graph(3)
 
 
-def make_stats(v, e, d, mu, cover=1):
-    """Synthetic invariant record; classifiers only read v, e, d_max, mu."""
+def make_stats(v, e, d, mu):
+    """Synthetic invariant record of v, e, d_max and mu."""
     return GraphStats(
         num_vertices=v,
         num_edges=e,
         max_degree=d,
-        density=Fraction(e, v),
         max_subgraph_density=Fraction(mu),
-        vertex_cover_number=cover,
-        num_components=1,
-        automorphism_count=1,
     )
 
 
