@@ -10,13 +10,16 @@ likelihood-ratio convention L >= 1. Every detector takes (obs, params,
 cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 
 The scan statistic, for every target, comes from one branch and bound over
-placements of the target along its placement plan. Host vertices are tried
-in rank order (degree, highest first, ties by label), and twins of the
-target take increasing ranks. A branch dies when the target edges still to
-place, the degree sum of the ranks the later positions may take, or the
-neighbour counts of the free host vertices (how many placed images each is
-adjacent to, kept as bit-sliced layers), cannot lift it above the incumbent.
-The likelihood-ratio test tallies copies by shared edges from the adjacency.
+placements of the target along its placement plan, walked on explicit
+frames over the observation's cached row masks and degrees. Host vertices
+are tried in rank order (degree, highest first, ties by label), and twins
+of the target take increasing ranks. A branch dies when the target edges
+still to place, the degree sum of the ranks the later positions may take,
+or the neighbour counts of the free host vertices (how many placed images
+each is adjacent to, kept as bit-sliced layers), cannot lift it above the
+incumbent. The degree test reads the same cached degrees when the
+observation was built from a matrix. The likelihood-ratio test tallies
+copies by shared edges from the adjacency.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm, log
 from operator import mul
-
-import numpy as np
 
 from .counting import _copy_overlaps, copies_in_complete
 from .graphs import Graph
@@ -57,6 +58,7 @@ class DetectorConfig:
 
 _DEFAULT_CONFIG = DetectorConfig()
 _DEGREE_THRESHOLD_CONSTANT = 16  # the provable constant of the degree-test guarantee
+_ONE = Fraction(1)  # the likelihood-ratio threshold
 
 
 @dataclass(frozen=True)
@@ -153,44 +155,50 @@ def _scan(
     w = cfg.scan_kappa_weight
     kappa = w * params.q + (1 - w) * params.p
     threshold = kappa * target.num_edges
-    return _verdict(float(_scan_statistic(obs.adjacency, target)), threshold)
+    return _verdict(float(_scan_statistic(obs, target)), threshold)
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(
-    target: Graph,
-) -> tuple[tuple, tuple, list[int], list[int], list[int], list[bool], int]:
-    """The back-edges and twins of `_placement_plan`, with per-position
-    tables for the scan's bounds and the number of neighbour-count layers,
-    max(cap):
+def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int]:
+    """(back, twin, steps, layers): the back-edges and twins of
+    `_placement_plan`, the scan's bound inputs per position i,
 
-    rest[i]: the back-edges at position i and after it;
-    cap[i]: the most back-edges any later position has into positions <= i;
-    inner[i]: the back-edges of later positions into later positions;
-    chain[i]: whether every later position continues the twin chain of
-        position i, so every later image is ranked after the image of i.
+    steps[i] = (later, cap, inner, tail, chain, len(back[i])):
+    later: the number of later positions, k-1-i;
+    cap: the most back-edges any later position has into positions <= i;
+    inner: the back-edges of later positions into later positions;
+    tail: the back-edges of later positions;
+    chain: whether every later position continues the twin chain of
+        position i, so every later image is ranked after the image of i;
+
+    and the number of neighbour-count layers, the largest cap.
     """
     _, back, twin = _placement_plan(target)
     k = len(back)
-    rest = [0] * (k + 1)
-    for i in reversed(range(k)):
-        rest[i] = rest[i + 1] + len(back[i])
-    cap = [max((sum(b <= i for b in back[j]) for j in range(i + 1, k)), default=0)
-           for i in range(k)]
-    inner = [sum(b > i for j in range(i + 1, k) for b in back[j]) for i in range(k)]
-    chain = [all(twin[j] == j - 1 for j in range(i + 1, k)) for i in range(k)]
-    return back, twin, rest, cap, inner, chain, max(cap)
+    steps = tuple(
+        (
+            k - 1 - i,
+            max((sum(b <= i for b in back[j]) for j in range(i + 1, k)), default=0),
+            sum(b > i for j in range(i + 1, k) for b in back[j]),
+            sum(len(back[j]) for j in range(i + 1, k)),
+            all(twin[j] == j - 1 for j in range(i + 1, k)),
+            len(back[i]),
+        )
+        for i in range(k)
+    )
+    return back, twin, steps, max(step[1] for step in steps)
 
 
-def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
+def _scan_statistic(obs: Observation, target: Graph) -> int:
     """Max number of observed edges over the injective placements of target.
 
-    Branch and bound along the placement plan, on host neighbourhoods kept
-    as bitmasks in label space. Each position tries the host vertices in
-    rank order: by degree, highest first, ties in label order. Twins of the
-    target take increasing ranks: permuting them is an automorphism, so
-    each copy is still reached (a clique is searched as vertex sets). The
-    maximum does not depend on host labels, so neither does the statistic.
+    Branch and bound along the placement plan, on the observation's row
+    bitmasks in label space, walked over explicit frames. Each position
+    tries the host vertices in rank order: by degree, highest first, ties
+    in label order. Twins of the target take increasing ranks: permuting
+    them is an automorphism, so each copy is still reached (a clique is
+    searched as vertex sets). The maximum does not depend on host labels,
+    so neither does the statistic.
 
     A candidate dies when even the best completion cannot beat the
     incumbent. That completion is bounded three ways:
@@ -208,18 +216,15 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
       gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
       from them, plus the target edges among themselves.
     The search ends once the incumbent holds every target edge or every
-    host edge. A node is charged for every host vertex it may try, by the
-    batch of 4096 and at the end.
+    host edge. Each candidate a position walks is charged when it is
+    walked, by the batch of 4096 and at the end; those after a stopped
+    walk are not.
     """
-    back, twin, rest, cap, inner, chain, nlayers = _scan_plan(target)
-    k, n = target.n, adjacency.shape[0]
-    packed = np.packbits(adjacency, axis=1, bitorder="little")
-    rows, width = packed.tobytes(), packed.shape[1]
-    masks = [int.from_bytes(rows[i : i + width], "little")
-             for i in range(0, n * width, width)]
-    degree = [mask.bit_count() for mask in masks]
+    back, twin, steps, nlayers = _scan_plan(target)
+    masks, degree = obs.row_masks, obs.row_degrees
+    k, n = target.n, obs.n
     ranked = sorted(range(n), key=degree.__getitem__, reverse=True)  # ties by label
-    prefix = list(accumulate(sorted(degree, reverse=True), initial=0))
+    prefix = list(accumulate(map(degree.__getitem__, ranked), initial=0))
     total = min(target.num_edges, prefix[-1] // 2)  # no placement sees more
     prefix += [prefix[-1]] * k  # so prefix[r + 1 + later] stays in range
     after, bits = [0] * n, 0  # after[r]: the vertices ranked after r
@@ -227,22 +232,12 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
         bits |= 1 << ranked[r]
         after[r - 1] = bits
     images, ranks = [0] * k, [0] * k  # host vertex and its rank, per position
-    best = 0
-    unit, tried = 16 + 3 * nlayers, 0  # work units per candidate, candidates not charged
-
-    def place(i: int, edges: int, used: int, layers: list[int]) -> None:
-        nonlocal best, tried
-        start = ranks[twin[i]] + 1 if twin[i] >= 0 else 0
-        tried += n - start
-        if tried > 4096:
-            spend("scan", unit * tried)
-            tried = 0
-        placed = 0
-        for j in back[i]:
-            placed |= 1 << images[j]
-        later, depth, own, tail = k - 1 - i, cap[i], inner[i], rest[i + 1]
-        chained, nb = chain[i], len(back[i])
-        unused = ~used
+    unit, walked = 16 + 3 * nlayers, 0  # work units per candidate, candidates not charged
+    best, frames = 0, []  # frames: (position, rank to resume at, edges, used, layers, placed)
+    i, r, edges, used, layers, placed = 0, 0, 0, 0, [0] * nlayers, 0
+    while True:
+        later, depth, own, tail, chained, nb = steps[i]
+        unused, start, descend = ~used, r, False
         for r in range(start, n):
             u = ranked[r]
             if used >> u & 1:
@@ -254,7 +249,8 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
             if not later:
                 best = edges + gain
                 if best == total:
-                    return
+                    spend("scan", unit * (walked + r + 1 - start))
+                    return best
                 continue
             if chained:
                 window = prefix[r + 1 + later] - prefix[r + 1]
@@ -275,14 +271,26 @@ def _scan_statistic(adjacency: np.ndarray, target: Graph) -> int:
                     bound += min(later, (layer & free).bit_count())
                 if bound <= room:
                     continue
+            descend = True
+            break
+        else:
+            r = n - 1
+        walked += r + 1 - start
+        if walked > 4096:
+            spend("scan", unit * walked)
+            walked = 0
+        if descend:
+            frames.append((i, r + 1, edges, used, layers, placed))
             images[i], ranks[i] = u, r
-            place(i + 1, edges + gain, used | 1 << u, grown)
-            if best == total:
-                return
-
-    place(0, 0, 0, [0] * nlayers)
-    spend("scan", unit * tried)
-    return best
+            i, edges, used, layers, placed = i + 1, edges + gain, used | 1 << u, grown, 0
+            r = ranks[twin[i]] + 1 if twin[i] >= 0 else 0
+            for j in back[i]:
+                placed |= 1 << images[j]
+        elif frames:
+            i, r, edges, used, layers, placed = frames.pop()
+        else:
+            spend("scan", unit * walked)
+            return best
 
 
 @metered
@@ -303,7 +311,7 @@ def likelihood_ratio_test(
     assert sum(tally) == num_copies
     weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
     total = sum(map(mul, tally, weights))
-    return _verdict(Fraction(total, denominator * num_copies), Fraction(1))
+    return _verdict(Fraction(total, denominator * num_copies), _ONE)
 
 
 @lru_cache(maxsize=128)

@@ -59,30 +59,39 @@ class ModelParams:
             )
 
 
+# bit v of a row mask, for the int64 product of n <= 62 rows; every row sum
+# then stays clear of the sign bit
+_POWERS_OF_TWO = 1 << np.arange(62, dtype=np.int64)
+
+
 class Observation:
     """A sampled graph on [0, n) as a dense symmetric boolean matrix.
 
     `Observation(adjacency)` validates and copies its input. A sampled
     observation keeps the row-major upper-triangle bits it was drawn as and
     builds `adjacency` on first read; its edge count and degrees come from
-    the bits.
+    the bits. Either kind builds `row_masks` and `row_degrees` on first
+    read and keeps them.
     """
 
-    __slots__ = ("n", "_bits", "_adjacency")
+    __slots__ = ("n", "_bits", "_adjacency", "_masks", "_row_degrees")
 
     def __init__(self, adjacency: np.ndarray):
         a = np.asarray(adjacency, dtype=bool)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
-        if a.diagonal().any():
+        # the checks read the row-major bytes, which the kept matrix then
+        # shares read-only: one copy, and no temporary matrix
+        n, raw = a.shape[0], a.tobytes()
+        if any(raw[:: n + 1]):
             raise ValueError("adjacency has a nonzero diagonal")
-        if not np.array_equal(a, a.T):
+        if raw != a.T.tobytes():
             raise ValueError("adjacency is not symmetric")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "n", a.shape[0])
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "_bits", None)
-        object.__setattr__(self, "_adjacency", a)
+        object.__setattr__(self, "_adjacency", np.frombuffer(raw, dtype=bool).reshape(n, n))
+        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_row_degrees", None)
 
     @classmethod
     def _from_bits(cls, n: int, bits: np.ndarray) -> "Observation":
@@ -94,6 +103,8 @@ class Observation:
         object.__setattr__(obs, "n", n)
         object.__setattr__(obs, "_bits", bits)
         object.__setattr__(obs, "_adjacency", None)
+        object.__setattr__(obs, "_masks", None)
+        object.__setattr__(obs, "_row_degrees", None)
         return obs
 
     def __setattr__(self, name, value):
@@ -112,6 +123,35 @@ class Observation:
         return a
 
     @property
+    def row_masks(self) -> tuple[int, ...]:
+        """Row u as an int whose bit v is set when u and v are adjacent.
+
+        Up to n = 62 one int64 product weighs each row by the powers of two;
+        above that the rows are packed to bytes and read as ints.
+        """
+        masks = self._masks
+        if masks is None:
+            a, n = self.adjacency, self.n
+            if n <= 62:
+                masks = tuple((a @ _POWERS_OF_TWO[:n]).tolist())
+            else:
+                packed = np.packbits(a, axis=1, bitorder="little")
+                rows, width = packed.tobytes(), packed.shape[1]
+                masks = tuple(int.from_bytes(rows[i : i + width], "little")
+                              for i in range(0, n * width, width))
+            object.__setattr__(self, "_masks", masks)
+        return masks
+
+    @property
+    def row_degrees(self) -> tuple[int, ...]:
+        """Each vertex's degree, counted from `row_masks`."""
+        degrees = self._row_degrees
+        if degrees is None:
+            degrees = tuple(mask.bit_count() for mask in self.row_masks)
+            object.__setattr__(self, "_row_degrees", degrees)
+        return degrees
+
+    @property
     def num_edges(self) -> int:
         if self._bits is not None:
             return int(np.count_nonzero(self._bits))
@@ -128,7 +168,9 @@ class Observation:
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
-        return int(self.degrees().max()) if self.n else 0
+        if self._bits is None:
+            return max(self.row_degrees, default=0)
+        return int(self.degrees().max())
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u, v])

@@ -277,6 +277,19 @@ class TestRiskAndSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("family, n", [("star:1200", 1300), ("path:1100", 1200)])
+    def test_scan_of_a_thousand_positions(self, capsys, family, n):
+        # one frame per target position, none on the interpreter's stack: a
+        # target deeper than the recursion limit ends in a value or the budget
+        code, out, err = run(
+            capsys, "risk", "--detector", "scan", "--family", family, "--n", str(n),
+            "--p", "1", "--q", "0.001", "--trials", "1",
+        )
+        if code == 0:
+            assert out.startswith("type1=")
+        else:
+            assert (code, out) == (3, "") and "work units > budget" in err
+
     def test_risk_csv(self, capsys, tmp_path):
         path = tmp_path / "risk.csv"
         code, _, _ = run(

@@ -1,5 +1,6 @@
 """Detector thresholds, decisions, budgets, and exact-risk comparisons."""
 
+import hashlib
 import math
 import re
 from fractions import Fraction
@@ -173,7 +174,7 @@ class TestScanTest:
         params = ModelParams(n=30, p=0.9, q=0.1, pattern=complete_graph(10))
         obs = sample_null(30, 0.1, stream(604))
         verdict = scan_test(obs, params)
-        assert verdict.statistic == _scan_statistic(obs.adjacency, complete_graph(10))
+        assert verdict.statistic == _scan_statistic(obs, complete_graph(10))
         # the work meter is what stops a scan
         monkeypatch.setattr(trace, "WORK_BUDGET", 1000)
         with pytest.raises(BudgetExceededError) as err:
@@ -186,7 +187,7 @@ class TestScanTest:
         for k in range(2):
             null = sample_null(40, 0.05, stream(612, k))
             planted, _ = sample_planted(params, stream(613, k))
-            want = _scan_statistic(null.adjacency, params.pattern)
+            want = _scan_statistic(null, params.pattern)
             assert scan_test(null, params).statistic == want
             assert scan_test(planted, params).statistic == 21
 
@@ -329,10 +330,50 @@ class TestScanTest:
         pattern = self.SKEWED_TARGETS[target]
         n = int(rng.integers(max(pattern.n, 4), 10))
         a = self.skewed_host(rng, kind, n)
-        got = _scan_statistic(a, pattern)
+        got = _scan_statistic(Observation(a), pattern)
         assert got == brute_scan_statistic(a, pattern)
         perm = rng.permutation(n)
-        assert _scan_statistic(a[perm][:, perm], pattern) == got
+        assert _scan_statistic(Observation(a[perm][:, perm]), pattern) == got
+
+    # Seeded draws for the identity check below: clique, star, path and
+    # matching targets on n = 6..90 at q = .05 to .5, null and planted by turns.
+    SCAN_KINDS = ("clique", "star", "path", "matching")
+    SCAN_SIZES = {"clique": (3, 4, 5, 6), "star": (3, 4, 5), "path": (3, 4, 5),
+                  "matching": (2, 3)}
+    SCAN_QS = (0.05, 0.1, 0.2, 0.3, 0.5)
+    # sha256 of the (scan_test, scan_test_over_pattern) statistics of the
+    # 1200 draws, as computed by the recursive branch and bound that read
+    # its masks from np.packbits, before the walk moved onto explicit frames
+    SCAN_DIGEST = "ca6343d67a1af5f95f4574dffff81ba57d99bc2d6a4dbe57c0a86dd38f74b4e2"
+
+    @classmethod
+    def scan_draws(cls, count: int, seed: int = 2100):
+        for k in range(count):
+            rng = np.random.default_rng([seed, k])
+            kind = cls.SCAN_KINDS[k % 4]
+            sizes = cls.SCAN_SIZES[kind]
+            pattern = make_family(f"{kind}:{sizes[int(rng.integers(len(sizes)))]}")
+            n = int(rng.integers(max(6, pattern.n), 91))
+            q = cls.SCAN_QS[int(rng.integers(len(cls.SCAN_QS)))]
+            params = ModelParams(n=n, p=min(1.0, q + 0.4), q=q, pattern=pattern)
+            if k % 2:
+                obs = sample_planted(params, stream(seed, k))[0]
+            else:
+                obs = sample_null(n, q, stream(seed, k))
+            yield params, obs
+
+    def test_seeded_statistics_are_unchanged(self):
+        stats, small = [], 0
+        for params, obs in self.scan_draws(1200):
+            got = (int(scan_test(obs, params).statistic),
+                   int(scan_test_over_pattern(obs, params).statistic))
+            if params.n <= 12:
+                pattern, small = params.pattern, small + 1
+                assert got == (brute_scan_statistic(obs.adjacency, densest_subgraph(pattern)),
+                               brute_scan_statistic(obs.adjacency, pattern))
+            stats.append(got)
+        assert small == 120
+        assert hashlib.sha256(repr(stats).encode()).hexdigest() == self.SCAN_DIGEST
 
     def test_kappa_weight_moves_threshold(self):
         params = ModelParams(n=6, p=0.8, q=0.2, pattern=TRIANGLE)

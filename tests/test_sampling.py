@@ -102,6 +102,40 @@ class TestObservation:
         assert obs.has_edge(0, 3) and not obs.has_edge(1, 2)
 
 
+class TestRowMasks:
+    """Row masks and degrees, built on first read, against the matrix rows
+    on both sides of the int64 product's n <= 62 limit."""
+
+    SIZES = (1, 2, 61, 62, 63, 64, 65, 130)
+
+    @staticmethod
+    def assert_masks_are_rows(obs):
+        rows = obs.adjacency
+        want = [sum(1 << int(v) for v in np.flatnonzero(row)) for row in rows]
+        assert obs.row_masks == tuple(want)
+        assert all(type(mask) is int and mask >= 0 for mask in obs.row_masks)
+        assert list(obs.row_degrees) == rows.sum(axis=1).tolist() == obs.degrees().tolist()
+        assert obs.row_masks is obs.row_masks and obs.row_degrees is obs.row_degrees
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_from_adjacency(self, n):
+        rng = np.random.default_rng(n)
+        a = np.triu(rng.random((n, n)) < 0.5, 1)
+        a[0, 1:] = True  # the top bit, the int64 sign bit at n = 64, in row 0
+        a |= a.T
+        obs = Observation(a)
+        self.assert_masks_are_rows(obs)
+        assert obs.max_degree() == n - 1
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_sampled(self, n, q):
+        obs = sample_null(n, q, stream(62, n))
+        self.assert_masks_are_rows(obs)
+        if q == 1.0:
+            assert obs.row_masks == tuple(((1 << n) - 1) ^ (1 << u) for u in range(n))
+
+
 class TestSampleNull:
     def test_extremes(self):
         assert sample_null(4, 0.0, stream(0)).num_edges == 0
