@@ -159,8 +159,8 @@ def _scan(
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int]:
-    """(back, twin, steps, layers): the back-edges and twins of
+def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int, bool]:
+    """(back, twin, steps, layers, chained): the back-edges and twins of
     `_placement_plan`, the scan's bound inputs per position i,
 
     steps[i] = (later, cap, inner, tail, chain, len(back[i])):
@@ -171,7 +171,8 @@ def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int]:
     chain: whether every later position continues the twin chain of
         position i, so every later image is ranked after the image of i;
 
-    and the number of neighbour-count layers, the largest cap.
+    the number of neighbour-count layers, the largest cap, and whether
+    any position with later positions is chained.
     """
     _, back, twin = _placement_plan(target)
     k = len(back)
@@ -186,7 +187,8 @@ def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int]:
         )
         for i in range(k)
     )
-    return back, twin, steps, max(step[1] for step in steps)
+    chained = any(step[0] and step[4] for step in steps)
+    return back, twin, steps, max(step[1] for step in steps), chained
 
 
 def _scan_statistic(obs: Observation, target: Graph) -> int:
@@ -220,17 +222,19 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
     walked, by the batch of 4096 and at the end; those after a stopped
     walk are not.
     """
-    back, twin, steps, nlayers = _scan_plan(target)
+    back, twin, steps, nlayers, any_chained = _scan_plan(target)
     masks, degree = obs.row_masks, obs.row_degrees
     k, n = target.n, obs.n
     ranked = sorted(range(n), key=degree.__getitem__, reverse=True)  # ties by label
     prefix = list(accumulate(map(degree.__getitem__, ranked), initial=0))
     total = min(target.num_edges, prefix[-1] // 2)  # no placement sees more
     prefix += [prefix[-1]] * k  # so prefix[r + 1 + later] stays in range
-    after, bits = [0] * n, 0  # after[r]: the vertices ranked after r
-    for r in range(n - 1, 0, -1):
-        bits |= 1 << ranked[r]
-        after[r - 1] = bits
+    after = [0] * n  # after[r]: the vertices ranked after r, read by chained bounds
+    if any_chained:
+        bits = 0
+        for r in range(n - 1, 0, -1):
+            bits |= 1 << ranked[r]
+            after[r - 1] = bits
     images, ranks = [0] * k, [0] * k  # host vertex and its rank, per position
     unit, walked = 16 + 3 * nlayers, 0  # work units per candidate, candidates not charged
     best, frames = 0, []  # frames: (position, rank to resume at, edges, used, layers, placed)

@@ -27,7 +27,7 @@ from .detectors import (
     scan_test_over_pattern,
 )
 from .errors import PlantedLabError
-from .graphs import FamilySpec, make_family
+from .graphs import FamilySpec, Graph, make_family
 from .sampling import ModelParams, Observation, sample_null, sample_planted, stream
 
 CSV_HEADER = (
@@ -105,11 +105,15 @@ def estimate_risk(
     def run_range(lo: int, hi: int) -> tuple[int, int]:
         false_alarms = 0
         misses = 0
+        # each observation is freed once its verdict is in, so no draw
+        # shares memory with the trial before it
         for k in range(lo, hi):
-            null_obs = sample_null(params.n, params.q, stream(seed, 0, k))
-            false_alarms += fn(null_obs, params, cfg).decision
-            planted_obs, _ = sample_planted(params, stream(seed, 1, k))
-            misses += 1 - fn(planted_obs, params, cfg).decision
+            false_alarms += fn(
+                sample_null(params.n, params.q, stream(seed, 0, k)), params, cfg
+            ).decision
+            misses += 1 - fn(
+                sample_planted(params, stream(seed, 1, k))[0], params, cfg
+            ).decision
         return false_alarms, misses
 
     if threads and threads > 1:
@@ -181,22 +185,27 @@ def sweep(
     Invalid combinations (q >= p, pattern larger than n, budget blowups)
     become rows with the message in the error column instead of aborting
     the sweep. Row i gets seed spec.seed + i so any row can be rerun alone.
+    Each family is built once, on its first row, and a family that fails to
+    build puts its message on each of its rows.
     """
     rows = []
+    built: dict[str, tuple[Graph | None, str]] = {}
     grid = product(spec.families, spec.ns, spec.ps, spec.qs)
     for idx, (family, n, p, q) in enumerate(grid):
         row_seed = spec.seed + idx
         start = time.perf_counter()
         estimate = None
-        error = ""
-        try:
-            pattern = make_family(FamilySpec.parse(family))
-            params = ModelParams(n=n, p=p, q=q, pattern=pattern)
-            estimate = estimate_risk(
-                spec.detector, params, spec.trials, row_seed, cfg, threads
-            )
-        except (PlantedLabError, ValueError) as exc:
-            error = str(exc)
+        if family not in built:
+            built[family] = _build_family(family)
+        pattern, error = built[family]
+        if pattern is not None:
+            try:
+                params = ModelParams(n=n, p=p, q=q, pattern=pattern)
+                estimate = estimate_risk(
+                    spec.detector, params, spec.trials, row_seed, cfg, threads
+                )
+            except (PlantedLabError, ValueError) as exc:
+                error = str(exc)
         elapsed_ms = (time.perf_counter() - start) * 1000
         rows.append(
             SweepRow(
@@ -213,6 +222,14 @@ def sweep(
             )
         )
     return rows
+
+
+def _build_family(family: str) -> tuple[Graph | None, str]:
+    """The pattern of a family spec, or None and the reason it fails."""
+    try:
+        return make_family(FamilySpec.parse(family)), ""
+    except (PlantedLabError, ValueError) as exc:
+        return None, str(exc)
 
 
 def write_csv(rows: list[SweepRow], out: TextIO) -> None:

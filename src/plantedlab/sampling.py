@@ -6,6 +6,11 @@ stream(seed, *indices) to derive the generator for one trial; the derivation
 is pure, so trial k is reproducible regardless of execution order. Observation
 matrices are filled from one uniform draw per unordered pair, in row-major
 upper-triangle order, after the copy (if any) has been drawn.
+
+The uniforms are drawn DRAW_CHUNK at a time into one buffer local to the
+call, and each chunk is compared into the draw's boolean bits as it comes, so
+a draw holds one byte per pair plus one chunk. The generator's `random` fills
+sequentially, so the chunked draw equals one `random(C(n,2))` bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class ModelParams:
                 f"pattern on {self.pattern.n} vertices does not fit in n={self.n}"
             )
 
+
+DRAW_CHUNK = 1 << 15  # uniforms a sampler draws at once: 256 KB of float64
 
 # bit v of a row mask, for the int64 product of n <= 62 rows; every row sum
 # then stays clear of the sign bit
@@ -228,9 +235,7 @@ def sample_null(n: int, q: float, rng: np.random.Generator) -> Observation:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= q <= 1:
         raise ValueError(f"q must lie in [0,1], got {q}")
-    m = n * (n - 1) // 2
-    bits = rng.random(m) < q
-    return Observation._from_bits(n, bits)
+    return Observation._from_bits(n, _draw_bits(n * (n - 1) // 2, q, rng))
 
 
 def sample_uniform_copy(
@@ -261,10 +266,35 @@ def sample_planted(
     n = params.n
     copy = sample_uniform_copy(params.pattern, n, rng)
     idx = _pair_index(*_image_endpoints(params.pattern, copy.vertex_map), n)
-    draws = rng.random(n * (n - 1) // 2)
-    bits = draws < params.q
-    bits[idx] = draws[idx] < params.p
+    bits = _draw_bits(n * (n - 1) // 2, params.q, rng, np.sort(idx), params.p)
     return Observation._from_bits(n, bits), copy
+
+
+def _draw_bits(
+    m: int,
+    q: float,
+    rng: np.random.Generator,
+    planted: np.ndarray | None = None,
+    p: float = 0.0,
+) -> np.ndarray:
+    """m bits, bit i set when the i-th uniform drawn is below its threshold:
+    p at the sorted positions `planted`, q elsewhere. The uniforms are drawn
+    DRAW_CHUNK at a time into one buffer, so only the bits are m long."""
+    bits = np.empty(m, dtype=bool)
+    step = DRAW_CHUNK
+    buf = np.empty(min(m, step))
+    if planted is not None:
+        # splits[j]: the first planted position in chunk j or after it
+        splits = np.searchsorted(planted, np.arange(0, m + step, step)).tolist()
+    for j, start in enumerate(range(0, m, step)):
+        stop = min(start + step, m)
+        chunk = buf[: stop - start]
+        rng.random(out=chunk)
+        np.less(chunk, q, out=bits[start:stop])
+        if planted is not None and splits[j] < splits[j + 1]:
+            at = planted[splits[j] : splits[j + 1]]
+            bits[at] = chunk[at - start] < p
+    return bits
 
 
 def batched_copy_images(

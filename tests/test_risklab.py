@@ -19,6 +19,7 @@ from plantedlab import (
     sweep,
     write_csv,
 )
+from plantedlab import risklab
 from plantedlab.risklab import CSV_HEADER, _wilson_halfwidth
 
 TRIANGLE = complete_graph(3)
@@ -166,6 +167,47 @@ class TestSweep:
         assert rows[0].estimate is None
         assert "budget" in rows[0].error
         assert rows[1].estimate is not None and rows[1].error == ""
+
+    def test_each_family_is_built_once(self, monkeypatch):
+        # the CSV, elapsed_ms blanked, as written before families were cached:
+        # a repeated family, one that fails to build, and a pattern past n
+        kinds = ("clique, path, star, complete_bipartite, regular_tree, matching, "
+                 "disjoint_triangles, unbalanced_stars")
+        unknown = f"\"unknown family kind 'cycle'; known: {kinds}\""
+        bad_q = '"need q <= p <= 1, got p=0.9, q=0.95"'
+        expected = [
+            "detector,family,n,p,q,trials,seed,type1,type2,risk,ci,,error",
+            "count,clique:3,8,0.9,0.2,3,5,0.666667,0.333333,1,0.815357,,",
+            f"count,clique:3,8,0.9,0.95,3,6,,,,,,{bad_q}",
+            "count,clique:3,12,0.9,0.2,3,7,0,0,0,0.688632,,",
+            f"count,clique:3,12,0.9,0.95,3,8,,,,,,{bad_q}",
+            f"count,cycle:4,8,0.9,0.2,3,9,,,,,,{unknown}",
+            f"count,cycle:4,8,0.9,0.95,3,10,,,,,,{unknown}",
+            f"count,cycle:4,12,0.9,0.2,3,11,,,,,,{unknown}",
+            f"count,cycle:4,12,0.9,0.95,3,12,,,,,,{unknown}",
+            "count,star:9,8,0.9,0.2,3,13,,,,,,pattern on 10 vertices does not fit in n=8",
+            f"count,star:9,8,0.9,0.95,3,14,,,,,,{bad_q}",
+            "count,star:9,12,0.9,0.2,3,15,0,0.333333,0.333333,0.751995,,",
+            f"count,star:9,12,0.9,0.95,3,16,,,,,,{bad_q}",
+            "count,clique:3,8,0.9,0.2,3,17,0,0,0,0.688632,,",
+            f"count,clique:3,8,0.9,0.95,3,18,,,,,,{bad_q}",
+            "count,clique:3,12,0.9,0.2,3,19,0,0,0,0.688632,,",
+            f"count,clique:3,12,0.9,0.95,3,20,,,,,,{bad_q}",
+        ]
+        builds = []
+
+        def counted(spec):
+            builds.append(str(spec))
+            return make_family(spec)
+
+        monkeypatch.setattr(risklab, "make_family", counted)
+        spec = SweepSpec("count", ("clique:3", "cycle:4", "star:9", "clique:3"),
+                         (8, 12), (0.9,), (0.2, 0.95), trials=3, seed=5)
+        buf = io.StringIO()
+        write_csv(sweep(spec), buf)
+        blanked = re.sub(r"(?m)^((?:[^,]*,){11})[^,]*", r"\1", buf.getvalue())
+        assert blanked.splitlines() == expected
+        assert builds == ["clique:3", "star:9"]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Seeded samplers: determinism, marginals, and copy uniformity."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from oracles import random_pattern, reference_sample
+from oracles import all_pairs, random_pattern, reference_sample
 from plantedlab import (
     DegenerateQError,
     EmbeddedCopy,
@@ -18,12 +19,14 @@ from plantedlab import (
     Observation,
     PatternTooLargeError,
     complete_graph,
+    estimate_risk,
     make_family,
     sample_null,
     sample_planted,
     sample_uniform_copy,
     stream,
 )
+from plantedlab import sampling
 from plantedlab.sampling import _edge_endpoints
 
 
@@ -318,6 +321,64 @@ class TestDrawContract:
                 assert copy.vertex_map == images
                 assert copy.edge_set == copy_edges
                 assert_same_observation(sample_planted(params, stream(*key))[0], expected)
+
+    # chunk 1 puts every pair on a boundary; 7 divides m = 21 (n=7),
+    # 28 (n=8) and 2016 (n=64) exactly, and leaves a last partial chunk at
+    # n=9 (m=36); 32 divides 2016 and leaves partial chunks at n=8 and 9
+    @pytest.mark.parametrize("chunk", [1, 7, 32])
+    def test_chunked_draws_match_reference(self, chunk, monkeypatch):
+        monkeypatch.setattr(sampling, "DRAW_CHUNK", chunk)
+        keys = self.KEYS + tuple((5, h, k) for h in (0, 1) for k in range(12))
+        straddled = in_partial = False
+        for n in (1, 2, 7, 8, 9, 64):
+            for key in keys:
+                expected, _, _ = reference_sample(n, self.Q, stream(*key))
+                assert_same_observation(sample_null(n, self.Q, stream(*key)), expected)
+            position = {pair: i for i, pair in enumerate(all_pairs(n))}
+            m = len(position)
+            for spec in ("clique:3", "star:4", "clique:8"):
+                pattern = make_family(spec)
+                if pattern.n > n:
+                    continue
+                params = ModelParams(n=n, p=0.9, q=self.Q, pattern=pattern)
+                for key in keys:
+                    expected, images, copy_edges = reference_sample(
+                        n, self.Q, stream(*key), pattern, 0.9
+                    )
+                    obs, copy = sample_planted(params, stream(*key))
+                    assert copy.vertex_map == images
+                    assert_same_observation(obs, expected)
+                    chunks = {position[pair] // chunk for pair in copy_edges}
+                    straddled |= any(j + 1 in chunks for j in chunks)
+                    in_partial |= m % chunk > 0 and (m - 1) // chunk in chunks
+        assert straddled and (in_partial or chunk == 1)
+
+
+class TestDrawMemory:
+    """A draw holds its bits, one byte per pair, and one chunk of uniforms;
+    numpy reports its buffers to tracemalloc."""
+
+    N = 3000
+    PARAMS = ModelParams(n=N, p=0.9, q=0.2, pattern=make_family("star:300"))
+
+    def peak_bytes_per_pair(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (self.N * (self.N - 1) // 2)
+
+    def test_null(self):
+        assert self.peak_bytes_per_pair(lambda: sample_null(self.N, 0.2, stream(3))) < 1.5
+
+    def test_planted(self):
+        assert self.peak_bytes_per_pair(lambda: sample_planted(self.PARAMS, stream(3))) < 1.5
+
+    def test_risk_trials_hold_one_draw_at_a_time(self):
+        peak = self.peak_bytes_per_pair(lambda: estimate_risk("count", self.PARAMS, 2, seed=0))
+        assert peak < 1.5
 
 
 class TestEmbeddedCopy:
