@@ -82,28 +82,28 @@ def densest_vertex_set(g: Graph) -> list[int]:
 
     Read from the max flow at mu (Picard-Queyranne): the min cuts are the
     residual-closed node sets holding the source but not the sink, and the
-    vertex nodes on a min cut's source side, if any, form an optimal set.
-    A closed set is a union of strongly connected components of the
-    residual graph, with every component they reach. So the
-    inclusion-minimal optimal sets are the vertices of the components that
-    hold a vertex and reach no other component holding one, every other
-    optimal set strictly contains one of them, and the tie rule picks
-    among these. (A component that reaches the sink reaches the vertices of
-    every optimal set through it, since their arcs to the sink carry flow,
-    so the sink needs no test of its own.) One pass of Tarjan's algorithm
+    vertices on a min cut's source side, if any, form an optimal set. A
+    closed set is a union of strongly connected components of the residual
+    graph, with every component they reach. So the inclusion-minimal
+    optimal sets are the vertices of the components that hold a vertex and
+    reach no other component holding one, every other optimal set strictly
+    contains one of them, and the tie rule picks among these. (A component
+    that reaches the sink reaches the vertices of every optimal set through
+    it: at mu their sink arcs are saturated, and each holds at least 2*num,
+    which is positive unless there is no edge and so no residual arc. So
+    the sink needs no test of its own.) One pass of Tarjan's algorithm
     numbers the components, and one sweep in its order (reverse
     topological) finds what each reaches.
     """
     if g.n == 0:
         raise EmptyGraphError("densest subgraph of the empty graph is undefined")
-    _, dinic = _densest_cut(g)
-    first = 1 + g.num_edges  # node of vertex 0; the sink follows vertex n-1
+    _, dinic = _densest_cut(g)  # vertex v is node 1+v; the sink is n+1
     comp, members = dinic.residual_components()
     head, to, cap = dinic.head, dinic.to, dinic.cap
     holds: list[bool] = []  # per component: holds or reaches a vertex
     best: list[int] | None = None
     for c, nodes in enumerate(members):
-        core = sorted(u - first for u in nodes if first <= u < first + g.n)
+        core = sorted(u - 1 for u in nodes if 0 < u <= g.n)
         below = any(
             comp[to[eid]] != c and holds[comp[to[eid]]]
             for u in nodes for eid in head[u] if cap[eid] > 0
@@ -118,50 +118,49 @@ def densest_vertex_set(g: Graph) -> list[int]:
 
 def _densest_cut(g: Graph) -> tuple[Fraction, _Dinic]:
     """(mu, the max-flow network at mu), by Dinkelbach's iteration on
-    Goldberg's network.
+    Goldberg's vertex network.
 
-    At a guess num/den the nodes are 0 = source, 1..m edge nodes, m+1..m+n
-    vertex nodes and the sink last: source -> edge den, edge -> both
-    endpoints unbounded, vertex -> sink num. A cut whose source side holds
-    the vertex set S costs at least den*(m - e(S)) + num*|S|, so the max
-    flow is den*m exactly when no S has e(S)/|S| > num/den, which certifies
-    the guess. Otherwise the source side of the minimal min cut is a denser
-    S, and the next guess is e(S)/|S|. Guesses rise strictly through the
-    finitely many densities, starting from the peeling density, which is
-    attained and on random hosts usually mu itself, so one flow certifies
-    it.
+    At a guess num/den the nodes are 0 = source, 1..n the vertices and n+1
+    the sink: source -> v m*den, v -> sink m*den + 2*num - d(v)*den, and
+    each edge den each way. A cut whose source side holds the vertex set S
+    costs n*m*den + 2*(num*|S| - den*e(S)), so the max flow is n*m*den
+    exactly when no S has e(S)/|S| > num/den, which certifies the guess.
+    Otherwise the source side of the minimal min cut is a denser S, and
+    the next guess is e(S)/|S|. Guesses rise strictly through the finitely
+    many densities, starting from the peeling density, which is attained
+    and on random hosts usually mu itself, so one flow certifies it.
 
-    Dinic's first phase runs flat: its level graph is source -> edge ->
-    endpoint -> sink, and its search sends each edge's den units to what
-    its first endpoint's sink arc has left, then to its second's, in edge
-    order. Later phases search the residual graph as usual. Every maximum
-    flow leaves the same min cuts, so neither the start nor the flow
-    chosen moves mu or the set read from the cuts.
+    The flow starts from greedy shares: each edge, in edge order, gives its
+    den units to its first endpoint up to num, and the rest to its second.
+    An edge's residual toward a vertex is twice the other endpoint's share,
+    a sink arc's residual twice what its vertex can still take, and a
+    vertex loaded past num takes twice its excess less from the source
+    (never below 0: no vertex is loaded past num by more than m*den/2).
+    Every maximum flow leaves the same min cuts, so neither the start nor
+    the flow chosen moves mu or the set read from the cuts.
     """
-    m = g.num_edges
-    sink = m + g.n + 1
+    m, n = g.num_edges, g.n
+    degree = g.degrees()
     guess = _peeled_density(g)
     while True:
         num, den = guess.numerator, guess.denominator
-        dinic = _Dinic(sink + 1)
-        unbounded = den * m + 1  # more than the source can send
-        left, sent = [num] * g.n, 0  # vertex -> sink capacity left; flow so far
-        for j, (u, v) in enumerate(g.edges):
-            a = min(den, left[u])
-            b = min(den - a, left[v])
+        dinic = _Dinic(n + 2)
+        left = [num] * n  # what each vertex can take before its sink arc is full
+        for u, v in g.edges:
+            a = min(den, left[u]) if left[u] > 0 else 0
             left[u] -= a
-            left[v] -= b
-            sent += a + b
-            dinic.add(0, 1 + j, den, a + b)
-            dinic.add(1 + j, 1 + m + u, unbounded, a)
-            dinic.add(1 + j, 1 + m + v, unbounded, b)
-        for v in range(g.n):
-            dinic.add(1 + m + v, sink, num, num - left[v])
+            left[v] -= den - a
+            dinic.add(1 + u, 1 + v, 2 * den, 2 * (den - a))
+        for v, room in enumerate(left):
+            cap = (m - degree[v]) * den + 2 * num
+            dinic.add(0, 1 + v, m * den, m * den + 2 * room if room < 0 else m * den)
+            dinic.add(1 + v, n + 1, cap, cap - 2 * room if room > 0 else cap)
+        short = -2 * sum(room for room in left if room < 0)  # flow the source has yet to send
         spend("max-flow phase", 6 * len(dinic.to))
-        if sent + dinic.max_flow(0, sink) == den * m:
+        if dinic.max_flow(0, n + 1) == short:
             return guess, dinic
-        reach = dinic.reachable(0)
-        guess = Fraction(sum(reach[1 : 1 + m]), sum(reach[1 + m : sink]))
+        inside = dinic.reachable(0)[1 : n + 1]
+        guess = Fraction(sum(inside[u] and inside[v] for u, v in g.edges), sum(inside))
 
 
 def _peeled_density(g: Graph) -> Fraction:

@@ -5,8 +5,10 @@ over vertex subsets, permutations, edge subsets, or (for the exact risk
 oracle) the entire observation space. None of it shares code or algorithmic
 ideas with the implementations under test, except
 `per_vertex_densest_vertex_set`, which reads the package's max flow the
-slow way, and `embedding_automorphisms`, which counts automorphisms with
-the package's placement search rather than its refinement.
+slow way, `certified_max_density`, which solves Goldberg's network with
+scipy's max flow rather than the package's, and `embedding_automorphisms`,
+which counts automorphisms with the package's placement search rather than
+its refinement.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from plantedlab import Graph
+from plantedlab import Graph, densest_vertex_set, max_subgraph_density
 from plantedlab.invariants import _densest_cut, _embeddings
 
 
@@ -116,17 +118,46 @@ def brute_densest_vertex_set(g: Graph) -> list[int]:
     return sorted(-v for v in best[2])
 
 
+def certified_max_density(g: Graph) -> Fraction:
+    """The package's mu, certified by scipy's max flow on Goldberg's vertex
+    network at mu = num/den (source -> v m*den, v -> sink m*den + 2*num -
+    d(v)*den, each edge den each way): a flow of n*m*den shows no vertex
+    set is denser than mu, and the package's densest set attains it."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    mu = max_subgraph_density(g)
+    inside = set(densest_vertex_set(g))
+    assert Fraction(sum(u in inside and v in inside for u, v in g.edges), len(inside)) == mu
+    n, m, num, den = g.n, g.num_edges, mu.numerator, mu.denominator
+    assert n * (m * den + 2 * num) < 2**31, "capacities must fit int32"
+    rows, cols, caps = [], [], []
+    for v, d in enumerate(g.degrees()):
+        rows += [0, 1 + v]
+        cols += [1 + v, n + 1]
+        caps += [m * den, (m - d) * den + 2 * num]
+    for u, v in g.edges:
+        rows += [1 + u, 1 + v]
+        cols += [1 + v, 1 + u]
+        caps += [den, den]
+    caps = np.array(caps, dtype=np.int32)
+    network = csr_matrix((caps, (rows, cols)), shape=(n + 2, n + 2))
+    assert maximum_flow(network, 0, n + 1).flow_value == n * m * den
+    return mu
+
+
 def per_vertex_densest_vertex_set(g: Graph) -> list[int]:
     """The tie rule read off the package's final max flow one vertex at a
-    time: what {source, v} reaches in the residual graph is the minimal
+    time: on Goldberg's vertex network (vertex v at node 1+v, the sink at
+    n+1), what {source, v} reaches in the residual graph is the minimal
     optimal set holding v, or holds the sink when v is in no optimal set.
     It shares the flow with the package, but not the reading of it."""
     _, dinic = _densest_cut(g)
-    first, sink = 1 + g.num_edges, 1 + g.num_edges + g.n
+    sink = 1 + g.n
     best = None
     for v in range(g.n):
-        reach = dinic.reachable(0, first + v)
-        core = [w for w in range(g.n) if reach[first + w]]
+        reach = dinic.reachable(0, 1 + v)
+        core = [w for w in range(g.n) if reach[1 + w]]
         if not reach[sink] and (best is None or (len(core), core) < (len(best), best)):
             best = core
     return best

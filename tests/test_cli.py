@@ -396,7 +396,7 @@ class TestClassify:
             "--n", "100000", "--alpha", "0.5",
         ) == (0, "verdict=indeterminate boundary=bounded-density-window margin=0.280643\n", "")
         assert run(capsys, "stats", "--graph", str(path)) == (
-            3, "", "error: vertex cover search: 50001958 work units > budget 50000000\n"
+            3, "", "error: vertex cover search: 50001813 work units > budget 50000000\n"
         )
 
     def test_sparse_missing_exponents(self, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     brute_isomorphic,
     brute_max_density,
     brute_vertex_cover,
+    certified_max_density,
     embedding_automorphisms,
     hub_joined,
     moebius_ladder,
@@ -181,8 +182,8 @@ class TestMaxSubgraphDensity:
 
     @pytest.mark.parametrize("length", [800, 1500])
     def test_dumbbell_needs_no_recursion(self, length):
-        # augmenting paths run along the whole joining path, deeper than
-        # Python's recursion limit
+        # the augmenting path runs along the whole joining path; at 1500
+        # edges it is deeper than Python's recursion limit
         g = dumbbell(length)
         assert max_subgraph_density(g) == Fraction(length + 6, length + 5)
         assert densest_vertex_set(g) == list(range(length + 5))
@@ -194,6 +195,32 @@ class TestMaxSubgraphDensity:
         vs = densest_vertex_set(g)
         assert vs == per_vertex_densest_vertex_set(g)
         assert max_subgraph_density(g) == Fraction(g.induced_subgraph(vs).num_edges, len(vs))
+
+    def test_gadget_hosts_certified_by_scipy(self):
+        for seed in range(20):
+            certified_max_density(gadget_host(np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n,p", [(200, 0.1), (300, 0.05)])
+    def test_benchmark_hosts_certified_by_scipy(self, seed, n, p):
+        # the exact-oracles hosts, drawn as the benchmark draws them: one
+        # uniform per pair, row-major, from the generator keyed [seed, n]
+        rng = np.random.default_rng([seed, n])
+        rows, cols = np.triu_indices(n, 1)
+        keep = rng.random(rows.size) < p
+        certified_max_density(Graph(n, list(zip(rows[keep].tolist(), cols[keep].tolist()))))
+
+    @pytest.mark.parametrize("g,budget", [
+        pytest.param(make_family("path:3000"), 700_000, id="path:3000"),
+        pytest.param(dumbbell(5000), 2_000_000, id="dumbbell:5000"),
+    ])
+    def test_greedy_start_keeps_long_paths_cheap(self, monkeypatch, g, budget):
+        # about 5x what mu spends on these hosts (138k and 410k units):
+        # from each edge's greedy share one augmenting phase is left, while
+        # from an even split the flow moves a unit per path vertex along the
+        # path, quadratic work past the default 50M-unit budget on both
+        monkeypatch.setattr(trace, "WORK_BUDGET", budget)
+        assert max_subgraph_density(g) == Fraction(g.num_edges, g.n)
 
     @pytest.mark.parametrize("tree_size,k", [(6, 4), (7, 3), (300, 5), (300, 3)])
     def test_tree_with_clique(self, tree_size, k):

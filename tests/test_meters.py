@@ -159,9 +159,9 @@ def test_automorphism_count():
 
 
 def test_max_subgraph_density():
-    # the peel is charged per vertex removed, each flow phase (the flat
-    # first one too) per arc, and the densest set's residual pass per node
-    # and arc
+    # the peel is charged per vertex removed, each flow phase (the network
+    # built at the greedy shares too) per arc, and the densest set's
+    # residual pass per node and arc
     def prop(rng, percent, data):
         n = int(rng.integers(40, 121))
         g = random_graph(rng, n, float(rng.uniform(1, 12)) / n)
