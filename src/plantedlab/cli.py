@@ -273,11 +273,7 @@ def _cmd_classify(args) -> int:
                 "sparse classification needs --alpha --epsilon --delta --zeta"
             )
         exp = PolyFamilyExponents(
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            zeta=args.zeta,
-            beta=args.beta,
+            alpha=args.alpha, epsilon=args.epsilon, delta=args.delta, zeta=args.zeta
         )
         lo, hi, comp = sparse_thresholds(exp)
         print(
@@ -324,9 +320,8 @@ def _cmd_classify(args) -> int:
 def _cmd_intersections(args) -> int:
     pattern = _load_pattern(args)
     hist = intersection_distribution(pattern, args.n, args.trials, stream(args.seed))
-    for count in sorted(hist.counts):
-        frac = hist.counts[count] / hist.trials
-        print(f"edges={count} trials={hist.counts[count]} freq={_fmt(frac)}")
+    for count, freq in hist.probabilities().items():
+        print(f"edges={count} trials={hist.counts[count]} freq={_fmt(freq)}")
     return 0
 
 
@@ -449,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="edge-count exponent (sparse)")
     p.add_argument("--delta", type=float, help="max-degree exponent (sparse)")
     p.add_argument("--zeta", type=float, help="density exponent (sparse)")
-    p.add_argument("--beta", type=float, help="vertex-growth or degree exponent")
+    p.add_argument("--beta", type=float, help="degree-growth exponent (critical)")
     p.add_argument("--sigma", type=float, help="q = sigma/n at alpha=1 (critical)")
     p.add_argument("--slack", type=float, default=0.1, help="epsilon margin")
     p.set_defaults(handler=_cmd_classify)

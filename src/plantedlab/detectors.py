@@ -63,23 +63,19 @@ _ONE = Fraction(1)  # the likelihood-ratio threshold
 
 @dataclass(frozen=True)
 class Verdict:
-    """decision = 1 rejects the null; always equals [statistic >= threshold].
+    """A test's statistic and threshold; `decision` = [statistic >= threshold],
+    so 1 rejects the null and ties reject.
 
     The statistic is a Fraction for the exact likelihood-ratio test and a
     float otherwise; comparisons against the threshold are exact either way.
     """
 
-    decision: int
     statistic: float | Fraction
     threshold: float | Fraction
 
-    def __post_init__(self):
-        if self.decision != int(self.statistic >= self.threshold):
-            raise ValueError("decision must equal [statistic >= threshold]")
-
-
-def _verdict(statistic, threshold) -> Verdict:
-    return Verdict(int(statistic >= threshold), statistic, threshold)
+    @property
+    def decision(self) -> int:
+        return int(self.statistic >= self.threshold)
 
 
 def count_test(
@@ -90,7 +86,7 @@ def count_test(
     threshold = comb(params.n, 2) * params.q + params.pattern.num_edges * (
         params.p - params.q
     ) / 2
-    return _verdict(stat, threshold)
+    return Verdict(stat, threshold)
 
 
 def degree_test(
@@ -101,7 +97,7 @@ def degree_test(
     threshold = (params.n - 1) * params.q + params.pattern.max_degree() * (
         params.p - params.q
     ) / 2
-    return _verdict(stat, threshold)
+    return Verdict(stat, threshold)
 
 
 def degree_condition_value(params: ModelParams) -> float:
@@ -155,7 +151,7 @@ def _scan(
     w = cfg.scan_kappa_weight
     kappa = w * params.q + (1 - w) * params.p
     threshold = kappa * target.num_edges
-    return _verdict(float(_scan_statistic(obs, target)), threshold)
+    return Verdict(float(_scan_statistic(obs, target)), threshold)
 
 
 @lru_cache(maxsize=128)
@@ -315,7 +311,7 @@ def likelihood_ratio_test(
     assert sum(tally) == num_copies
     weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
     total = sum(map(mul, tally, weights))
-    return _verdict(Fraction(total, denominator * num_copies), _ONE)
+    return Verdict(Fraction(total, denominator * num_copies), _ONE)
 
 
 @lru_cache(maxsize=128)

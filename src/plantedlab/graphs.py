@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -212,29 +213,29 @@ FAMILY_KINDS = (
 )
 
 
+@dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family plus its integer size parameters.
+    """A named graph family plus its integer size parameters, which are
+    stored as a tuple of ints whatever sequence they are given as.
 
     Parses from strings like ``clique:4``, ``complete_bipartite:2,3``,
     ``unbalanced_stars:16``.
     """
 
-    __slots__ = ("kind", "params")
+    kind: str
+    params: tuple[int, ...]
 
-    def __init__(self, kind: str, params: Sequence[int]):
+    def __post_init__(self):
+        kind = self.kind
         if kind not in FAMILY_KINDS:
             raise InvalidSpecError(f"unknown family kind {kind!r}; known: {', '.join(FAMILY_KINDS)}")
         arity = 2 if kind in ("complete_bipartite", "regular_tree") else 1
-        params = tuple(int(p) for p in params)
+        params = tuple(int(p) for p in self.params)
         if len(params) != arity:
             raise InvalidSpecError(f"{kind} takes {arity} parameter(s), got {params}")
         if any(p < 1 for p in params):
             raise InvalidSpecError(f"{kind} parameters must be >= 1, got {params}")
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", params)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FamilySpec is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -253,16 +254,6 @@ class FamilySpec:
 
     def __repr__(self) -> str:
         return f"FamilySpec({str(self)!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FamilySpec)
-            and self.kind == other.kind
-            and self.params == other.params
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.params))
 
 
 def make_family(spec: FamilySpec | str) -> Graph:

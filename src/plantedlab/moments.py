@@ -33,6 +33,7 @@ Monte-Carlo paths are float with a reported standard error.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
@@ -120,13 +121,17 @@ class MomentResult:
 @dataclass
 class IntersectionHistogram:
     """Empirical law of the number of edges shared by a random copy and a
-    fixed copy of the pattern."""
+    fixed copy of the pattern: counts[j] trials shared j edges."""
 
     counts: dict[int, int]
-    trials: int
+
+    @property
+    def trials(self) -> int:
+        return sum(self.counts.values())
 
     def probabilities(self) -> dict[int, float]:
-        return {k: c / self.trials for k, c in sorted(self.counts.items())}
+        trials = self.trials
+        return {k: c / trials for k, c in sorted(self.counts.items())}
 
 
 def intersection_distribution(
@@ -140,9 +145,7 @@ def intersection_distribution(
             f"pattern on {pattern.n} vertices does not fit in n={n}"
         )
     hist = _intersection_counts(pattern, n, trials, rng)
-    return IntersectionHistogram(
-        counts={j: int(c) for j, c in enumerate(hist) if c}, trials=trials
-    )
+    return IntersectionHistogram({j: int(c) for j, c in enumerate(hist) if c})
 
 
 @metered
@@ -430,46 +433,38 @@ def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     """E[C(I, d)] for d = 0..depth: the sum over d-edge subsets H of a fixed
     copy Gamma of P[H inside a uniform copy] = N(H, Gamma) / N(H, K_n).
 
-    Subsets are grouped into isomorphism classes (cheap relabeled-edge key,
-    then a degree-signature bucket with an exact isomorphism check). A class
-    of w subsets has w = N(H, Gamma), so it adds w^2 / N(H, K_n). This needs
-    the merge to be complete: two classes of one isomorphism type, with w1
-    and w2 subsets, would add w1^2 + w2^2 in place of (w1 + w2)^2. The
-    subsets are charged, 25 units each, before they are enumerated.
+    The subsets are tallied by relabeled-edge key (equal keys are identical
+    labeled graphs), and the keys, in first-seen order, are merged into
+    isomorphism classes: each key is checked with `isomorphic` against the
+    classes of its degree signature, and joins the first that matches. A
+    class of w subsets has w = N(H, Gamma), so it adds w^2 / N(H, K_n). This
+    needs the merge to be complete: two classes of one isomorphism type,
+    with w1 and w2 subsets, would add w1^2 + w2^2 in place of (w1 + w2)^2.
+    The subsets are charged, 25 units each, before they are enumerated.
     """
     edges = pattern.edges
     spend("edge subsets, after the shared-edge count ran out", _subset_price(len(edges), depth))
-
-    # class key (relabeled edge tuple) -> index into class tables
-    key_to_class: dict[tuple, int] = {}
-    # degree-signature -> list of class indices, for the isomorphism fallback
-    signature_buckets: dict[tuple, list[int]] = {}
-    class_reps: list[Graph] = []
-    class_weights: list[int] = []
-
-    for size in range(1, depth + 1):
-        for subset in combinations(edges, size):
-            key = _relabel_key(subset)
-            idx = key_to_class.get(key)
-            if idx is None:
-                rep = Graph(1 + max(v for edge in key for v in edge), key)
-                sig = (rep.n, rep.num_edges, tuple(sorted(rep.degrees())))
-                idx = -1
-                for candidate in signature_buckets.get(sig, ()):
-                    if isomorphic(class_reps[candidate], rep):
-                        idx = candidate
-                        break
-                if idx < 0:
-                    idx = len(class_reps)
-                    class_reps.append(rep)
-                    class_weights.append(0)
-                    signature_buckets.setdefault(sig, []).append(idx)
-                key_to_class[key] = idx
-            class_weights[idx] += 1
+    tally = Counter(
+        _relabel_key(subset)
+        for size in range(1, depth + 1)
+        for subset in combinations(edges, size)
+    )
+    # degree signature -> its classes, each [representative, subsets]
+    buckets: dict[tuple, list[list]] = {}
+    for key, count in tally.items():
+        rep = Graph(1 + max(v for edge in key for v in edge), key)
+        bucket = buckets.setdefault((rep.n, rep.num_edges, tuple(sorted(rep.degrees()))), [])
+        for cls in bucket:
+            if isomorphic(cls[0], rep):
+                cls[1] += count
+                break
+        else:
+            bucket.append([rep, count])
 
     moments = [Fraction(1)] + [Fraction(0)] * depth
-    for rep, weight in zip(class_reps, class_weights):
-        moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
+    for bucket in buckets.values():
+        for rep, weight in bucket:
+            moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
     return moments
 
 

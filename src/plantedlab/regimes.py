@@ -45,14 +45,15 @@ class RegimeVerdict:
 @dataclass(frozen=True)
 class Decomposition:
     """Edge-disjoint parts covering the original edge set; parts keep the
-    host vertex labels and may be empty."""
+    host vertex labels and may be empty. M is the number of parts."""
 
     parts: tuple[Graph, ...]
-    M: int
+
+    @property
+    def M(self) -> int:
+        return len(self.parts)
 
     def __post_init__(self):
-        if self.M != len(self.parts):
-            raise ValueError("M must equal the number of parts")
         seen: set[tuple[int, int]] = set()
         for part in self.parts:
             for edge in part.edges:
@@ -100,7 +101,7 @@ def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
         used.update(edges)
         parts.append(Graph(g.n, edges))
     assert len(used) == g.num_edges
-    return Decomposition(parts=tuple(parts), M=m)
+    return Decomposition(tuple(parts))
 
 
 @metered
@@ -134,8 +135,8 @@ class DenseConstants:
     (1-eps) * alpha / (2 + alpha log(1+lambda^2)) with alpha = mu/log|v|,
     and (1+eps)/KL(p||q). The scan boundary needs (p, q); without them it
     is skipped and large-density instances come back Indeterminate.
-    Instances with mu/log|v| at least superlog_alpha are treated as the
-    super-logarithmic density branch.
+    Instances with mu/log|v| at least 1/2 take the super-logarithmic
+    density branch.
     """
 
     epsilon: float = 0.1
@@ -143,7 +144,9 @@ class DenseConstants:
     q: float | None = None
     c_lower: float | None = None
     c_upper: float | None = None
-    superlog_alpha: float = 0.5
+
+
+_SUPERLOG_ALPHA = 0.5  # mu/log|v| from which classify_dense takes the super-log branch
 
 
 def classify_dense(
@@ -185,7 +188,7 @@ def classify_dense(
     if exp_d2 >= 1 + c.epsilon:
         return RegimeVerdict(Regime.EASY, "degree", exp_d2 - (1 + c.epsilon))
 
-    if alpha >= c.superlog_alpha:
+    if alpha >= _SUPERLOG_ALPHA:
         c_lower = c.c_lower
         if c_lower is None:
             c_lower = (1 - c.epsilon) * alpha / (2 + alpha * math.log1p(lambda_sq))
@@ -227,20 +230,18 @@ def _kl_bernoulli(p: float, q: float) -> float:
 @dataclass(frozen=True)
 class PolyFamilyExponents:
     """Polynomial growth exponents of a planted family: lambda^2 decays as
-    n^-alpha while |e|, d_max, mu grow as |v|^epsilon, |v|^delta, |v|^zeta;
-    beta is the growth of |v| itself in n, when known."""
+    n^-alpha while |e|, d_max, mu grow as |v|^epsilon, |v|^delta, |v|^zeta.
+    The thresholds depend on these alone; beta = log|v|/log n is what a
+    caller compares against them."""
 
     alpha: float
     epsilon: float
     delta: float
     zeta: float
-    beta: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.alpha <= 2:
             raise ValueError(f"alpha must lie in [0,2], got {self.alpha}")
-        if self.beta is not None and not 0 < self.beta < 1:
-            raise ValueError(f"beta must lie in (0,1), got {self.beta}")
         if not self.zeta <= self.delta <= 1 <= self.epsilon <= 2:
             warnings.warn(
                 "exponents violate zeta <= delta <= 1 <= epsilon <= 2; "

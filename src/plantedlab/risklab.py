@@ -79,9 +79,12 @@ class RiskEstimate:
 
     type1: float
     type2: float
-    risk: float
     trials_per_hypothesis: int
     ci_halfwidth: float
+
+    @property
+    def risk(self) -> float:
+        return self.type1 + self.type2
 
 
 def estimate_risk(
@@ -129,7 +132,7 @@ def estimate_risk(
     type1 = false_alarms / trials
     type2 = misses / trials
     ci = _wilson_halfwidth(false_alarms, trials) + _wilson_halfwidth(misses, trials)
-    return RiskEstimate(type1, type2, type1 + type2, trials, ci)
+    return RiskEstimate(type1, type2, trials, ci)
 
 
 def _wilson_halfwidth(successes: int, trials: int) -> float:

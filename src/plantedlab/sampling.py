@@ -245,14 +245,11 @@ def sample_uniform_copy(
 
     The vertex map is a uniform injection (a random permutation truncated to
     the pattern size); every copy is induced by exactly |Aut(pattern)| maps,
-    so the induced copy is uniform over all copies.
+    so the induced copy is uniform over all copies. It is the one row of
+    `batched_copy_images`, drawn as `rng.permutation(n)` would draw it.
     """
-    if pattern.n > n:
-        raise PatternTooLargeError(
-            f"pattern on {pattern.n} vertices does not fit in n={n}"
-        )
-    images = tuple(int(v) for v in rng.permutation(n)[: pattern.n])
-    return EmbeddedCopy.from_map(pattern, images)
+    images = batched_copy_images(pattern, n, 1, rng)[0]
+    return EmbeddedCopy(pattern, tuple(images.tolist()))
 
 
 def sample_planted(

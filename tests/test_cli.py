@@ -343,6 +343,13 @@ class TestClassify:
         assert code == 0
         assert out == "stat_lower=0.666667 stat_upper=0.75 comp_lower=0.75\n"
 
+    @pytest.mark.parametrize("beta", ["0.5", "1.5"])
+    def test_sparse_ignores_beta(self, capsys, beta):
+        argv = ("classify", "--regime", "sparse", "--alpha", "1",
+                "--epsilon", "2", "--delta", "1", "--zeta", "1")
+        without = run(capsys, *argv)
+        assert without[0] == 0 and run(capsys, *argv, "--beta", beta) == without
+
     def test_superdense(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--regime", "superdense", "--alpha", "1"

@@ -65,12 +65,14 @@ def all_observations(n: int):
 
 class TestVerdict:
     def test_invariant_enforced(self):
-        Verdict(1, 5.0, 3.0)
-        Verdict(0, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            Verdict(0, 5.0, 3.0)
-        with pytest.raises(ValueError):
-            Verdict(1, 1.0, 3.0)
+        Verdict(5.0, 3.0)
+        Verdict(1.0, 3.0)
+
+    def test_decision_is_worked_out(self):
+        assert Verdict(5.0, 3.0).decision == 1
+        assert Verdict(1.0, 3.0).decision == 0
+        assert Verdict(3.0, 3.0).decision == 1  # ties reject
+        assert Verdict(Fraction(1), Fraction(1)).decision == 1
 
 
 class TestCountTest:

@@ -143,6 +143,30 @@ class TestFamilySpec:
         assert FamilySpec.parse("star:3") == FamilySpec("star", [3])
         assert FamilySpec.parse("star:3") != FamilySpec.parse("star:4")
 
+    @pytest.mark.parametrize("text", [
+        "clique:4", "path:6", "star:3", "complete_bipartite:2,3", "regular_tree:3,2",
+        "matching:5", "disjoint_triangles:2", "unbalanced_stars:16",
+    ])
+    def test_round_trips_and_hashes_as_its_fields(self, text):
+        spec = FamilySpec.parse(text)
+        assert str(spec) == text and FamilySpec.parse(str(spec)) == spec
+        assert repr(spec) == f"FamilySpec({text!r})"
+        assert hash(spec) == hash((spec.kind, spec.params))
+        built = FamilySpec(spec.kind, list(spec.params))
+        assert built == spec and hash(built) == hash(spec)
+
+    def test_params_become_a_tuple_of_ints(self):
+        spec = FamilySpec("complete_bipartite", [np.int64(2), "3"])
+        assert spec.params == (2, 3) and all(type(p) is int for p in spec.params)
+
+    def test_fields_cannot_be_assigned(self):
+        spec = FamilySpec.parse("clique:4")
+        with pytest.raises(AttributeError):
+            spec.kind = "path"
+        with pytest.raises(AttributeError):
+            spec.params = (5,)
+        assert spec == FamilySpec("clique", (4,))
+
 
 class TestFamilies:
     @pytest.mark.parametrize(

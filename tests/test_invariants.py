@@ -395,6 +395,34 @@ class TestAutomorphisms:
         g = hub_joined(parts)
         assert automorphism_count(g) == embedding_automorphisms(g)
 
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), parts=st.integers(2, 3))
+    def test_relabelled_unions_match_brute_force(self, seed, parts):
+        # two or three components on 2 to 4 vertices (3 or 4 for the first),
+        # 8 in all so brute force stays quick; half the time a later one is
+        # the first relabelled, so grouping the two takes `isomorphic`'s search
+        rng = np.random.default_rng(seed)
+        first = random_connected_graph(rng, int(rng.integers(3, 5)), 0.5)
+        comps, room = [first], 8 - first.n
+        for i in range(1, parts):
+            fits = room - 2 * (parts - 1 - i)  # leaves 2 vertices per later part
+            if first.n <= fits and rng.random() < 0.5:
+                for _ in range(5):  # a symmetric first may never change
+                    perm = rng.permutation(first.n)
+                    comp = Graph(first.n, [(int(perm[u]), int(perm[v])) for u, v in first.edges])
+                    if comp.edges != first.edges:
+                        break
+            else:
+                comp = random_connected_graph(rng, int(rng.integers(2, min(4, fits) + 1)), 0.5)
+            comps.append(comp)
+            room -= comp.n
+        edges, offset = [], 0
+        for comp in comps:
+            edges += [(offset + int(u), offset + int(v)) for u, v in comp.edges]
+            offset += comp.n
+        g = Graph(offset, edges)
+        assert automorphism_count(g) == brute_automorphisms(g)
+
     def test_budget_enforced_per_component(self, monkeypatch):
         rng = np.random.default_rng(301)
         g = random_graph(rng, 12, 0.5)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from plantedlab import (
@@ -315,6 +317,27 @@ class TestSubsetRoute:
             want = [sum(pr * math.comb(j, d) for j, pr in enumerate(law)) for d in range(e + 1)]
             assert _subset_moments(pattern, n, e) == want
         assert any(merges)
+
+
+class TestExactFormsOnRandomPatterns:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_match_the_brute_intersection_law(self, seed):
+        # ||L^{<=D}||^2 = sum over d <= D of lambda^(2d) E[C(I, d)] at every
+        # D <= |e|, and E[L^2] is the value at D = |e|
+        rng = np.random.default_rng(seed)
+        pattern = random_pattern(rng, 6)
+        n = int(rng.integers(pattern.n, 9))
+        lambda_sq = Fraction(1, 2)
+        mp = MomentParams(n, lambda_sq, pattern)
+        law = brute_intersection_law(pattern, n)
+        want = Fraction(0)
+        for degree in range(pattern.num_edges + 1):
+            want += lambda_sq**degree * sum(
+                pr * math.comb(j, degree) for j, pr in enumerate(law)
+            )
+            assert ldp_norm_sq(mp, LdpConfig(degree=degree)).value == want
+        assert second_moment_exact(mp).value == want
 
 
 class TestLdpNormSq:

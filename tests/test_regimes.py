@@ -119,9 +119,7 @@ class TestVcdDecompose:
 
     def test_decomposition_invariants(self):
         with pytest.raises(ValueError):
-            Decomposition(parts=(TRIANGLE, TRIANGLE), M=2)
-        with pytest.raises(ValueError):
-            Decomposition(parts=(TRIANGLE,), M=2)
+            Decomposition(parts=(TRIANGLE, TRIANGLE))
 
 
 class TestBalanceRatio:
@@ -280,10 +278,6 @@ class TestSparseThresholds:
             PolyFamilyExponents(alpha=-0.1, epsilon=2, delta=1, zeta=1)
         with pytest.raises(ValueError):
             PolyFamilyExponents(alpha=2.5, epsilon=2, delta=1, zeta=1)
-        with pytest.raises(ValueError):
-            PolyFamilyExponents(alpha=1, epsilon=2, delta=1, zeta=1, beta=0)
-        with pytest.raises(ValueError):
-            PolyFamilyExponents(alpha=1, epsilon=2, delta=1, zeta=1, beta=1.2)
 
 
 class TestSuperdenseThreshold:

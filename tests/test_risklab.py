@@ -27,16 +27,16 @@ PARAMS = ModelParams(n=12, p=0.9, q=0.2, pattern=TRIANGLE)
 
 
 def always_reject(obs, params, cfg):
-    return Verdict(decision=1, statistic=1.0, threshold=0.0)
+    return Verdict(statistic=1.0, threshold=0.0)
 
 
 def never_reject(obs, params, cfg):
-    return Verdict(decision=0, statistic=0.0, threshold=1.0)
+    return Verdict(statistic=0.0, threshold=1.0)
 
 
 def edge_parity(obs, params, cfg):
     d = obs.num_edges % 2
-    return Verdict(decision=d, statistic=float(d), threshold=0.5)
+    return Verdict(statistic=float(d), threshold=0.5)
 
 
 class TestEstimateRisk:
@@ -50,6 +50,13 @@ class TestEstimateRisk:
         est = estimate_risk(never_reject, PARAMS, 50, seed=1)
         assert est.type1 == 0.0 and est.type2 == 1.0
         assert est.risk == 1.0
+
+    def test_risk_is_the_sum_of_the_two_errors(self):
+        est = RiskEstimate(type1=1 / 3, type2=0.125, trials_per_hypothesis=7,
+                           ci_halfwidth=0.01)
+        assert est.risk == 1 / 3 + 0.125
+        est = estimate_risk(edge_parity, PARAMS, 40, seed=3)
+        assert est.risk == est.type1 + est.type2
 
     def test_parity_detector_near_coin(self):
         # edge-count parity is close to a fair coin under both hypotheses
@@ -230,7 +237,7 @@ class TestWriteCsv:
 
     def test_six_significant_digits(self):
         est = RiskEstimate(
-            type1=1 / 3, type2=0.125, risk=1 / 3 + 0.125,
+            type1=1 / 3, type2=0.125,
             trials_per_hypothesis=7, ci_halfwidth=0.0123456789,
         )
         row = SweepRow("count", "clique:3", 12, 0.9, 0.2, 7, 5, est, 1.5, "")
