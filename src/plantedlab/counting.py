@@ -1,6 +1,7 @@
 """Exact counting oracles: copies of a pattern in a host graph, copies in
 the complete graph, containment probabilities for a uniformly random copy,
-spanning trees, and connected vertex sets.
+and the copy-overlap tally of the likelihood-ratio test and pair
+enumeration.
 
 All results are exact integers or rationals. Each public call spends from
 one work meter (`trace`), and the copy-overlap tally refuses past a memory
@@ -16,7 +17,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .errors import DisconnectedError, PlantedLabError
+from .errors import PlantedLabError
 from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
 from .trace import check_bytes, metered, spend
@@ -144,87 +145,3 @@ def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
     inside = adjacency.ravel()[cells] @ weights  # pair mask of each subset
     shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
-
-
-@metered
-def spanning_tree_count(g: Graph) -> int:
-    """Exact spanning tree count by the matrix-tree theorem.
-
-    Evaluates one cofactor of the combinatorial Laplacian with fraction-free
-    (Bareiss) elimination, so every intermediate value is an integer and the
-    result is exact. The elimination's updates, sum_k (size-1-k)^2 for the
-    size-by-size cofactor, are charged before it starts.
-    """
-    size = g.n - 1
-    updates = (size - 1) * size * (2 * size - 1) // 6
-    spend("spanning tree count", 20 * updates)
-    if not g.is_connected():
-        raise DisconnectedError("spanning trees exist only for connected graphs")
-    if g.n <= 1:
-        return 1
-    lap = [[0] * size for _ in range(size)]
-    for v in range(size):
-        lap[v][v] = g.degree(v)
-    for u, v in g.edges:
-        if u < size and v < size:
-            lap[u][v] -= 1
-            lap[v][u] -= 1
-    return _bareiss_determinant(lap)
-
-
-def _bareiss_determinant(m: list[list[int]]) -> int:
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-@metered
-def connected_sets_count(g: Graph, size: int, anchor: int) -> int:
-    """Number of connected vertex sets of the given size containing `anchor`.
-
-    Grow-set enumeration: extend the current set one frontier vertex at a
-    time, in increasing order, forbidding the vertices already branched on
-    so each set is visited exactly once. An explicit stack holds one level
-    per vertex added, so the depth is not bounded by Python's recursion
-    limit. Each extension is charged as it is taken.
-    """
-    if not 0 <= anchor < g.n:
-        raise ValueError(f"anchor {anchor} not a vertex of the graph")
-    if not 1 <= size <= g.n:
-        raise ValueError(f"set size {size} out of range 1..{g.n}")
-    if size == 1:
-        return 1
-    total = 0
-    frontier = set(g.neighbors(anchor))
-    # each level: (set, its frontier, frontier vertices left to try, blocked)
-    stack = [(frozenset((anchor,)), frontier, iter(sorted(frontier)), {anchor})]
-    while stack:
-        current, frontier, untried, blocked = stack[-1]
-        u = next(untried, None)
-        if u is None:
-            stack.pop()
-            continue
-        spend("connected-set count", 30)
-        grown = current | {u}
-        if len(grown) == size:
-            total += 1
-        else:
-            ahead = (frontier | g.neighbors(u)) - grown - blocked
-            stack.append((grown, ahead, iter(sorted(ahead)), set(blocked)))
-        blocked.add(u)
-    return total

@@ -30,10 +30,6 @@ class EmptyGraphError(PlantedLabError, ValueError):
     """An operation that needs at least one edge or vertex got none."""
 
 
-class DisconnectedError(PlantedLabError, ValueError):
-    """The graph must be connected for this operation."""
-
-
 class BudgetExceededError(PlantedLabError):
     """An exact computation exceeded, or would exceed, its work or memory budget."""
 

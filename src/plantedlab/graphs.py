@@ -129,18 +129,15 @@ class Graph:
         ]
         return Graph(len(vs), edges)
 
-    def edge_subgraph(self, edges: Iterable[Edge], relabel: bool = False) -> Graph:
-        """Subgraph on the given edges; keeps original labels unless relabel."""
-        es = [(u, v) if u < v else (v, u) for u, v in edges]
-        if not relabel:
-            return Graph(self.n, es)
-        vs = sorted({x for e in es for x in e})
-        index = {v: i for i, v in enumerate(vs)}
-        return Graph(len(vs), [(index[u], index[v]) for u, v in es])
+    def edge_subgraph(self, edges: Iterable[Edge]) -> Graph:
+        """Subgraph on the given edges, keeping the original labels."""
+        return Graph(self.n, [(u, v) if u < v else (v, u) for u, v in edges])
 
     def without_isolated(self) -> Graph:
         """Compact relabeling that drops isolated vertices."""
-        return self.edge_subgraph(self.edges, relabel=True) if self.edges else Graph(0, [])
+        vs = sorted({x for e in self.edges for x in e})
+        index = {v: i for i, v in enumerate(vs)}
+        return Graph(len(vs), [(index[u], index[v]) for u, v in self.edges])
 
 
 def is_pattern(g: Graph) -> bool:

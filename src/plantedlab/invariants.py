@@ -357,19 +357,6 @@ def vertex_cover_number(g: Graph) -> int:
     return total
 
 
-def matching_cover_bound(g: Graph) -> tuple[int, int]:
-    """(maximal matching size, 2x matching) = (lower, upper) bounds on tau.
-
-    This is the explicit 2-approximation fallback; it is never substituted
-    for the exact count silently.
-    """
-    used: set[int] = set()
-    for u, v in g.edges:
-        if u not in used and v not in used:
-            used.update((u, v))
-    return len(used) // 2, len(used)
-
-
 def _vc_greedy(adj: dict[int, set[int]]) -> int:
     """Size of the cover that keeps taking a maximum-degree vertex; a lazy
     heap makes it O(|E| log |V|), so it is not metered."""

@@ -140,10 +140,6 @@ def intersection_distribution(
     """Sample |e(copy ∩ fixed copy)| with the fixed copy at identity placement."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if pattern.n > n:
-        raise PatternTooLargeError(
-            f"pattern on {pattern.n} vertices does not fit in n={n}"
-        )
     hist = _intersection_counts(pattern, n, trials, rng)
     return IntersectionHistogram({j: int(c) for j, c in enumerate(hist) if c})
 

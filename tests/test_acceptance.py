@@ -32,22 +32,22 @@ from plantedlab import (
     second_moment_exact,
     second_moment_pair_enum,
     sparse_thresholds,
-    spanning_tree_count,
     superdense_threshold,
     unbalanced_stars_profile,
     vcd_decompose,
     vertex_cover_number,
-    connected_sets_count,
     containment_probability,
 )
 
 from oracles import (
     all_pairs,
+    brute_connected_sets,
     brute_max_density,
     brute_vertex_cover,
     exact_distributions,
     exact_risk,
     hypergeom_pmf,
+    matrix_tree_count,
     random_connected_graph,
     random_graph,
     tv_distance,
@@ -216,7 +216,7 @@ def test_a8_combinatorial_bounds():
         mu = float(max_subgraph_density(g))
         d = g.max_degree()
 
-        st = spanning_tree_count(g)
+        st = matrix_tree_count(g)
         st_bound = math.e * (2 * mu) ** (g.n - 2)
         assert st <= st_bound * (1 + 1e-9), f"{st} spanning trees > {st_bound}"
         spanning_checked += 1
@@ -224,7 +224,7 @@ def test_a8_combinatorial_bounds():
         if d >= 3:
             for anchor in range(g.n):
                 for size in range(1, g.n + 1):
-                    count = connected_sets_count(g, size, anchor)
+                    count = brute_connected_sets(g, size, anchor)
                     bound = (math.e * (d - 1)) ** (size - 1)
                     assert count <= bound * (1 + 1e-9), (
                         f"{count} connected {size}-sets > {bound}"

@@ -1,4 +1,5 @@
-"""Copy counting, containment probabilities, spanning trees, connected sets."""
+"""Copy counting, containment probabilities and the copy-overlap tally, and
+the spanning-tree and connected-set oracles that A8 reads."""
 
 import re
 from fractions import Fraction
@@ -9,15 +10,12 @@ import pytest
 
 from plantedlab import (
     BudgetExceededError,
-    DisconnectedError,
     Graph,
     complete_graph,
-    connected_sets_count,
     containment_probability,
     copies_in_complete,
     count_copies,
     make_family,
-    spanning_tree_count,
 )
 from plantedlab import trace
 from plantedlab.counting import _copy_overlaps, _labelled_copies
@@ -29,6 +27,7 @@ from oracles import (
     brute_copies_in_complete,
     brute_spanning_trees,
     copy_masks,
+    matrix_tree_count,
     random_connected_graph,
     random_graph,
     random_pattern,
@@ -135,41 +134,43 @@ class TestContainmentProbability:
 
 
 class TestSpanningTrees:
+    """`oracles.matrix_tree_count`, the spanning-tree count A8 reads."""
+
     def test_closed_forms(self):
         # Cayley: K_n has n^(n-2) spanning trees
-        for n in (2, 3, 4, 5, 6):
-            assert spanning_tree_count(complete_graph(n)) == n ** (n - 2)
+        for n in (2, 3, 4, 5, 6, 21):
+            assert matrix_tree_count(complete_graph(n)) == n ** (n - 2)
         cycle5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert spanning_tree_count(cycle5) == 5
-        assert spanning_tree_count(make_family("path:6")) == 1
+        assert matrix_tree_count(cycle5) == 5
+        assert matrix_tree_count(make_family("path:6")) == 1
         # K_{a,b} has a^(b-1) * b^(a-1)
-        assert spanning_tree_count(make_family("complete_bipartite:2,3")) == 12
-        assert spanning_tree_count(make_family("complete_bipartite:3,3")) == 81
+        assert matrix_tree_count(make_family("complete_bipartite:2,3")) == 12
+        assert matrix_tree_count(make_family("complete_bipartite:3,3")) == 81
+        assert matrix_tree_count(make_family("matching:2")) == 0
 
     def test_single_vertex(self):
-        assert spanning_tree_count(Graph(1, [])) == 1
+        assert matrix_tree_count(Graph(1, [])) == 1
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(500)
         for _ in range(30):
             g = random_connected_graph(rng, int(rng.integers(2, 8)), 0.4)
-            assert spanning_tree_count(g) == brute_spanning_trees(g)
+            assert matrix_tree_count(g) == brute_spanning_trees(g)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
-            spanning_tree_count(make_family("matching:2"))
 
-    def test_vertex_limit(self):
-        # no vertex cap: the elimination's updates are checked up front
-        assert spanning_tree_count(complete_graph(21)) == 21**19
-        with pytest.raises(BudgetExceededError) as err:
-            spanning_tree_count(make_family("path:400"))
-        # path:400 has 401 vertices: sum_k (399 - k)^2 = 21253400 updates,
-        # charged 20 units each before the elimination starts
-        budget = trace.WORK_BUDGET
-        assert str(err.value) == (
-            f"spanning tree count: {20 * 21253400} work units > budget {budget}"
-        )
+class TestConnectedSets:
+    """`oracles.brute_connected_sets`, the connected-set count A8 reads."""
+
+    def test_known_values(self):
+        tri = complete_graph(3)
+        assert brute_connected_sets(tri, 1, 0) == 1
+        assert brute_connected_sets(tri, 2, 0) == 2
+        assert brute_connected_sets(tri, 3, 0) == 1
+        star = make_family("star:5")
+        # size-3 sets containing the center pick 2 of 5 leaves
+        assert brute_connected_sets(star, 3, 0) == comb(5, 2)
+        # a leaf's size-3 sets must route through the center
+        assert brute_connected_sets(star, 3, 1) == 4
 
 
 def adjacency_of(n, edges):
@@ -212,39 +213,6 @@ class TestCopyEdgeMasks:
                 check_copy_overlaps(pattern, n, rng)
                 copies = sum(_copy_overlaps(pattern, n, adjacency_of(n, [])))
                 assert copies == copies_in_complete(pattern, n)
-
-
-class TestConnectedSets:
-    def test_known_values(self):
-        tri = complete_graph(3)
-        assert connected_sets_count(tri, 1, 0) == 1
-        assert connected_sets_count(tri, 2, 0) == 2
-        assert connected_sets_count(tri, 3, 0) == 1
-        star = make_family("star:5")
-        # size-3 sets containing the center pick 2 of 5 leaves
-        assert connected_sets_count(star, 3, 0) == comb(5, 2)
-        # a leaf's size-3 sets must route through the center
-        assert connected_sets_count(star, 3, 1) == 4
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(501)
-        for _ in range(40):
-            g = random_graph(rng, int(rng.integers(2, 9)), 0.45)
-            size = int(rng.integers(1, g.n + 1))
-            anchor = int(rng.integers(0, g.n))
-            assert connected_sets_count(g, size, anchor) == brute_connected_sets(
-                g, size, anchor
-            )
-
-    def test_budget(self, monkeypatch):
-        # 30 units per step: the 101st step crosses a limit of 100 steps
-        monkeypatch.setattr(trace, "WORK_BUDGET", 3000)
-        with pytest.raises(BudgetExceededError) as err:
-            connected_sets_count(complete_graph(20), 10, 0)
-        assert "connected-set count: 3030 work units > budget 3000" in str(err.value)
-
-    def test_deeper_than_the_recursion_limit(self):
-        assert connected_sets_count(make_family("path:1100"), 1101, 0) == 1
 
 
 class TestAncillaryIdentities:

@@ -75,7 +75,7 @@ class TestGraphBasics:
         g = complete_graph(4)
         keep = [(0, 1), (2, 3)]
         assert g.edge_subgraph(keep).edges == ((0, 1), (2, 3))
-        relabeled = g.edge_subgraph([(1, 3)], relabel=True)
+        relabeled = g.edge_subgraph([(1, 3)]).without_isolated()
         assert relabeled.n == 2 and relabeled.edges == ((0, 1),)
 
     def test_without_isolated(self):

@@ -20,7 +20,6 @@ from plantedlab import (
     graph_stats,
     isomorphic,
     make_family,
-    matching_cover_bound,
     max_subgraph_density,
     vertex_cover_number,
     write_edge_list,
@@ -299,14 +298,6 @@ class TestVertexCover:
     def test_star_forest_within_large_budget(self):
         g = make_family("unbalanced_stars:81")
         assert vertex_cover_number(g) == 82
-
-    def test_matching_bound_sandwiches(self):
-        rng = np.random.default_rng(201)
-        for _ in range(40):
-            g = random_graph(rng, 10, 0.4)
-            low, high = matching_cover_bound(g)
-            tau = vertex_cover_number(g)
-            assert low <= tau <= high <= 2 * low or g.num_edges == 0
 
 
 class TestAutomorphisms:

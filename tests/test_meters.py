@@ -19,7 +19,6 @@ from plantedlab import (
     MomentParams,
     Observation,
     automorphism_count,
-    connected_sets_count,
     copies_in_complete,
     count_copies,
     densest_vertex_set,
@@ -31,13 +30,11 @@ from plantedlab import (
     max_subgraph_density,
     scan_test,
     second_moment_exact,
-    spanning_tree_count,
     vertex_cover_number,
 )
 from plantedlab import counting, detectors, invariants, moments, trace
 
 from oracles import (
-    random_connected_graph,
     random_graph,
     random_pattern,
     swapped_relabelling,
@@ -97,23 +94,6 @@ def test_cover():
     def prop(rng, percent, data):
         g = random_graph(rng, int(rng.integers(1, 11)), float(rng.uniform(0.1, 0.9)))
         return check_meter(percent, lambda: vertex_cover_number(g))
-
-    both_outcomes(prop)
-
-
-def test_spanning_trees():
-    def prop(rng, percent, data):
-        g = random_connected_graph(rng, int(rng.integers(1, 11)), 0.4)
-        return check_meter(percent, lambda: spanning_tree_count(g))
-
-    both_outcomes(prop)
-
-
-def test_connected_sets():
-    def prop(rng, percent, data):
-        g = random_graph(rng, int(rng.integers(1, 11)), 0.45)
-        size, anchor = int(rng.integers(1, g.n + 1)), int(rng.integers(0, g.n))
-        return check_meter(percent, lambda: connected_sets_count(g, size, anchor))
 
     both_outcomes(prop)
 

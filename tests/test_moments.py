@@ -295,6 +295,21 @@ class TestSharedEdgeLaw:
         assert charges["edge subsets, after the shared-edge count ran out"] == price
         assert 0 < charges["shared-edge count"] <= trace.WORK_BUDGET - price
 
+    def test_identical_components_are_merged(self, monkeypatch):
+        # with the five triangles put in order (`_component_sorter`) the count
+        # finishes on ~180k units; unsorted, it gives up at the subset price
+        # of 2^15 subsets and the subset route runs instead
+        charges = Counter()
+
+        def spy(what, units):
+            charges[what] += units
+            trace.spend(what, units)
+
+        monkeypatch.setattr(moments, "spend", spy)
+        mp = MomentParams(20, Fraction(1, 2), make_family("disjoint_triangles:5"))
+        assert second_moment_exact(mp).value == Fraction(60335016512787, 33902873804800)
+        assert set(charges) == {"shared-edge count"}
+
 
 class TestSubsetRoute:
     def test_class_tallies_give_the_brute_binomial_moments(self, monkeypatch):
