@@ -1,15 +1,24 @@
 """Immutable simple graphs, built-in families, and edge-list text I/O.
 
 Vertices are integers 0..n-1. Edges are stored canonically as pairs (u, v)
-with u < v; self-loops and duplicates are rejected at construction. Graphs
-are hashable and safe to share across threads.
+with u < v; self-loops and duplicates are rejected at construction, and the
+first offending edge in input order names the error. Graphs are hashable
+and safe to share across threads.
+
+A graph holds its sorted edge tuple and builds its neighbour sets on the
+first read that needs them (`neighbors`, `degree`, `degrees`, `max_degree`,
+`has_edge`, `components`), so a caller that reads only the edges never pays
+for them. Two threads racing on that first read build equal sets, and either
+one is kept.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -32,26 +41,32 @@ class Graph:
         if n < 0:
             raise VertexOutOfRangeError(f"vertex count must be >= 0, got {n}")
         canon: list[Edge] = []
-        seen: set[Edge] = set()
-        for u, v in edges:
-            if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRangeError(f"edge ({u},{v}) outside [0,{n})")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DuplicateEdgeError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-        canon.sort()
+        for e in edges:
+            u, v = e
+            if 0 <= u < v < n:
+                canon.append(e if type(e) is tuple else (u, v))
+            elif 0 <= v < u < n:
+                canon.append((v, u))
+            else:
+                raise _first_offence(canon, (u, v), n)
+        ordered = sorted(canon)
+        if any(map(operator.eq, ordered, islice(ordered, 1, None))):
+            raise _first_offence(canon, None, n)
+        edges = tuple(ordered)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(canon))
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in canon:
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_hash", hash((n, edges)))
+
+    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Build, keep and return every vertex's neighbour set."""
+        adj: list[set[int]] = [set() for _ in range(self.n)]
+        for u, v in self.edges:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
-        object.__setattr__(self, "_hash", hash((n, tuple(canon))))
+        sets = tuple(frozenset(s) for s in adj)
+        object.__setattr__(self, "_adj", sets)
+        return sets
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -63,22 +78,42 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
+        return adj[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
+        return len(adj[v])
 
     def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
+        return [len(s) for s in adj]
 
     def max_degree(self) -> int:
-        return max((len(s) for s in self._adj), default=0)
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
+        return max((len(s) for s in adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u] if 0 <= u < self.n else False
+        if not 0 <= u < self.n:
+            return False
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
+        return v in adj[u]
 
     def isolated_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if not self._adj[v]]
+        touched = bytearray(self.n)
+        for u, v in self.edges:
+            touched[u] = touched[v] = 1
+        return [v for v in range(self.n) if not touched[v]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -97,6 +132,9 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (singletons included)."""
+        adj = self._adj
+        if adj is None:
+            adj = self._neighbor_sets()
         seen = [False] * self.n
         out: list[list[int]] = []
         for s in range(self.n):
@@ -108,7 +146,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in self._adj[v]:
+                for w in adj[v]:
                     if not seen[w]:
                         seen[w] = True
                         stack.append(w)
@@ -129,15 +167,21 @@ class Graph:
         ]
         return Graph(len(vs), edges)
 
-    def edge_subgraph(self, edges: Iterable[Edge]) -> Graph:
-        """Subgraph on the given edges, keeping the original labels."""
-        return Graph(self.n, [(u, v) if u < v else (v, u) for u, v in edges])
 
-    def without_isolated(self) -> Graph:
-        """Compact relabeling that drops isolated vertices."""
-        vs = sorted({x for e in self.edges for x in e})
-        index = {v: i for i, v in enumerate(vs)}
-        return Graph(len(vs), [(index[u], index[v]) for u, v in self.edges])
+
+def _first_offence(canon: list[Edge], bad: Edge | None, n: int) -> Exception:
+    """The error for the first offending edge in input order: a repeat among
+    `canon`, the canonical edges read before `bad`, else `bad` itself, the
+    self-loop or out-of-range edge that stopped the pass."""
+    seen: set[Edge] = set()
+    for e in canon:
+        if e in seen:
+            return DuplicateEdgeError(f"duplicate edge {e}")
+        seen.add(e)
+    u, v = bad
+    if u == v:
+        return SelfLoopError(f"self-loop at vertex {u}")
+    return VertexOutOfRangeError(f"edge ({u},{v}) outside [0,{n})")
 
 
 def is_pattern(g: Graph) -> bool:

@@ -11,6 +11,9 @@ The uniforms are drawn DRAW_CHUNK at a time into one buffer local to the
 call, and each chunk is compared into the draw's boolean bits as it comes, so
 a draw holds one byte per pair plus one chunk. The generator's `random` fills
 sequentially, so the chunked draw equals one `random(C(n,2))` bit for bit.
+What an observation derives from its bits (degrees, row masks, the matrix)
+walks them DEGREE_BLOCK rows at a time through one reused buffer, so no
+reader but `adjacency` holds an n x n array.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ class ModelParams:
 
 
 DRAW_CHUNK = 1 << 15  # uniforms a sampler draws at once: 256 KB of float64
+DEGREE_BLOCK = 256  # rows of the triangle a walk over a draw's bits copies at once
 
 # bit v of a row mask, for the int64 product of n <= 62 rows; every row sum
 # then stays clear of the sign bit
@@ -72,13 +76,14 @@ _POWERS_OF_TWO = 1 << np.arange(62, dtype=np.int64)
 
 
 class Observation:
-    """A sampled graph on [0, n) as a dense symmetric boolean matrix.
+    """A simple graph on [0, n), observed under one hypothesis.
 
-    `Observation(adjacency)` validates and copies its input. A sampled
-    observation keeps the row-major upper-triangle bits it was drawn as and
-    builds `adjacency` on first read; its edge count and degrees come from
-    the bits. Either kind builds `row_masks` and `row_degrees` on first
-    read and keeps them.
+    `Observation(adjacency)` validates and copies a symmetric boolean
+    matrix. A sampled observation keeps the row-major upper-triangle bits it
+    was drawn as: its edge count and edges come from the bits, its degrees
+    and (above n = 62) row masks from a walk over them DEGREE_BLOCK rows at
+    a time, and `adjacency` is built only when a caller reads it. Either
+    kind builds `row_masks` and `row_degrees` on first read and keeps them.
     """
 
     __slots__ = ("n", "_bits", "_adjacency", "_masks", "_row_degrees")
@@ -123,8 +128,13 @@ class Observation:
         # two threads racing here build equal matrices; either one is kept
         a = self._adjacency
         if a is None:
-            a = _upper_triangle(self.n, self._bits)
-            a |= a.T
+            a = np.zeros((self.n, self.n), dtype=bool)
+            for lo, block in _triangle_blocks(self.n, self._bits, DEGREE_BLOCK):
+                hi = lo + len(block)
+                a[lo:hi] = block
+                # rows below hi are still clear, so the mirror reads only
+                # the upper triangle, and its operand is a (hi, B) band
+                a[lo:hi, :hi] |= a[:hi, lo:hi].T
             a.setflags(write=False)
             object.__setattr__(self, "_adjacency", a)
         return a
@@ -138,16 +148,31 @@ class Observation:
         """
         masks = self._masks
         if masks is None:
-            a, n = self.adjacency, self.n
+            n = self.n
             if n <= 62:
-                masks = tuple((a @ _POWERS_OF_TWO[:n]).tolist())
+                masks = tuple((self.adjacency @ _POWERS_OF_TWO[:n]).tolist())
             else:
-                packed = np.packbits(a, axis=1, bitorder="little")
-                rows, width = packed.tobytes(), packed.shape[1]
-                masks = tuple(int.from_bytes(rows[i : i + width], "little")
-                              for i in range(0, n * width, width))
+                masks = tuple(int.from_bytes(row, "little") for row in self._packed_rows())
             object.__setattr__(self, "_masks", masks)
         return masks
+
+    def _packed_rows(self) -> np.ndarray:
+        """(n, ceil(n/8)) uint8: row u packed little-endian, bit v of the
+        row set when u and v are adjacent."""
+        if self._bits is None:
+            return np.packbits(self._adjacency, axis=1, bitorder="little")
+        n = self.n
+        packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+        # whole bytes of rows, so that a block's transpose lands on whole
+        # bytes of the rows below it
+        step = -(-DEGREE_BLOCK // 8) * 8
+        for lo, block in _triangle_blocks(n, self._bits, step):
+            packed[lo : lo + len(block)] |= np.packbits(block, axis=1, bitorder="little")
+            # column v of the block holds row v's bits in columns lo..hi-1:
+            # pack down the columns, then transpose the small packed block
+            down = np.packbits(block[:, lo:], axis=0, bitorder="little")
+            packed[lo:, lo // 8 : lo // 8 + len(down)] |= down.T
+        return packed
 
     @property
     def row_degrees(self) -> tuple[int, ...]:
@@ -170,8 +195,11 @@ class Observation:
         # a degree is its row's plus its column's count in the upper
         # triangle; int32 accumulators (degrees are < n) sum uint8 about
         # twice as fast as int64 ones
-        upper = _upper_triangle(self.n, self._bits).view(np.uint8)
-        both = upper.sum(axis=1, dtype=np.int32) + upper.sum(axis=0, dtype=np.int32)
+        both = np.zeros(self.n, dtype=np.int32)
+        for lo, block in _triangle_blocks(self.n, self._bits, DEGREE_BLOCK):
+            upper = block.view(np.uint8)
+            both[lo : lo + len(upper)] += upper.sum(axis=1, dtype=np.int32)
+            both[lo:] += upper[:, lo:].sum(axis=0, dtype=np.int32)
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
@@ -183,8 +211,17 @@ class Observation:
         return bool(self.adjacency[u, v])
 
     def edges(self) -> list[tuple[int, int]]:
-        rows, cols = np.nonzero(np.triu(self.adjacency, 1))
-        return [(int(u), int(v)) for u, v in zip(rows, cols)]
+        """The edges (u, v), u < v, in row-major order."""
+        if self._bits is None:
+            rows, cols = np.nonzero(np.triu(self._adjacency, 1))
+        else:
+            # pair i lies in the last row u whose first pair is at or before i
+            n, pos = self.n, np.flatnonzero(self._bits)
+            u = np.arange(n, dtype=np.int64)
+            starts = _pair_index(u, u + 1, n)
+            rows = np.searchsorted(starts, pos, side="right") - 1
+            cols = pos - starts[rows] + rows + 1
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def to_graph(self) -> Graph:
         return Graph(self.n, self.edges())
@@ -335,13 +372,22 @@ def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def _upper_triangle(n: int, bits: np.ndarray) -> np.ndarray:
-    """A new (n, n) boolean matrix holding the row-major bits in its strict
-    upper triangle, filled one row slice at a time."""
-    a = np.zeros((n, n), dtype=bool)
+def _triangle_blocks(n: int, bits: np.ndarray, step: int):
+    """Walk the strict upper triangle of the row-major bits `step` rows at a
+    time: yield (lo, block) with block[i] row lo + i of the (n, n) matrix,
+    clear on and left of the diagonal. Every block is a view of one reused
+    (step, n) buffer, valid until the next one is drawn."""
+    buf = np.zeros((min(step, n), n), dtype=bool)
     start = 0
-    for u in range(n - 1):
-        stop = start + n - 1 - u
-        a[u, u + 1 :] = bits[start:stop]
-        start = stop
-    return a
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = buf[: hi - lo]
+        if lo:
+            # buffer row i held row lo - step + i, written from column
+            # lo - step + i + 1 on; row lo + i is clear up to column lo + i
+            block[:, lo - step + 1 : hi] = False
+        for i, u in enumerate(range(lo, hi)):
+            stop = start + n - 1 - u
+            block[i, u + 1 :] = bits[start:stop]
+            start = stop
+        yield lo, block

@@ -23,6 +23,18 @@ from plantedlab import Graph, densest_vertex_set, max_subgraph_density
 from plantedlab.invariants import _densest_cut, _embeddings
 
 
+def edge_subgraph(g: Graph, edges) -> Graph:
+    """Subgraph of `g` on the given edges, keeping the original labels."""
+    return Graph(g.n, [(u, v) if u < v else (v, u) for u, v in edges])
+
+
+def without_isolated(g: Graph) -> Graph:
+    """Compact relabeling of `g` that drops its isolated vertices."""
+    vs = sorted({x for e in g.edges for x in e})
+    index = {v: i for i, v in enumerate(vs)}
+    return Graph(len(vs), [(index[u], index[v]) for u, v in g.edges])
+
+
 def random_graph(rng, n: int, p_edge: float) -> Graph:
     edges = [e for e in combinations(range(n), 2) if rng.random() < p_edge]
     return Graph(n, edges)
@@ -45,7 +57,7 @@ def random_pattern(rng, max_vertices: int, p_edge: float = 0.5) -> Graph:
         n = int(rng.integers(2, max_vertices + 1))
         g = random_graph(rng, n, p_edge)
         if g.num_edges:
-            return g.without_isolated()
+            return without_isolated(g)
 
 
 def swapped_relabelling(rng, a: Graph, max_swaps: int) -> Graph:
@@ -205,7 +217,7 @@ def brute_isomorphic(a: Graph, b: Graph) -> bool:
 
 def brute_copies(pattern: Graph, host: Graph) -> int:
     """Distinct subgraphs of `host` isomorphic to `pattern` (as edge sets)."""
-    p = pattern.without_isolated()
+    p = without_isolated(pattern)
     host_edges = set(host.edges)
     seen = set()
     for verts in permutations(range(host.n), p.n):
@@ -218,7 +230,7 @@ def brute_copies(pattern: Graph, host: Graph) -> int:
 
 
 def brute_copies_in_complete(pattern: Graph, n: int) -> int:
-    p = pattern.without_isolated()
+    p = without_isolated(pattern)
     seen = set()
     for verts in permutations(range(n), p.n):
         seen.add(
@@ -276,7 +288,7 @@ def matrix_tree_count(g: Graph) -> int:
 def brute_scan_statistic(obs_adj: np.ndarray, target: Graph) -> int:
     """max over injective placements of `target` of the observed edge count:
     every vertex set of its size, in every order, counted in numpy."""
-    t = target.without_isolated()
+    t = without_isolated(target)
     a = np.asarray(obs_adj, dtype=bool)
     orders = np.array(list(permutations(range(t.n))), dtype=np.intp).reshape(-1, t.n)
     ends = np.array(t.edges, dtype=np.intp).reshape(-1, 2)
@@ -336,7 +348,7 @@ def all_pairs(n: int) -> list[tuple[int, int]]:
 
 def copy_masks(pattern: Graph, n: int) -> list[int]:
     """Every copy of `pattern` in K_n as a bitmask over all_pairs(n)."""
-    p = pattern.without_isolated()
+    p = without_isolated(pattern)
     bit = {pair: i for i, pair in enumerate(all_pairs(n))}
     seen = set()
     for verts in permutations(range(n), p.n):

@@ -44,6 +44,7 @@ from oracles import (
     brute_connected_sets,
     brute_max_density,
     brute_vertex_cover,
+    edge_subgraph,
     exact_distributions,
     exact_risk,
     hypergeom_pmf,
@@ -51,6 +52,7 @@ from oracles import (
     random_connected_graph,
     random_graph,
     tv_distance,
+    without_isolated,
 )
 
 TRIANGLE = complete_graph(3)
@@ -198,7 +200,7 @@ def test_a7_decomposition_guarantee():
             for part in dec.parts:
                 if part.num_edges == 0:
                     continue
-                trimmed = part.without_isolated()
+                trimmed = without_isolated(part)
                 tau = vertex_cover_number(trimmed)
                 assert tau * part.max_degree() <= bound * (1 + 1e-9), (
                     f"tau*d = {tau * part.max_degree()} > {bound}"
@@ -237,7 +239,7 @@ def test_a8_combinatorial_bounds():
             keep = [e for e in g.edges if rng.random() < 0.5]
             if not keep:
                 continue
-            sub = g.edge_subgraph(keep).without_isolated()
+            sub = without_isolated(edge_subgraph(g, keep))
             ell = sub.n
             m = len(sub.components())
             lhs = containment_probability(sub, g, n)

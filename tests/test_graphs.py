@@ -24,7 +24,7 @@ from plantedlab import (
 )
 from plantedlab.errors import FormatError
 
-from oracles import random_graph
+from oracles import edge_subgraph, random_graph, without_isolated
 
 
 class TestGraphBasics:
@@ -74,18 +74,116 @@ class TestGraphBasics:
     def test_edge_subgraph(self):
         g = complete_graph(4)
         keep = [(0, 1), (2, 3)]
-        assert g.edge_subgraph(keep).edges == ((0, 1), (2, 3))
-        relabeled = g.edge_subgraph([(1, 3)]).without_isolated()
+        assert edge_subgraph(g, keep).edges == ((0, 1), (2, 3))
+        relabeled = without_isolated(edge_subgraph(g, [(1, 3)]))
         assert relabeled.n == 2 and relabeled.edges == ((0, 1),)
 
     def test_without_isolated(self):
         g = Graph(5, [(1, 3)])
-        assert g.without_isolated() == Graph(2, [(0, 1)])
+        assert without_isolated(g) == Graph(2, [(0, 1)])
 
     def test_is_pattern(self):
         assert is_pattern(Graph(2, [(0, 1)]))
         assert not is_pattern(Graph(3, [(0, 1)]))  # isolated vertex
         assert not is_pattern(Graph(2, []))
+
+
+class TestConstruction:
+    """One validating pass, duplicates found on the sorted edges, and
+    neighbour sets built on first read."""
+
+    # self-loop, out-of-range and duplicate edges on n = 4, in every input
+    # order; the first offending edge in input order names the error
+    OFFENCES = {"L": (2, 2), "R": (0, 4), "D": (1, 3), "d": (3, 1),
+                "S": (5, 5), "N": (-1, 2), "E": (0, 2)}
+    MALFORMED = [
+        ("DLRd", SelfLoopError, "self-loop at vertex 2"),
+        ("DLdR", SelfLoopError, "self-loop at vertex 2"),
+        ("DRLd", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("DRdL", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("DdLR", DuplicateEdgeError, "duplicate edge (1, 3)"),
+        ("DdRL", DuplicateEdgeError, "duplicate edge (1, 3)"),
+        ("LDRd", SelfLoopError, "self-loop at vertex 2"),
+        ("LDdR", SelfLoopError, "self-loop at vertex 2"),
+        ("LRDd", SelfLoopError, "self-loop at vertex 2"),
+        ("LRdD", SelfLoopError, "self-loop at vertex 2"),
+        ("LdDR", SelfLoopError, "self-loop at vertex 2"),
+        ("LdRD", SelfLoopError, "self-loop at vertex 2"),
+        ("RDLd", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("RDdL", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("RLDd", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("RLdD", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("RdDL", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("RdLD", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("dDLR", DuplicateEdgeError, "duplicate edge (1, 3)"),
+        ("dDRL", DuplicateEdgeError, "duplicate edge (1, 3)"),
+        ("dLDR", SelfLoopError, "self-loop at vertex 2"),
+        ("dLRD", SelfLoopError, "self-loop at vertex 2"),
+        ("dRDL", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("dRLD", VertexOutOfRangeError, "edge (0,4) outside [0,4)"),
+        ("EENS", DuplicateEdgeError, "duplicate edge (0, 2)"),
+        ("EESN", DuplicateEdgeError, "duplicate edge (0, 2)"),
+        ("ENES", VertexOutOfRangeError, "edge (-1,2) outside [0,4)"),
+        ("ENSE", VertexOutOfRangeError, "edge (-1,2) outside [0,4)"),
+        ("ESEN", SelfLoopError, "self-loop at vertex 5"),
+        ("ESNE", SelfLoopError, "self-loop at vertex 5"),
+        ("NEES", VertexOutOfRangeError, "edge (-1,2) outside [0,4)"),
+        ("NESE", VertexOutOfRangeError, "edge (-1,2) outside [0,4)"),
+        ("NSEE", VertexOutOfRangeError, "edge (-1,2) outside [0,4)"),
+        ("SEEN", SelfLoopError, "self-loop at vertex 5"),
+        ("SENE", SelfLoopError, "self-loop at vertex 5"),
+        ("SNEE", SelfLoopError, "self-loop at vertex 5"),
+    ]
+
+    @pytest.mark.parametrize("order,error,message", MALFORMED)
+    @pytest.mark.parametrize("container", [list, iter])
+    def test_first_offending_edge_names_the_error(self, order, error, message, container):
+        edges = [(0, 1)] + [self.OFFENCES[c] for c in order] + [(2, 3)]
+        with pytest.raises(error) as caught:
+            Graph(4, container(edges))
+        assert type(caught.value) is error and str(caught.value) == message
+
+    def test_input_forms(self):
+        e = (0, 3)
+        g = Graph(4, [e, [2, 1], (np.int64(3), np.int64(2)), (0, 1)])
+        assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+        assert all(type(edge) is tuple for edge in g.edges)
+        assert any(edge is e for edge in g.edges)  # a canonical tuple is kept
+        assert hash(g) == hash((4, g.edges)) == hash(Graph(4, g.edges))
+
+    READERS = {
+        "neighbors": lambda g: [g.neighbors(v) for v in range(g.n)],
+        "degree": lambda g: [g.degree(v) for v in range(g.n)],
+        "degrees": lambda g: g.degrees(),
+        "max_degree": lambda g: g.max_degree(),
+        "has_edge": lambda g: [g.has_edge(u, v) for u in range(-1, g.n + 1) for v in range(g.n)],
+        "components": lambda g: g.components(),
+    }
+
+    def test_neighbour_sets_built_on_first_read(self):
+        rng = np.random.default_rng(27)
+        for _ in range(40):
+            g = random_graph(rng, int(rng.integers(1, 12)), 0.3)
+            copy = Graph(g.n, reversed([(v, u) for u, v in g.edges]))
+            assert copy == g and hash(copy) == hash(g)
+            assert g.isolated_vertices() == [v for v in range(g.n)
+                                             if all(v not in e for e in g.edges)]
+            assert g._adj is None, "edges, hash, == or isolated_vertices built the sets"
+            want = tuple(frozenset(w for e in g.edges if v in e for w in e if w != v)
+                         for v in range(g.n))
+            expected = Graph(g.n, g.edges)
+            object.__setattr__(expected, "_adj", want)  # the eager sets
+            for read in self.READERS.values():
+                fresh = Graph(g.n, g.edges)
+                assert read(fresh) == read(expected)
+                assert fresh._adj == want
+                sets = fresh._adj
+                assert read(fresh) == read(expected) and fresh._adj is sets
+
+    def test_count_pattern_builds_no_neighbour_sets(self):
+        g = make_family("clique:200")
+        assert is_pattern(g) and g.num_edges == 19900
+        assert g._adj is None
 
 
 class TestEdgeListFormat:

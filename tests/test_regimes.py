@@ -33,7 +33,7 @@ from plantedlab import (
     vertex_cover_number,
 )
 
-from oracles import random_graph
+from oracles import random_graph, without_isolated
 
 TRIANGLE = complete_graph(3)
 
@@ -104,7 +104,7 @@ class TestVcdDecompose:
             assert part.max_degree() ** num_parts <= d ** (num_parts - i + 1)
             if part.num_edges == 0:
                 continue
-            trimmed = part.without_isolated()
+            trimmed = without_isolated(part)
             tau = vertex_cover_number(trimmed)
             assert tau * part.max_degree() <= budget * (1 + 1e-9), (
                 f"part {i}: tau*d = {tau * part.max_degree()} "

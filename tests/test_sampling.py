@@ -354,6 +354,40 @@ class TestDrawContract:
         assert straddled and (in_partial or chunk == 1)
 
 
+class TestTriangleBlocks:
+    """Degrees, row masks, adjacency and edges of a sampled draw, walked
+    DEGREE_BLOCK rows at a time, against the same graph built as
+    `Observation(adjacency)` from its bits, at every block edge."""
+
+    @pytest.mark.parametrize("block", [1, 7, 8, 64])
+    @pytest.mark.parametrize("q", [0.4, 1.0])
+    def test_match_the_matrix_route(self, block, q, monkeypatch):
+        monkeypatch.setattr(sampling, "DEGREE_BLOCK", block)
+        sizes = {1, 2, 3, 63, 64, block - 1, block, block + 1, block + 2, 2 * block + 1, 1000}
+        for n in sorted(sizes - {0}):
+            obs = sample_null(n, q, stream(27, n, block))
+            a = np.zeros((n, n), dtype=bool)
+            a[np.triu_indices(n, 1)] = obs._bits
+            want = Observation(a | a.T)
+            degrees = obs.degrees()
+            assert degrees.dtype == np.int64 and np.array_equal(degrees, want.degrees())
+            assert obs.max_degree() == want.max_degree()
+            assert obs.edges() == want.edges()
+            assert obs.row_masks == want.row_masks
+            assert obs.row_degrees == want.row_degrees
+            # up to n = 62 the masks are the matrix's int64 product
+            assert (obs._adjacency is None) == (n > 62), "a walk built the matrix"
+            assert obs.adjacency.tobytes() == want.adjacency.tobytes()
+            assert not obs.adjacency.flags.writeable
+            assert obs.to_graph() == want.to_graph()
+
+    def test_edges_are_python_int_pairs(self):
+        obs, _ = sample_planted(TestDrawMemory.PARAMS, stream(5))
+        edges = obs.edges()
+        assert all(type(u) is int and type(v) is int and u < v for u, v in edges)
+        assert edges == sorted(edges) and len(edges) == obs.num_edges
+
+
 class TestDrawMemory:
     """A draw holds its bits, one byte per pair, and one chunk of uniforms;
     numpy reports its buffers to tracemalloc."""
@@ -361,14 +395,17 @@ class TestDrawMemory:
     N = 3000
     PARAMS = ModelParams(n=N, p=0.9, q=0.2, pattern=make_family("star:300"))
 
-    def peak_bytes_per_pair(self, run):
+    @staticmethod
+    def peak_bytes(run):
         tracemalloc.start()
         try:
             run()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak / (self.N * (self.N - 1) // 2)
+
+    def peak_bytes_per_pair(self, run):
+        return self.peak_bytes(run) / (self.N * (self.N - 1) // 2)
 
     def test_null(self):
         assert self.peak_bytes_per_pair(lambda: sample_null(self.N, 0.2, stream(3))) < 1.5
@@ -379,6 +416,24 @@ class TestDrawMemory:
     def test_risk_trials_hold_one_draw_at_a_time(self):
         peak = self.peak_bytes_per_pair(lambda: estimate_risk("count", self.PARAMS, 2, seed=0))
         assert peak < 1.5
+
+    def test_degree_trial_builds_no_matrix(self):
+        peak = self.peak_bytes_per_pair(lambda: estimate_risk("degree", self.PARAMS, 1, seed=0))
+        assert peak < 1.5
+
+    def test_row_masks_build_no_matrix(self):
+        peak = self.peak_bytes_per_pair(lambda: sample_null(self.N, 0.2, stream(3)).row_masks)
+        assert peak < 2.5
+
+    @pytest.mark.parametrize("block", [64, 256])
+    def test_walks_hold_one_block_beyond_the_bits(self, block, monkeypatch):
+        """Degrees take a block of rows and a few vectors beyond the bits;
+        row masks add their packed rows and their ints, n^2/8 bytes each."""
+        monkeypatch.setattr(sampling, "DEGREE_BLOCK", block)
+        n, obs = self.N, sample_null(self.N, 0.2, stream(3))
+        walk = 2 * block * n + 64 * n
+        assert self.peak_bytes(obs.degrees) < walk
+        assert self.peak_bytes(lambda: obs.row_masks) < 2 * n * n / 8 + walk
 
 
 class TestEmbeddedCopy:
