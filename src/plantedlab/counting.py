@@ -1,7 +1,7 @@
 """Exact counting oracles: copies of a pattern in a host graph, copies in
 the complete graph, containment probabilities for a uniformly random copy,
 and the copy-overlap tally of the likelihood-ratio test and pair
-enumeration.
+enumeration, which reads a graph as its row-major pair bits.
 
 All results are exact integers or rationals. Each public call spends from
 one work meter (`trace`), and the copy-overlap tally refuses past a memory
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import PlantedLabError
 from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
+from .sampling import _pair_index
 from .trace import check_bytes, metered, spend
 
 COPY_OVERLAP_BYTES = 10**7  # the copy-overlap arrays of about 10^6 copies
@@ -114,27 +115,26 @@ def _labelled_copies(pattern: Graph) -> np.ndarray:
 
 @lru_cache(maxsize=4)  # up to COPY_OVERLAP_BYTES each
 def _subset_cells(pattern: Graph, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, weights): cells[s, j] is the flat index S[a]*n + S[b] of the
-    j-th pair (a, b) of `combinations(range(k), 2)` carried onto the s-th
-    k-subset S of [n], for the pattern's k vertices, and weights[j] = 2**j.
-    Refused past `COPY_OVERLAP_BYTES` of the tally's arrays: 9 bytes a copy,
-    8 a subset vertex and 17 a subset pair."""
+    """(cells, weights): cells[s, j] is the `_pair_index` of the j-th pair
+    (a, b) of `combinations(range(k), 2)` carried onto the s-th k-subset S
+    of [n], for the pattern's k vertices, and weights[j] = 2**j. Refused
+    past `COPY_OVERLAP_BYTES` of the tally's arrays: 9 bytes a copy, 8 a
+    subset vertex and 17 a subset pair."""
     k = pattern.n
     needed = 9 * copies_in_complete(pattern, n) + comb(n, k) * (8 * k + 17 * comb(k, 2) + 8)
     check_bytes("copy-overlap tally", needed, COPY_OVERLAP_BYTES)
     subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp).reshape(-1, k)
     a, b = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
-    cells = subsets[:, a] * n + subsets[:, b]
+    cells = _pair_index(subsets[:, a], subsets[:, b], n)
     weights = np.uint64(1) << np.arange(a.size, dtype=np.uint64)
     for array in (cells, weights):
         array.flags.writeable = False
     return cells, weights
 
 
-def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
+def _copy_overlaps(pattern: Graph, n: int, bits: np.ndarray) -> list[int]:
     """tally[j] = number of copies of the pattern in K_n that share exactly
-    j edges with the graph of the (n, n) boolean `adjacency`, for
-    j = 0..|e(pattern)|; only its upper triangle is read.
+    j edges, j = 0..|e(pattern)|, with the graph of the row-major pair `bits`.
 
     A copy of a pattern without isolated vertices is its vertex set, a
     k-subset S of [n], and a labelled copy on [k] carried onto S in
@@ -142,6 +142,6 @@ def _copy_overlaps(pattern: Graph, n: int, adjacency: np.ndarray) -> list[int]:
     with the pairs of the graph inside S, renamed onto [k].
     """
     cells, weights = _subset_cells(pattern, n)
-    inside = adjacency.ravel()[cells] @ weights  # pair mask of each subset
+    inside = bits[cells] @ weights  # pair mask of each subset
     shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()

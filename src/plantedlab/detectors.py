@@ -17,9 +17,9 @@ of the target take increasing ranks. A branch dies when the target edges
 still to place, the degree sum of the ranks the later positions may take,
 or the neighbour counts of the free host vertices (how many placed images
 each is adjacent to, kept as bit-sliced layers), cannot lift it above the
-incumbent. The degree test reads the same cached degrees when the
-observation was built from a matrix. The likelihood-ratio test tallies
-copies by shared edges from the adjacency.
+incumbent. The degree test reads the same cached degrees when a small
+observation's matrix is at hand. The likelihood-ratio test tallies copies
+by shared edges from the observation's pair bits.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def likelihood_ratio_test(
     denominator, and divided once.
     """
     num_copies = copies_in_complete(params.pattern, params.n)
-    tally = _copy_overlaps(params.pattern, params.n, obs.adjacency)
+    tally = _copy_overlaps(params.pattern, params.n, obs._bits)
     assert sum(tally) == num_copies
     weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
     total = sum(map(mul, tally, weights))

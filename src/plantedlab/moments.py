@@ -45,7 +45,7 @@ from .counting import containment_probability  # noqa: F401  bench/spans.py wrap
 from .errors import DegenerateQError, InvalidMomentError, PatternTooLargeError
 from .graphs import Graph, is_pattern
 from .invariants import _placement_plan, _twin_classes, isomorphic
-from .sampling import batched_copy_images
+from .sampling import _edge_endpoints, _pair_index, batched_copy_images
 from .trace import left, metered, spend
 
 MC_CHUNK_BYTES = 1 << 24  # copy images held at once by the Monte Carlo paths
@@ -169,8 +169,8 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     its shared edges with a fixed one. Independent of the shared-edge law;
     exact on small instances (see `counting.COPY_OVERLAP_BYTES`)."""
     pattern, n = mp.pattern, mp.n
-    fixed = np.zeros((n, n), dtype=bool)
-    fixed[tuple(np.array(pattern.edges).T)] = True  # the copy on [k], u < v
+    fixed = np.zeros(n * (n - 1) // 2, dtype=bool)
+    fixed[_pair_index(*_edge_endpoints(pattern).T, n)] = True  # the copy on [k]
     tally = _copy_overlaps(pattern, n, fixed)
     num_copies = sum(tally)
     assert num_copies == copies_in_complete(pattern, n)

@@ -3,21 +3,22 @@ random copies of a pattern graph in the complete graph.
 
 Randomness contract: every sampler takes a numpy Generator. Use
 stream(seed, *indices) to derive the generator for one trial; the derivation
-is pure, so trial k is reproducible regardless of execution order. Observation
-matrices are filled from one uniform draw per unordered pair, in row-major
-upper-triangle order, after the copy (if any) has been drawn.
+is pure, so trial k is reproducible regardless of execution order. An
+observation is one bit per unordered pair, in row-major upper-triangle order
+(`_pair_index`), each drawn from one uniform after the copy (if any).
 
 The uniforms are drawn DRAW_CHUNK at a time into one buffer local to the
 call, and each chunk is compared into the draw's boolean bits as it comes, so
 a draw holds one byte per pair plus one chunk. The generator's `random` fills
 sequentially, so the chunked draw equals one `random(C(n,2))` bit for bit.
-What an observation derives from its bits (degrees, row masks, the matrix)
-walks them DEGREE_BLOCK rows at a time through one reused buffer, so no
-reader but `adjacency` holds an n x n array.
+Edge tests, edges, equality and hash read the bits in place; degrees, row
+masks and the matrix walk them DEGREE_BLOCK rows at a time through one reused
+buffer, so no reader but `adjacency` holds an n x n array.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -76,14 +77,12 @@ _POWERS_OF_TWO = 1 << np.arange(62, dtype=np.int64)
 
 
 class Observation:
-    """A simple graph on [0, n), observed under one hypothesis.
-
-    `Observation(adjacency)` validates and copies a symmetric boolean
-    matrix. A sampled observation keeps the row-major upper-triangle bits it
-    was drawn as: its edge count and edges come from the bits, its degrees
-    and (above n = 62) row masks from a walk over them DEGREE_BLOCK rows at
-    a time, and `adjacency` is built only when a caller reads it. Either
-    kind builds `row_masks` and `row_degrees` on first read and keeps them.
+    """A simple graph on [0, n), observed under one hypothesis, held as its
+    C(n,2) row-major upper-triangle bits. `Observation(adjacency)` validates
+    a symmetric boolean matrix and keeps it, read-only, as the `adjacency`
+    cache; a sampled observation builds `adjacency` only when a caller reads
+    it. Degrees and (above n = 62) row masks walk the bits DEGREE_BLOCK rows
+    at a time; `row_masks` and `row_degrees` are built on first read.
     """
 
     __slots__ = ("n", "_bits", "_adjacency", "_masks", "_row_degrees")
@@ -99,25 +98,27 @@ class Observation:
             raise ValueError("adjacency has a nonzero diagonal")
         if raw != a.T.tobytes():
             raise ValueError("adjacency is not symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_bits", None)
-        object.__setattr__(self, "_adjacency", np.frombuffer(raw, dtype=bool).reshape(n, n))
-        object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_row_degrees", None)
+        flat = np.frombuffer(raw, bool)  # a positional dtype parses ~0.25 us faster
+        # its pairs u < v: up to n = 62 one gather through cached cells
+        bits = flat[_upper_cells(n)] if n <= 62 else np.concatenate(
+            [flat[u * n + u + 1 : (u + 1) * n] for u in range(n)]
+        )
+        self._hold(n, bits, flat.reshape(n, n))
 
     @classmethod
     def _from_bits(cls, n: int, bits: np.ndarray) -> "Observation":
-        """Take ownership of the C(n,2) row-major upper-triangle bits; the
-        matrix built from them is symmetric by construction, so there is
-        nothing to check and nothing to copy."""
+        """Take ownership of the C(n,2) row-major upper-triangle bits: a
+        graph by construction, so there is nothing to check or copy."""
+        return object.__new__(cls)._hold(n, bits, None)
+
+    def _hold(self, n: int, bits: np.ndarray, adjacency: np.ndarray | None) -> "Observation":
         bits.setflags(write=False)
-        obs = object.__new__(cls)
-        object.__setattr__(obs, "n", n)
-        object.__setattr__(obs, "_bits", bits)
-        object.__setattr__(obs, "_adjacency", None)
-        object.__setattr__(obs, "_masks", None)
-        object.__setattr__(obs, "_row_degrees", None)
-        return obs
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_adjacency", adjacency)
+        object.__setattr__(self, "_masks", None)
+        object.__setattr__(self, "_row_degrees", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Observation is immutable")
@@ -148,9 +149,8 @@ class Observation:
         """
         masks = self._masks
         if masks is None:
-            n = self.n
-            if n <= 62:
-                masks = tuple((self.adjacency @ _POWERS_OF_TWO[:n]).tolist())
+            if self.n <= 62:
+                masks = tuple((self.adjacency @ _POWERS_OF_TWO[: self.n]).tolist())
             else:
                 masks = tuple(int.from_bytes(row, "little") for row in self._packed_rows())
             object.__setattr__(self, "_masks", masks)
@@ -159,8 +159,6 @@ class Observation:
     def _packed_rows(self) -> np.ndarray:
         """(n, ceil(n/8)) uint8: row u packed little-endian, bit v of the
         row set when u and v are adjacent."""
-        if self._bits is None:
-            return np.packbits(self._adjacency, axis=1, bitorder="little")
         n = self.n
         packed = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
         # whole bytes of rows, so that a block's transpose lands on whole
@@ -185,16 +183,11 @@ class Observation:
 
     @property
     def num_edges(self) -> int:
-        if self._bits is not None:
-            return int(np.count_nonzero(self._bits))
-        return int(np.count_nonzero(self._adjacency)) // 2
+        return int(np.count_nonzero(self._bits))
 
     def degrees(self) -> np.ndarray:
-        if self._bits is None:
-            return self._adjacency.sum(axis=1, dtype=np.int64)
-        # a degree is its row's plus its column's count in the upper
-        # triangle; int32 accumulators (degrees are < n) sum uint8 about
-        # twice as fast as int64 ones
+        # a degree is its row's plus its column's count in the upper triangle;
+        # int32 accumulators (degrees are < n) sum uint8 2x as fast as int64
         both = np.zeros(self.n, dtype=np.int32)
         for lo, block in _triangle_blocks(self.n, self._bits, DEGREE_BLOCK):
             upper = block.view(np.uint8)
@@ -203,24 +196,24 @@ class Observation:
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
-        if self._bits is None:
+        # a small graph's matrix, when at hand, beats a walk over the bits
+        if self._adjacency is not None and self.n <= 62:
             return max(self.row_degrees, default=0)
-        return int(self.degrees().max())
+        return int(self.degrees().max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u, v])
+        """As `Graph.has_edge`: False for u == v or a vertex outside [0, n)."""
+        u, v = min(u, v), max(u, v)
+        return bool(0 <= u < v < self.n and self._bits[_pair_index(u, v, self.n)])
 
     def edges(self) -> list[tuple[int, int]]:
         """The edges (u, v), u < v, in row-major order."""
-        if self._bits is None:
-            rows, cols = np.nonzero(np.triu(self._adjacency, 1))
-        else:
-            # pair i lies in the last row u whose first pair is at or before i
-            n, pos = self.n, np.flatnonzero(self._bits)
-            u = np.arange(n, dtype=np.int64)
-            starts = _pair_index(u, u + 1, n)
-            rows = np.searchsorted(starts, pos, side="right") - 1
-            cols = pos - starts[rows] + rows + 1
+        # pair i lies in the last row u whose first pair is at or before i
+        n, pos = self.n, np.flatnonzero(self._bits)
+        u = np.arange(n, dtype=np.int64)
+        starts = _pair_index(u, u + 1, n)
+        rows = np.searchsorted(starts, pos, side="right") - 1
+        cols = pos - starts[rows] + rows + 1
         return list(zip(rows.tolist(), cols.tolist()))
 
     def to_graph(self) -> Graph:
@@ -228,18 +221,19 @@ class Observation:
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Observation":
-        a = np.zeros((g.n, g.n), dtype=bool)
-        for u, v in g.edges:
-            a[u, v] = a[v, u] = True
-        return cls(a)
+        bits = np.zeros(g.n * (g.n - 1) // 2, dtype=bool)
+        u, v = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+        bits[_pair_index(u, v, g.n)] = True
+        return cls._from_bits(g.n, bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Observation):
             return NotImplemented
-        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
+        return self.n == other.n and memoryview(self._bits) == memoryview(other._bits)
 
     def __hash__(self):
-        return hash((self.n, self.adjacency.tobytes()))
+        # in place, as __eq__ reads them; a memoryview of an array is unhashable
+        return zlib.crc32(self._bits)
 
     def __repr__(self) -> str:
         return f"Observation(n={self.n}, edges={self.num_edges})"
@@ -370,6 +364,12 @@ def _image_endpoints(
 def _pair_index(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """Position of each pair u < v in row-major upper-triangle order."""
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
+@lru_cache(maxsize=None)
+def _upper_cells(n: int) -> np.ndarray:
+    """Flat positions u*n + v of the pairs u < v of an (n, n) matrix."""
+    return np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
 
 
 def _triangle_blocks(n: int, bits: np.ndarray, step: int):

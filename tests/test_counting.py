@@ -173,11 +173,13 @@ class TestConnectedSets:
         assert brute_connected_sets(star, 3, 1) == 4
 
 
-def adjacency_of(n, edges):
-    a = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        a[u, v] = a[v, u] = True
-    return a
+def pair_bits(n, edges):
+    """The C(n,2) bits of the graph on [n] with these edges, bit i for the
+    i-th pair of all_pairs(n)."""
+    bit = {pair: i for i, pair in enumerate(all_pairs(n))}
+    bits = np.zeros(len(bit), dtype=bool)
+    bits[[bit[edge] for edge in edges]] = True
+    return bits
 
 
 def check_copy_overlaps(pattern, n, rng):
@@ -192,7 +194,7 @@ def check_copy_overlaps(pattern, n, rng):
         tally = [0] * (pattern.num_edges + 1)
         for mask in masks:
             tally[(mask & given).bit_count()] += 1
-        assert _copy_overlaps(pattern, n, adjacency_of(n, edges)) == tally
+        assert _copy_overlaps(pattern, n, pair_bits(n, edges)) == tally
 
 
 class TestCopyEdgeMasks:
@@ -211,7 +213,7 @@ class TestCopyEdgeMasks:
             assert list(_labelled_copies(pattern)) == copy_masks(pattern, pattern.n)
             for n in range(pattern.n, 8):
                 check_copy_overlaps(pattern, n, rng)
-                copies = sum(_copy_overlaps(pattern, n, adjacency_of(n, [])))
+                copies = sum(_copy_overlaps(pattern, n, pair_bits(n, [])))
                 assert copies == copies_in_complete(pattern, n)
 
 

@@ -104,6 +104,17 @@ class TestObservation:
         assert obs.max_degree() == 4
         assert obs.has_edge(0, 3) and not obs.has_edge(1, 2)
 
+    def test_has_edge_reads_as_the_graph(self):
+        """Equal vertices and vertices outside [0, n) read False, as in
+        `Graph.has_edge`, whichever constructor built the observation."""
+        sampled = sample_null(7, 0.5, stream(28))
+        star = make_family("star:4")
+        for obs in (sampled, Observation(sampled.adjacency), Observation.from_graph(star)):
+            g = obs.to_graph()
+            for u in range(-1, obs.n + 1):
+                for v in range(-1, obs.n + 1):
+                    assert obs.has_edge(u, v) is g.has_edge(u, v), (u, v)
+
 
 class TestRowMasks:
     """Row masks and degrees, built on first read, against the matrix rows
@@ -266,6 +277,15 @@ class TestSamplePlanted:
         assert pvalue > 1e-3
 
 
+def matrix_reads(a):
+    """(degrees, edges, row masks) read off the symmetric boolean matrix a
+    itself: the reference for every walk over an observation's bits."""
+    rows, cols = np.nonzero(np.triu(a, 1))
+    packed = np.packbits(a, axis=1, bitorder="little")
+    masks = tuple(int.from_bytes(row, "little") for row in packed)
+    return a.sum(axis=1).tolist(), list(zip(rows.tolist(), cols.tolist())), masks
+
+
 def assert_same_observation(obs, expected):
     """A fresh sampled `obs` reads as `Observation(expected)` on every
     accessor, before its adjacency is built and after, and the adjacency it
@@ -276,6 +296,8 @@ def assert_same_observation(obs, expected):
     assert counts[0] == want.num_edges and counts[2] == want.max_degree()
     assert counts[1].dtype == np.int64
     assert np.array_equal(counts[1], want.degrees())
+    degrees, edges, _ = matrix_reads(expected)
+    assert counts[1].tolist() == degrees and obs.edges() == edges
     adjacency = obs.adjacency
     assert adjacency.tobytes() == want.adjacency.tobytes()
     assert not adjacency.flags.writeable
@@ -369,6 +391,7 @@ class TestTriangleBlocks:
             a = np.zeros((n, n), dtype=bool)
             a[np.triu_indices(n, 1)] = obs._bits
             want = Observation(a | a.T)
+            assert (obs.degrees().tolist(), obs.edges(), obs.row_masks) == matrix_reads(a | a.T)
             degrees = obs.degrees()
             assert degrees.dtype == np.int64 and np.array_equal(degrees, want.degrees())
             assert obs.max_degree() == want.max_degree()
@@ -425,6 +448,18 @@ class TestDrawMemory:
         peak = self.peak_bytes_per_pair(lambda: sample_null(self.N, 0.2, stream(3)).row_masks)
         assert peak < 2.5
 
+    def test_accessors_build_no_matrix(self):
+        """On a sparse draw, edge tests, equality and hash read the bits in
+        place, and edges() holds little beyond the list it returns; the
+        matrix would take two bytes a pair."""
+        obs, twin = (sample_null(self.N, 0.002, stream(3)) for _ in range(2))
+        u, v = obs.edges()[0]
+        assert self.peak_bytes_per_pair(lambda: obs.has_edge(v, u)) < 0.01
+        assert self.peak_bytes_per_pair(lambda: obs == twin) < 0.01
+        assert self.peak_bytes_per_pair(lambda: hash(obs)) < 0.01
+        assert self.peak_bytes_per_pair(obs.edges) < 0.5
+        assert obs._adjacency is None and obs == twin and hash(obs) == hash(twin)
+
     @pytest.mark.parametrize("block", [64, 256])
     def test_walks_hold_one_block_beyond_the_bits(self, block, monkeypatch):
         """Degrees take a block of rows and a few vectors beyond the bits;
@@ -474,6 +509,8 @@ class TestBitsBackedObservation:
         a |= a.T
         want = Observation(a)
         lazy = Observation._from_bits(n, bits.copy())
+        for obs in (want, lazy):
+            assert (obs.degrees().tolist(), obs.edges(), obs.row_masks) == matrix_reads(a)
         assert lazy.n == want.n
         assert lazy.num_edges == want.num_edges == int(bits.sum())
         assert np.array_equal(lazy.degrees(), want.degrees())
@@ -485,8 +522,15 @@ class TestBitsBackedObservation:
         assert lazy.edges() == want.edges()
         assert lazy.to_graph() == want.to_graph()
         u, v = np.random.default_rng(seed).integers(0, n, 2)
-        assert lazy.has_edge(u, v) == want.has_edge(u, v)
-        assert lazy == want and hash(lazy) == hash(want)
+        assert lazy.has_edge(u, v) is want.has_edge(u, v)  # a bool from numpy ints too
+        assert np.array_equal(want._bits, bits) and not want._bits.flags.writeable
+        # equal observations hash equal, whichever constructor built them
+        for obs in (lazy, Observation.from_graph(want.to_graph())):
+            assert obs == want and want == obs and hash(obs) == hash(want)
+        if bits.size:
+            flipped = bits.copy()
+            flipped[seed % bits.size] ^= True
+            assert Observation._from_bits(n, flipped) != want
         assert lazy.num_edges == want.num_edges  # again, with adjacency built
         assert np.array_equal(lazy.degrees(), want.degrees())
 
