@@ -1,6 +1,6 @@
 """Exact counting oracles: copies of a pattern in a host graph, copies in
 the complete graph, containment probabilities for a uniformly random copy,
-and the copy-overlap tally of the likelihood-ratio test and pair
+and the copy-overlap mean of the likelihood-ratio test and pair
 enumeration, which reads a graph as its row-major pair bits.
 
 All results are exact integers or rationals. Each public call spends from
@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
@@ -145,3 +146,15 @@ def _copy_overlaps(pattern: Graph, n: int, bits: np.ndarray) -> list[int]:
     inside = bits[cells] @ weights  # pair mask of each subset
     shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
+
+
+def _copy_overlap_mean(
+    pattern: Graph, n: int, bits: np.ndarray, copies: int, weights, denominator: int
+) -> Fraction:
+    """Mean over the `copies` copies of the pattern in K_n of
+    weights[j] / denominator, j the edges a copy shares with the graph of
+    the pair `bits`: the `_copy_overlaps` tally weighed in one integer sum,
+    divided once."""
+    tally = _copy_overlaps(pattern, n, bits)
+    assert sum(tally) == copies
+    return Fraction(sum(map(mul, tally, weights)), denominator * copies)

@@ -11,14 +11,14 @@ cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 
 The scan statistic, for every target, comes from one branch and bound over
 placements of the target along its placement plan, walked on explicit
-frames over the observation's cached row masks and degrees. Host vertices
-are tried in rank order (degree, highest first, ties by label), and twins
-of the target take increasing ranks. A branch dies when the target edges
-still to place, the degree sum of the ranks the later positions may take,
-or the neighbour counts of the free host vertices (how many placed images
-each is adjacent to, kept as bit-sliced layers), cannot lift it above the
-incumbent. The degree test reads the same cached degrees when a small
-observation's matrix is at hand. The likelihood-ratio test tallies copies
+frames over the observation's cached row masks, whose popcounts are the
+degrees. Host vertices are tried in rank order (degree, highest first, ties
+by label), and twins of the target take increasing ranks. A branch dies
+when the target edges still to place, the degree sum of the ranks the later
+positions may take, or the neighbour counts of the free host vertices (how
+many placed images each is adjacent to, kept as bit-sliced layers), cannot
+lift it above the incumbent. The degree test reads the same popcounts when
+a small observation's matrix is at hand. The likelihood-ratio test tallies copies
 by shared edges from the observation's pair bits.
 """
 
@@ -29,9 +29,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm, log
-from operator import mul
 
-from .counting import _copy_overlaps, copies_in_complete
+from .counting import _copy_overlap_mean, copies_in_complete
 from .graphs import Graph
 from .invariants import _placement_plan, densest_subgraph
 from .moments import chi_square_bernoulli
@@ -219,7 +218,8 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
     walk are not.
     """
     back, twin, steps, nlayers, any_chained = _scan_plan(target)
-    masks, degree = obs.row_masks, obs.row_degrees
+    masks = obs.row_masks
+    degree = list(map(int.bit_count, masks))
     k, n = target.n, obs.n
     ranked = sorted(range(n), key=degree.__getitem__, reverse=True)  # ties by label
     prefix = list(accumulate(map(degree.__getitem__, ranked), initial=0))
@@ -306,12 +306,11 @@ def likelihood_ratio_test(
     over a is taken in integers, on weights cached over one common
     denominator, and divided once.
     """
-    num_copies = copies_in_complete(params.pattern, params.n)
-    tally = _copy_overlaps(params.pattern, params.n, obs._bits)
-    assert sum(tally) == num_copies
-    weights, denominator = _lrt_weights(params.p, params.q, params.pattern.num_edges)
-    total = sum(map(mul, tally, weights))
-    return Verdict(Fraction(total, denominator * num_copies), _ONE)
+    pattern, n = params.pattern, params.n
+    weights, denominator = _lrt_weights(params.p, params.q, pattern.num_edges)
+    copies = copies_in_complete(pattern, n)  # by this module's name: bench/spans.py wraps it
+    value = _copy_overlap_mean(pattern, n, obs._bits, copies, weights, denominator)
+    return Verdict(value, _ONE)
 
 
 @lru_cache(maxsize=128)

@@ -59,13 +59,15 @@ class Graph:
         object.__setattr__(self, "_hash", hash((n, edges)))
 
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        """Build, keep and return every vertex's neighbour set."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        sets = tuple(frozenset(s) for s in adj)
-        object.__setattr__(self, "_adj", sets)
+        """Every vertex's neighbour set, built and kept on the first call."""
+        sets = self._adj
+        if sets is None:
+            adj: list[set[int]] = [set() for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            sets = tuple(frozenset(s) for s in adj)
+            object.__setattr__(self, "_adj", sets)
         return sets
 
     def __setattr__(self, name, value):
@@ -78,36 +80,21 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
-        return adj[v]
+        return self._neighbor_sets()[v]
 
     def degree(self, v: int) -> int:
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
-        return len(adj[v])
+        return len(self._neighbor_sets()[v])
 
     def degrees(self) -> list[int]:
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
-        return [len(s) for s in adj]
+        return [len(s) for s in self._neighbor_sets()]
 
     def max_degree(self) -> int:
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
-        return max((len(s) for s in adj), default=0)
+        return max(map(len, self._neighbor_sets()), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= u < self.n:
             return False
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
-        return v in adj[u]
+        return v in self._neighbor_sets()[u]
 
     def isolated_vertices(self) -> list[int]:
         touched = bytearray(self.n)
@@ -132,9 +119,7 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists (singletons included)."""
-        adj = self._adj
-        if adj is None:
-            adj = self._neighbor_sets()
+        adj = self._neighbor_sets()
         seen = [False] * self.n
         out: list[list[int]] = []
         for s in range(self.n):

@@ -40,12 +40,12 @@ from itertools import combinations, groupby
 
 import numpy as np
 
-from .counting import _copy_overlaps, copies_in_complete
+from .counting import _copy_overlap_mean, copies_in_complete
 from .counting import containment_probability  # noqa: F401  bench/spans.py wraps it by this name
-from .errors import DegenerateQError, InvalidMomentError, PatternTooLargeError
-from .graphs import Graph, is_pattern
+from .errors import DegenerateQError, InvalidMomentError
+from .graphs import Graph
 from .invariants import _placement_plan, _twin_classes, isomorphic
-from .sampling import _edge_endpoints, _pair_index, batched_copy_images
+from .sampling import _check_instance, _edge_endpoints, _pair_index, batched_copy_images
 from .trace import left, metered, spend
 
 MC_CHUNK_BYTES = 1 << 24  # copy images held at once by the Monte Carlo paths
@@ -61,11 +61,16 @@ def chi_square_bernoulli(p, q):
     This is the squared signal strength lambda^2. Fraction inputs give a
     Fraction back; floats give a float.
     """
+    _check_bernoulli(p, q)
+    return (p - q) ** 2 / (q * (1 - q))
+
+
+def _check_bernoulli(p, q) -> None:
+    """The checks on (p, q) that every Bernoulli divergence makes."""
     if not 0 < q < 1:
         raise DegenerateQError(f"q must lie in (0,1), got {q}")
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0,1], got {p}")
-    return (p - q) ** 2 / (q * (1 - q))
 
 
 @dataclass(frozen=True)
@@ -78,16 +83,9 @@ class MomentParams:
     pattern: Graph
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.lambda_sq < 0:
             raise ValueError(f"lambda_sq must be >= 0, got {self.lambda_sq}")
-        if self.pattern.n > self.n:
-            raise PatternTooLargeError(
-                f"pattern on {self.pattern.n} vertices does not fit in n={self.n}"
-            )
-        if not is_pattern(self.pattern):
-            raise ValueError("pattern must have edges and no isolated vertices")
+        _check_instance(self.n, self.pattern)
 
     @classmethod
     def from_probabilities(cls, n: int, p, q, pattern: Graph) -> "MomentParams":
@@ -171,13 +169,10 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     pattern, n = mp.pattern, mp.n
     fixed = np.zeros(n * (n - 1) // 2, dtype=bool)
     fixed[_pair_index(*_edge_endpoints(pattern).T, n)] = True  # the copy on [k]
-    tally = _copy_overlaps(pattern, n, fixed)
-    num_copies = sum(tally)
-    assert num_copies == copies_in_complete(pattern, n)
     base = 1 + Fraction(mp.lambda_sq)  # a/b, so every term is over b**e
     a, b, e = base.numerator, base.denominator, pattern.num_edges
-    total = sum(copies * a**j * b ** (e - j) for j, copies in enumerate(tally))
-    value = Fraction(total, b**e * num_copies)
+    weights = [a**j * b ** (e - j) for j in range(e + 1)]
+    value = _copy_overlap_mean(pattern, n, fixed, copies_in_complete(pattern, n), weights, b**e)
     return MomentResult(value=value, method=EXACT_INTERSECTION_MGF)
 
 

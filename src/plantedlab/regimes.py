@@ -22,6 +22,7 @@ from .errors import (
 )
 from .graphs import Graph
 from .invariants import GraphStats, vertex_cover_number
+from .moments import _check_bernoulli
 from .trace import metered
 
 
@@ -178,7 +179,7 @@ def classify_dense(
     if c.c_upper is not None:
         c_upper = c.c_upper
     elif c.p is not None and c.q is not None:
-        c_upper = (1 + c.epsilon) / _kl_bernoulli(c.p, c.q)
+        c_upper = _ratio(1 + c.epsilon, _kl_bernoulli(c.p, c.q))
     else:
         c_upper = None
     if c_upper is not None and mu >= c_upper * log_n:
@@ -211,10 +212,7 @@ def classify_dense(
 
 
 def _kl_bernoulli(p: float, q: float) -> float:
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0,1], got {p}")
+    _check_bernoulli(p, q)
     out = 0.0
     if p > 0:
         out += p * math.log(p / q)
@@ -269,6 +267,14 @@ def _ratio(num: float, den: float) -> float:
     return math.inf if den == 0 else num / den
 
 
+def _power(base: float, exp: float) -> float:
+    """base ** exp, read as inf past the float range."""
+    try:
+        return base**exp
+    except OverflowError:
+        return math.inf
+
+
 def superdense_threshold(alpha: float) -> float:
     """beta threshold min(alpha, alpha/4 + 1/2) for super-dense families."""
     if not 0 < alpha <= 2:
@@ -319,6 +325,8 @@ def critical_classify(
     """
     if not 0 < alpha < 2:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,2), got {alpha}")
+    if sigma is not None and not sigma > 0:
+        raise ValueError(f"sigma must be > 0, so that q = sigma/n > 0, got {sigma}")
     if stats.num_edges < 1:
         raise EmptyGraphError("classification needs at least one edge")
     if n < 2:
@@ -384,22 +392,16 @@ def critical_classify(
         scan_beta = beta_degree
         if scan_beta is None and mu < 1 and v > 1:
             scan_beta = min(1.0, -math.log(1 - mu) / math.log(v))
-        if (
-            scan_beta
-            and mu >= 1 - v ** (-scan_beta)
-            and v >= (1 + epsilon) * log_n ** (1 / scan_beta)
-        ):
-            return RegimeVerdict(
-                Regime.EASY,
-                "scan",
-                v / ((1 + epsilon) * log_n ** (1 / scan_beta)) - 1,
-            )
+        if scan_beta and mu >= 1 - v ** (-scan_beta):
+            cut = (1 + epsilon) * _power(log_n, 1 / scan_beta)
+            if v >= cut:
+                return RegimeVerdict(Regime.EASY, "scan", v / cut - 1)
         poly_beta = beta_degree
         if poly_beta is None and d >= 2 and v > 1:
             poly_beta = min(1.0, math.log(d) / math.log(v))
         if exp_e <= 0.5 - epsilon:
             degree_lhs = (
-                0.0 if d <= 1 else d ** (1 / poly_beta) * math.log(d)
+                0.0 if d <= 1 else _power(d, 1 / poly_beta) * math.log(d)
                 if poly_beta
                 else math.inf
             )

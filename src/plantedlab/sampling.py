@@ -54,26 +54,30 @@ class ModelParams:
     pattern: Graph
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0 < self.q < 1:
             raise DegenerateQError(f"q must lie in (0,1), got {self.q}")
         if not self.q <= self.p <= 1:
             raise ValueError(f"need q <= p <= 1, got p={self.p}, q={self.q}")
-        if not is_pattern(self.pattern):
-            raise ValueError("pattern must have edges and no isolated vertices")
-        if self.pattern.n > self.n:
-            raise PatternTooLargeError(
-                f"pattern on {self.pattern.n} vertices does not fit in n={self.n}"
-            )
+        _check_instance(self.n, self.pattern)
+
+
+def _check_instance(n: int, pattern: Graph) -> None:
+    """The checks on (n, pattern) that every record of an instance makes."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not is_pattern(pattern):
+        raise ValueError("pattern must have edges and no isolated vertices")
+    if pattern.n > n:
+        raise PatternTooLargeError(f"pattern on {pattern.n} vertices does not fit in n={n}")
 
 
 DRAW_CHUNK = 1 << 15  # uniforms a sampler draws at once: 256 KB of float64
 DEGREE_BLOCK = 256  # rows of the triangle a walk over a draw's bits copies at once
 
-# bit v of a row mask, for the int64 product of n <= 62 rows; every row sum
-# then stays clear of the sign bit
-_POWERS_OF_TWO = 1 << np.arange(62, dtype=np.int64)
+# up to this n a row mask is one int64 product of its matrix row, every row
+# sum clear of the sign bit, and a matrix is read through cached cells
+_SMALL_N = 62
+_POWERS_OF_TWO = 1 << np.arange(_SMALL_N, dtype=np.int64)  # bit v of a row mask
 
 
 class Observation:
@@ -81,11 +85,11 @@ class Observation:
     C(n,2) row-major upper-triangle bits. `Observation(adjacency)` validates
     a symmetric boolean matrix and keeps it, read-only, as the `adjacency`
     cache; a sampled observation builds `adjacency` only when a caller reads
-    it. Degrees and (above n = 62) row masks walk the bits DEGREE_BLOCK rows
-    at a time; `row_masks` and `row_degrees` are built on first read.
+    it. Degrees and (above `_SMALL_N` = 62 vertices) row masks walk the bits
+    DEGREE_BLOCK rows at a time; `row_masks` is built on first read.
     """
 
-    __slots__ = ("n", "_bits", "_adjacency", "_masks", "_row_degrees")
+    __slots__ = ("n", "_bits", "_adjacency", "_masks")
 
     def __init__(self, adjacency: np.ndarray):
         a = np.asarray(adjacency, dtype=bool)
@@ -99,8 +103,8 @@ class Observation:
         if raw != a.T.tobytes():
             raise ValueError("adjacency is not symmetric")
         flat = np.frombuffer(raw, bool)  # a positional dtype parses ~0.25 us faster
-        # its pairs u < v: up to n = 62 one gather through cached cells
-        bits = flat[_upper_cells(n)] if n <= 62 else np.concatenate(
+        # its pairs u < v: up to _SMALL_N vertices one gather through cached cells
+        bits = flat[_upper_cells(n)] if n <= _SMALL_N else np.concatenate(
             [flat[u * n + u + 1 : (u + 1) * n] for u in range(n)]
         )
         self._hold(n, bits, flat.reshape(n, n))
@@ -117,7 +121,6 @@ class Observation:
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_adjacency", adjacency)
         object.__setattr__(self, "_masks", None)
-        object.__setattr__(self, "_row_degrees", None)
         return self
 
     def __setattr__(self, name, value):
@@ -144,12 +147,13 @@ class Observation:
     def row_masks(self) -> tuple[int, ...]:
         """Row u as an int whose bit v is set when u and v are adjacent.
 
-        Up to n = 62 one int64 product weighs each row by the powers of two;
-        above that the rows are packed to bytes and read as ints.
+        Up to `_SMALL_N` = 62 vertices one int64 product weighs each row by
+        the powers of two; above that the rows are packed to bytes and read
+        as ints.
         """
         masks = self._masks
         if masks is None:
-            if self.n <= 62:
+            if self.n <= _SMALL_N:
                 masks = tuple((self.adjacency @ _POWERS_OF_TWO[: self.n]).tolist())
             else:
                 masks = tuple(int.from_bytes(row, "little") for row in self._packed_rows())
@@ -173,15 +177,6 @@ class Observation:
         return packed
 
     @property
-    def row_degrees(self) -> tuple[int, ...]:
-        """Each vertex's degree, counted from `row_masks`."""
-        degrees = self._row_degrees
-        if degrees is None:
-            degrees = tuple(mask.bit_count() for mask in self.row_masks)
-            object.__setattr__(self, "_row_degrees", degrees)
-        return degrees
-
-    @property
     def num_edges(self) -> int:
         return int(np.count_nonzero(self._bits))
 
@@ -196,9 +191,10 @@ class Observation:
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
-        # a small graph's matrix, when at hand, beats a walk over the bits
-        if self._adjacency is not None and self.n <= 62:
-            return max(self.row_degrees, default=0)
+        # a small graph's matrix, when at hand, beats a walk over the bits:
+        # the popcounts of its row masks are the degrees
+        if self._adjacency is not None and self.n <= _SMALL_N:
+            return max(map(int.bit_count, self.row_masks), default=0)
         return int(self.degrees().max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -418,6 +418,29 @@ class TestClassify:
         )
         assert code == 2
 
+    def test_critical_small_beta_reads_past_the_float_range(self, capsys):
+        # log(n)**(1/beta) and d**(1/beta) pass the float range and read inf
+        assert run(
+            capsys, "classify", "--regime", "critical", "--alpha", "1", "--sigma", "0.5",
+            "--beta", "0.001", "--family", "path:3", "--n", "1000",
+        ) == (0, "verdict=impossible boundary=bounded-sigma-small margin=15.3382\n", "")
+
+    @pytest.mark.parametrize("sigma", ["0", "-2"])
+    def test_critical_rejects_nonpositive_sigma(self, capsys, sigma):
+        code, out, err = run(
+            capsys, "classify", "--regime", "critical", "--alpha", "1", "--sigma", sigma,
+            "--beta", "1", "--family", "star:8", "--n", "1000000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sigma must be > 0") and "q = sigma/n" in err
+
+    def test_dense_without_divergence(self, capsys):
+        # KL(p||q) = 0 makes the scan constant (1+eps)/KL infinite: no scan verdict
+        assert run(
+            capsys, "classify", "--regime", "dense", "--family", "clique:4",
+            "--n", "100", "--p", "0.3", "--q", "0.3",
+        ) == (0, "verdict=impossible boundary=density margin=0.331044\n", "")
+
     @pytest.mark.parametrize("q", ["0", "1"])
     def test_dense_degenerate_q(self, capsys, q):
         code, _, err = run(

@@ -17,6 +17,7 @@ from plantedlab import (
     Graph,
     InvalidMomentError,
     LdpConfig,
+    ModelParams,
     MomentParams,
     MomentResult,
     PatternTooLargeError,
@@ -35,6 +36,7 @@ from plantedlab import (
 from plantedlab import moments, trace
 from plantedlab.invariants import isomorphic
 from plantedlab.moments import _shared_edge_counts, _subset_moments
+from plantedlab.regimes import _kl_bernoulli
 
 from oracles import (
     brute_intersection_law,
@@ -88,6 +90,42 @@ class TestMomentParams:
     def test_result_below_one_rejected(self):
         with pytest.raises(InvalidMomentError):
             MomentResult(value=0.5, method="exact_subgraph_sum")
+
+
+class TestSharedChecks:
+    """Both records of an instance, and both Bernoulli divergences, answer
+    each bad input with the same error class and message."""
+
+    @staticmethod
+    def raised(*calls):
+        out = []
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            out.append((type(info.value), str(info.value)))
+        return out
+
+    @pytest.mark.parametrize("n, pattern", [
+        (0, TRIANGLE),
+        (-2, EDGE),
+        (6, Graph(3, [(0, 1)])),  # an isolated vertex
+        (6, Graph(0, [])),
+        (2, TRIANGLE),  # does not fit
+    ])
+    def test_instance_records(self, n, pattern):
+        model, moment = self.raised(
+            lambda: ModelParams(n, 0.9, 0.3, pattern), lambda: MomentParams(n, 1, pattern)
+        )
+        assert model == moment
+
+    @pytest.mark.parametrize("p, q", [
+        (0.5, 0.0), (0.5, 1.0), (0.5, -0.5), (0.5, 1.5), (0.5, math.nan),
+        (-0.5, 0.5), (1.5, 0.5), (math.nan, 0.5),
+    ])
+    def test_bernoulli_divergences(self, p, q):
+        chi2, kl = self.raised(lambda: chi_square_bernoulli(p, q), lambda: _kl_bernoulli(p, q))
+        assert chi2 == kl
+        assert chi2[0] is (DegenerateQError if not 0 < q < 1 else ValueError)
 
 
 class TestSecondMomentExact:
