@@ -450,3 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     return parser
+
+
+if __name__ == "__main__":
+    main()

@@ -154,7 +154,16 @@ def _copy_overlap_mean(
     """Mean over the `copies` copies of the pattern in K_n of
     weights[j] / denominator, j the edges a copy shares with the graph of
     the pair `bits`: the `_copy_overlaps` tally weighed in one integer sum,
-    divided once."""
+    divided once. `weights` is a tuple, so that each distinct tally is
+    weighed once (`_weighed_tally`)."""
     tally = _copy_overlaps(pattern, n, bits)
     assert sum(tally) == copies
-    return Fraction(sum(map(mul, tally, weights)), denominator * copies)
+    return _weighed_tally(tuple(tally), weights, denominator * copies)
+
+
+@lru_cache(maxsize=1024)
+def _weighed_tally(tally: tuple[int, ...], weights: tuple[int, ...], denominator: int) -> Fraction:
+    """sum(tally[j] * weights[j]) / denominator, reduced once per distinct
+    input: on small hosts many graphs share a tally, and the reduction of
+    the sum is most of the likelihood-ratio test's cost there."""
+    return Fraction(sum(map(mul, tally, weights)), denominator)

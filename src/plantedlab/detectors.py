@@ -17,9 +17,14 @@ by label), and twins of the target take increasing ranks. A branch dies
 when the target edges still to place, the degree sum of the ranks the later
 positions may take, or the neighbour counts of the free host vertices (how
 many placed images each is adjacent to, kept as bit-sliced layers), cannot
-lift it above the incumbent. The degree test reads the same popcounts when
-a small observation's matrix is at hand. The likelihood-ratio test tallies copies
-by shared edges from the observation's pair bits.
+lift it above the incumbent; where the later positions continue a twin
+chain, the edges among their images are also capped by the host's suffix
+density, the most edges any that many vertices ranked after the candidate
+hold. A candidate reads the layers it would grow through its row mask, and
+only one that descends builds them. The degree test reads the same
+popcounts when a small observation's matrix is at hand. The
+likelihood-ratio test tallies copies by shared edges from the
+observation's pair bits, and weighs each distinct tally once.
 """
 
 from __future__ import annotations
@@ -154,9 +159,9 @@ def _scan(
 
 
 @lru_cache(maxsize=128)
-def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int, bool]:
-    """(back, twin, steps, layers, chained): the back-edges and twins of
-    `_placement_plan`, the scan's bound inputs per position i,
+def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int, bool, tuple]:
+    """(back, twin, steps, layers, chained, dense): the back-edges and twins
+    of `_placement_plan`, the scan's bound inputs per position i,
 
     steps[i] = (later, cap, inner, tail, chain, len(back[i])):
     later: the number of later positions, k-1-i;
@@ -166,8 +171,12 @@ def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int, bool]:
     chain: whether every later position continues the twin chain of
         position i, so every later image is ranked after the image of i;
 
-    the number of neighbour-count layers, the largest cap, and whether
-    any position with later positions is chained.
+    the number of neighbour-count layers, the largest cap, whether any
+    position with later positions is chained, and the chained positions
+    with inner >= 2, where the host's suffix density may cap the inner
+    edges (`_suffix_caps`); a target with none, such as a triangle or a
+    star, never walks the suffixes. The layers a candidate would grow are
+    read through its row mask, and built only when it descends.
     """
     _, back, twin = _placement_plan(target)
     k = len(back)
@@ -183,7 +192,56 @@ def _scan_plan(target: Graph) -> tuple[tuple, tuple, tuple, int, bool]:
         for i in range(k)
     )
     chained = any(step[0] and step[4] for step in steps)
-    return back, twin, steps, max(step[1] for step in steps), chained
+    dense = tuple(i for i, step in enumerate(steps) if step[4] and step[2] >= 2)
+    return back, twin, steps, max(step[1] for step in steps), chained, dense
+
+
+def _suffix_caps(masks: list[int], ranked: list[int], wants) -> list[list[int]]:
+    """For each (L, own) in `wants`, the list over ranks r of min(own, M),
+    M a bound on the host edges among any L vertices ranked after r.
+
+    One backward walk over the ranks finds the last rank whose suffix holds
+    an edge, a 2-path and a triangle, and stops at the first triangle; so M
+    is exact for L = 2 (1 or 0) and L = 3 (3, 2, 1 or 0). Each edge of an
+    L-set lies in L-2 of its (L-1)-subsets, so for L >= 4,
+    M(L) = min(C(L,2), floor(L*M(L-1)/(L-2))). The walk is charged 3
+    units for each rank it visits (~0.3 us a rank).
+    """
+    n = len(ranked)
+    edge = path = triangle = 0  # the ranks r < edge have an edge ranked after them; so on
+    suffix = touched = 0  # the vertices walked, and those with a neighbour among them
+    r = n
+    while r and not triangle:
+        r -= 1
+        v = ranked[r]
+        nbrs = masks[v] & suffix
+        suffix |= 1 << v
+        if not nbrs:
+            continue
+        edge = edge or r
+        pair = nbrs & (nbrs - 1)  # nonzero when v has two neighbours in the suffix
+        if not path and (pair or nbrs & touched):
+            path = r
+        touched |= nbrs | 1 << v
+        while pair:
+            w = nbrs & -nbrs
+            nbrs ^= w
+            if masks[w.bit_length() - 1] & nbrs:
+                triangle = r
+                break
+            pair = nbrs & (nbrs - 1)
+    spend("scan", 3 * (n - r))
+    caps = []
+    for later, own in wants:
+        most = (0, 1, 1, 1) if later == 2 else (0, 1, 2, 3)  # none, edge, 2-path, triangle
+        for size in range(4, later + 1):
+            most = tuple(min(comb(size, 2), size * m // (size - 2)) for m in most)
+        none, one, two, three = (min(own, m) for m in most)
+        caps.append(
+            [three] * triangle + [two] * (path - triangle)
+            + [one] * (edge - path) + [none] * (n - edge)
+        )
+    return caps
 
 
 def _scan_statistic(obs: Observation, target: Graph) -> int:
@@ -211,13 +269,18 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
       vertices adjacent to at least t placed images, so the r later
       positions, each with at most cap[i] back-edges into the placed ones,
       gain at most sum over t <= cap[i] of min(r, free vertices in layer t)
-      from them, plus the target edges among themselves.
-    The search ends once the incumbent holds every target edge or every
-    host edge. Each candidate a position walks is charged when it is
-    walked, by the batch of 4096 and at the end; those after a stopped
-    walk are not.
+      from them, plus the target edges among themselves. When the later
+      positions continue i's chain, their images are r vertices ranked
+      after the candidate, so the edges among them are capped by the
+      host's suffix density too (`_suffix_caps`).
+    A candidate reads the layers it would grow through its row mask, and
+    stops at the first empty one (they nest); only a candidate that
+    descends builds them. The search ends once the incumbent holds every
+    target edge or every host edge. Each candidate a position walks is
+    charged when it is walked, by the batch of 4096 and at the end; those
+    after a stopped walk are not.
     """
-    back, twin, steps, nlayers, any_chained = _scan_plan(target)
+    back, twin, steps, nlayers, any_chained, dense = _scan_plan(target)
     masks = obs.row_masks
     degree = list(map(int.bit_count, masks))
     k, n = target.n, obs.n
@@ -231,12 +294,18 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
         for r in range(n - 1, 0, -1):
             bits |= 1 << ranked[r]
             after[r - 1] = bits
+    cuts = [None] * k  # cuts[i][r]: the inner edges a chained candidate at rank r can gain
+    if dense:
+        caps = _suffix_caps(masks, ranked, [(steps[i][0], steps[i][2]) for i in dense])
+        for i, cap in zip(dense, caps):
+            cuts[i] = cap
     images, ranks = [0] * k, [0] * k  # host vertex and its rank, per position
     unit, walked = 16 + 3 * nlayers, 0  # work units per candidate, candidates not charged
     best, frames = 0, []  # frames: (position, rank to resume at, edges, used, layers, placed)
     i, r, edges, used, layers, placed = 0, 0, 0, 0, [0] * nlayers, 0
     while True:
         later, depth, own, tail, chained, nb = steps[i]
+        cut = cuts[i]
         unused, start, descend = ~used, r, False
         for r in range(start, n):
             u = ranked[r]
@@ -252,23 +321,29 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
                     spend("scan", unit * (walked + r + 1 - start))
                     return best
                 continue
+            bound = own
             if chained:
                 window = prefix[r + 1 + later] - prefix[r + 1]
                 if window <= room:
                     # later ranks have no higher degree and no larger
                     # window, so none of them can win either
-                    if window + min(degree[u], nb) <= best - edges:
+                    if window + (nb if nb < degree[u] else degree[u]) <= best - edges:
                         break
                     continue
-            nbrs, below, grown = masks[u], ~0, []
-            for layer in layers:
-                grown.append(layer | below & nbrs)
-                below = layer
-            if own <= room:  # else no count of free vertices can prune
+                if cut:
+                    bound = cut[r]
+            if bound <= room:  # else no count of free vertices can prune
                 free = unused & (after[r] if chained else ~(1 << u))
-                bound = own
-                for layer in grown[:depth]:
-                    bound += min(later, (layer & free).bit_count())
+                nbrs, below = masks[u], free
+                for layer in layers[:depth]:
+                    layer &= free
+                    count = (layer | below & nbrs).bit_count()
+                    if not count:
+                        break
+                    bound += count if count < later else later
+                    if bound > room:
+                        break
+                    below = layer
                 if bound <= room:
                     continue
             descend = True
@@ -280,6 +355,10 @@ def _scan_statistic(obs: Observation, target: Graph) -> int:
             spend("scan", unit * walked)
             walked = 0
         if descend:
+            nbrs, below, grown = masks[u], ~0, []
+            for layer in layers:
+                grown.append(layer | below & nbrs)
+                below = layer
             frames.append((i, r + 1, edges, used, layers, placed))
             images[i], ranks[i] = u, r
             i, edges, used, layers, placed = i + 1, edges + gain, used | 1 << u, grown, 0

@@ -171,7 +171,7 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     fixed[_pair_index(*_edge_endpoints(pattern).T, n)] = True  # the copy on [k]
     base = 1 + Fraction(mp.lambda_sq)  # a/b, so every term is over b**e
     a, b, e = base.numerator, base.denominator, pattern.num_edges
-    weights = [a**j * b ** (e - j) for j in range(e + 1)]
+    weights = tuple(a**j * b ** (e - j) for j in range(e + 1))
     value = _copy_overlap_mean(pattern, n, fixed, copies_in_complete(pattern, n), weights, b**e)
     return MomentResult(value=value, method=EXACT_INTERSECTION_MGF)
 

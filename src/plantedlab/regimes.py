@@ -321,12 +321,15 @@ def critical_classify(
     to n^(1-alpha/2) and n^((1-alpha)/2); alpha = 1 requires sigma (q =
     sigma/n) and splits into the polynomial-degree and bounded-degree cases
     with sigma_bar = 2e*d^2 and sigma_underbar = 1. beta_degree overrides
-    the measured degree-growth exponent where one is needed.
+    the measured degree-growth exponent where one is needed; like sigma, it
+    must be > 0 wherever it is given.
     """
     if not 0 < alpha < 2:
         raise AlphaOutOfRangeError(f"alpha must lie in (0,2), got {alpha}")
     if sigma is not None and not sigma > 0:
         raise ValueError(f"sigma must be > 0, so that q = sigma/n > 0, got {sigma}")
+    if beta_degree is not None and not beta_degree > 0:
+        raise ValueError(f"beta_degree must be > 0, got {beta_degree}")
     if stats.num_edges < 1:
         raise EmptyGraphError("classification needs at least one edge")
     if n < 2:

@@ -1,12 +1,16 @@
 """Command-line interface: output formats, files, and exit codes."""
 
 import csv
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plantedlab
 from plantedlab import parse_edge_list, write_edge_list
 from plantedlab.cli import _build_parser, run_command
 from plantedlab.risklab import CSV_HEADER
@@ -434,6 +438,22 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err.startswith("error: sigma must be > 0") and "q = sigma/n" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--beta", "-0.001", "--family", "path:3", "--n", "1000"),
+            ("--beta", "-1", "--family", "star:8", "--n", "1000000"),
+        ],
+        ids=["underflow", "scan-verdict"],
+    )
+    def test_critical_rejects_negative_beta(self, capsys, argv):
+        # log(n)**(1/beta) with beta < 0 is below 1: no exponent to compare
+        code, out, err = run(
+            capsys, "classify", "--regime", "critical", "--alpha", "1", "--sigma", "0.5", *argv
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: beta_degree must be > 0")
+
     def test_dense_without_divergence(self, capsys):
         # KL(p||q) = 0 makes the scan constant (1+eps)/KL infinite: no scan verdict
         assert run(
@@ -528,6 +548,26 @@ class TestExitCodes:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--regime", "dense", "--family", "clique:4",
+             "--n", "100", "--p", "0.9", "--q", "0.3"),
+            ("classify", "--regime", "critical", "--alpha", "1", "--sigma", "0",
+             "--family", "star:8", "--n", "1000"),
+        ],
+        ids=["verdict", "error"],
+    )
+    def test_python_m_runs_the_command(self, capsys, argv):
+        want = run(capsys, *argv)
+        env = dict(os.environ, PYTHONPATH=str(Path(plantedlab.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "plantedlab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == want
+        assert want[1] or want[2]
 
 
 class TestParserReuse:

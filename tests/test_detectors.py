@@ -34,7 +34,7 @@ from plantedlab import (
     stream,
 )
 from plantedlab import trace
-from plantedlab.detectors import _scan_statistic
+from plantedlab.detectors import _scan_statistic, _suffix_caps
 
 from oracles import (
     all_pairs,
@@ -242,6 +242,61 @@ class TestScanTest:
         self.assert_scans_match_brute_force(
             rng, pattern, int(rng.integers(pattern.n, 9)), density
         )
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.05, 0.1, 0.15]),
+        k=st.sampled_from([4, 5]),
+    )
+    def test_clique_targets_on_sparse_hosts_match_brute_force(self, seed, density, k):
+        # few triangles, so the suffix-density cap on the inner edges binds
+        rng = np.random.default_rng(seed)
+        self.assert_scans_match_brute_force(
+            rng, complete_graph(k), int(rng.integers(k, 13)), density
+        )
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]),
+    )
+    def test_suffix_caps_bound_the_densest_suffix_sets(self, seed, density):
+        # against the most host edges among any L vertices ranked after r:
+        # never below it for L <= 5, equal to it for L <= 3, and never
+        # above the inner edges it caps
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 10))
+        g = random_graph(rng, n, density)
+        ranked = [int(v) for v in rng.permutation(n)]
+        wants = [(size, math.comb(size, 2)) for size in range(2, 6)]
+        wants += [(size, int(rng.integers(0, math.comb(size, 2) + 1))) for size in range(2, 6)]
+        caps = _suffix_caps(Observation.from_graph(g).row_masks, ranked, wants)
+        for (size, own), cap in zip(wants, caps):
+            assert len(cap) == n
+            for r in range(n):
+                if n - 1 - r < size:
+                    continue
+                most = max(
+                    sum(g.has_edge(u, v) for u, v in combinations(chosen, 2))
+                    for chosen in combinations(ranked[r + 1 :], size)
+                )
+                assert own >= cap[r] >= min(own, most)
+                if size <= 3:
+                    assert cap[r] == min(own, most)
+
+    def test_null_clique_five_scans_charge_under_a_ceiling(self):
+        # 24 null G(40, .05) draws for clique:5 charge ~18.5k units a draw
+        # with the suffix-density cap, ~33k without it
+        target, spent = complete_graph(5), []
+
+        def scan(obs):
+            _scan_statistic(obs, target)
+            spent.append(trace.WORK_BUDGET - trace.left())
+
+        for j in range(24):
+            trace.metered(scan)(sample_null(40, 0.05, stream(615, j)))
+        assert sum(spent) < 24 * 24_000
 
     # scan_test on G(40, .05) draws at seeds 613 (null, p = 1) and 614
     # (planted, p = .7), k = 5, 6 and j = 0..3, as computed by the plain
