@@ -25,6 +25,7 @@ from .sampling import _pair_index
 from .trace import check_bytes, metered, spend
 
 COPY_OVERLAP_BYTES = 10**7  # the copy-overlap arrays of about 10^6 copies
+MASK_VERTICES = 11  # the most pattern vertices whose pairs fit a uint64 mask
 
 
 @metered
@@ -82,16 +83,16 @@ def containment_probability(sub: Graph, pattern: Graph, n: int) -> Fraction:
 def _labelled_copies(pattern: Graph) -> np.ndarray:
     """Edge bitmask of every labelled copy of the pattern on [k], sorted, as
     a read-only uint64 array; bit j stands for the j-th pair of
-    `combinations(range(k), 2)`, so k is at most 11, or PlantedLabError.
+    `combinations(range(k), 2)`, so k <= `MASK_VERTICES`, or PlantedLabError.
 
     The labelled copies are the orbit of the pattern's edge set under
     adjacent transpositions, so the work is proportional to their number,
     k!/|Aut|, not to k!; each is charged for the transpositions it tries.
     """
     k = pattern.n
+    if k > MASK_VERTICES:
+        raise PlantedLabError(f"uint64 pair masks fit at most {MASK_VERTICES} vertices, got {k}")
     pairs = list(combinations(range(k), 2))
-    if len(pairs) > 64:
-        raise PlantedLabError(f"uint64 pair masks fit at most 11 vertices, got {k}")
     bit = {pair: j for j, pair in enumerate(pairs)}
     swaps = []  # swaps[t][j]: pair j with labels t and t+1 exchanged
     for t in range(k - 1):
@@ -115,22 +116,31 @@ def _labelled_copies(pattern: Graph) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)  # up to COPY_OVERLAP_BYTES each
-def _subset_cells(pattern: Graph, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cells, weights): cells[s, j] is the `_pair_index` of the j-th pair
-    (a, b) of `combinations(range(k), 2)` carried onto the s-th k-subset S
-    of [n], for the pattern's k vertices, and weights[j] = 2**j. Refused
-    past `COPY_OVERLAP_BYTES` of the tally's arrays: 9 bytes a copy, 8 a
-    subset vertex and 17 a subset pair."""
+def _subset_cells(pattern: Graph, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cells, weights, labelled): cells[j, s] is the `_pair_index` of the
+    j-th pair (a, b) of `combinations(range(k), 2)` carried onto the s-th
+    k-subset S of [n], weights[j] = 2**j, and labelled the `_labelled_copies`,
+    for the pattern's k vertices. Refused past `COPY_OVERLAP_BYTES` of the
+    tally's arrays: 9 bytes a copy, 8 a subset vertex and 17 a subset pair."""
     k = pattern.n
     needed = 9 * copies_in_complete(pattern, n) + comb(n, k) * (8 * k + 17 * comb(k, 2) + 8)
     check_bytes("copy-overlap tally", needed, COPY_OVERLAP_BYTES)
-    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp).reshape(-1, k)
+    labelled = _labelled_copies(pattern)
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp).reshape(-1, k).T
     a, b = np.array(list(combinations(range(k), 2)), dtype=np.intp).reshape(-1, 2).T
-    cells = _pair_index(subsets[:, a], subsets[:, b], n)
+    cells = _pair_index(subsets[a], subsets[b], n)
     weights = np.uint64(1) << np.arange(a.size, dtype=np.uint64)
     for array in (cells, weights):
         array.flags.writeable = False
-    return cells, weights
+    return cells, weights, labelled
+
+
+def _shared_edges(entry: tuple, bits: np.ndarray) -> np.ndarray:
+    """shared[s, c]: the edges the c-th labelled copy, carried onto the s-th
+    subset of the `_subset_cells` `entry`, shares with the pair `bits`."""
+    cells, weights, labelled = entry
+    inside = weights @ bits[cells]  # pair mask of each subset
+    return np.bitwise_count(inside[:, None] & labelled)
 
 
 def _copy_overlaps(pattern: Graph, n: int, bits: np.ndarray) -> list[int]:
@@ -142,9 +152,7 @@ def _copy_overlaps(pattern: Graph, n: int, bits: np.ndarray) -> list[int]:
     increasing order; it shares with the graph what the labelled copy shares
     with the pairs of the graph inside S, renamed onto [k].
     """
-    cells, weights = _subset_cells(pattern, n)
-    inside = bits[cells] @ weights  # pair mask of each subset
-    shared = np.bitwise_count(inside[:, None] & _labelled_copies(pattern))
+    shared = _shared_edges(_subset_cells(pattern, n), bits)
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
 
 

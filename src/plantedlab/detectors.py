@@ -9,22 +9,16 @@ Ties (statistic == threshold) always reject the null, matching the
 likelihood-ratio convention L >= 1. Every detector takes (obs, params,
 cfg=None); the count, degree and likelihood-ratio tests ignore cfg.
 
-The scan statistic, for every target, comes from one branch and bound over
-placements of the target along its placement plan, walked on explicit
-frames over the observation's cached row masks, whose popcounts are the
-degrees. Host vertices are tried in rank order (degree, highest first, ties
-by label), and twins of the target take increasing ranks. A branch dies
-when the target edges still to place, the degree sum of the ranks the later
-positions may take, or the neighbour counts of the free host vertices (how
-many placed images each is adjacent to, kept as bit-sliced layers), cannot
-lift it above the incumbent; where the later positions continue a twin
-chain, the edges among their images are also capped by the host's suffix
-density, the most edges any that many vertices ranked after the candidate
-hold. A candidate reads the layers it would grow through its row mask, and
-only one that descends builds them. The degree test reads the same
-popcounts when a small observation's matrix is at hand. The
-likelihood-ratio test tallies copies by shared edges from the
-observation's pair bits, and weighs each distinct tally once.
+The scan statistic takes one of two routes. A target with at most
+`_SCAN_ENUMERATED_COPIES` (512) copies in K_n, n the observation's, reads
+them from the likelihood-ratio test's copy enumeration, one work unit a
+copy. Past that bound, a branch and bound over placements of the target
+finds the most shared edges on the observation's row masks
+(`_scan_statistic`), cutting a branch by the edges left to place, the
+degree sums of the ranks left, the free vertices' neighbour counts and the
+host's suffix density. The likelihood-ratio test tallies copies by shared
+edges from the observation's pair bits, and weighs each distinct tally
+once. Both read their instance's constants from one cached entry a call.
 """
 
 from __future__ import annotations
@@ -35,7 +29,8 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm, log
 
-from .counting import _copy_overlap_mean, copies_in_complete
+from .counting import MASK_VERTICES, _copy_overlap_mean, _shared_edges, _subset_cells
+from .counting import copies_in_complete
 from .graphs import Graph
 from .invariants import _placement_plan, densest_subgraph
 from .moments import chi_square_bernoulli
@@ -120,11 +115,6 @@ def degree_condition_satisfied(params: ModelParams) -> bool:
     return degree_condition_value(params) > _DEGREE_THRESHOLD_CONSTANT
 
 
-@lru_cache(maxsize=128)
-def _densest_part(pattern: Graph) -> Graph:
-    return densest_subgraph(pattern)
-
-
 @metered
 def scan_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
@@ -134,7 +124,7 @@ def scan_test(
     Gamma_max is the (deterministically tie-broken) densest subgraph of the
     pattern.
     """
-    return _scan(obs, params, cfg or _DEFAULT_CONFIG, _densest_part(params.pattern))
+    return _scan(obs, params, cfg or _DEFAULT_CONFIG, False)
 
 
 @metered
@@ -146,16 +136,40 @@ def scan_test_over_pattern(
     Kept for comparison; scanning the densest subgraph is the better test on
     general patterns.
     """
-    return _scan(obs, params, cfg or _DEFAULT_CONFIG, params.pattern)
+    return _scan(obs, params, cfg or _DEFAULT_CONFIG, True)
 
 
-def _scan(
-    obs: Observation, params: ModelParams, cfg: DetectorConfig, target: Graph
-) -> Verdict:
-    w = cfg.scan_kappa_weight
-    kappa = w * params.q + (1 - w) * params.p
-    threshold = kappa * target.num_edges
-    return Verdict(float(_scan_statistic(obs, target)), threshold)
+# Past this many copies the search wins. Warm scan_test calls on 30 null draws at each q in
+# {.05, .3, .7}, in us: enumeration; search with masks built, on a fresh draw (2 cores):
+#   clique:5 n=10, 252 copies: 24-25; 45-78, 83-116
+#   star:3 n=9, 504 copies: 19-20; 20-24, 47-56
+#   path:3 n=8, 840 copies: 17-18; 16-31, 44-58
+#   clique:3 n=20, 1140 copies: 32-34; 22-43, 63-90
+#   clique:3 n=40, 9880 copies: 189-194; 32-111, 97-188
+_SCAN_ENUMERATED_COPIES = 512
+
+
+def _scan(obs: Observation, params: ModelParams, cfg: DetectorConfig, whole: bool) -> Verdict:
+    instance = params.pattern, whole, obs.n, params.p, params.q, cfg.scan_kappa_weight
+    target, threshold, copies, cells = _scan_instance(*instance)
+    if cells is None:
+        return Verdict(float(_scan_statistic(obs, target)), threshold)
+    spend("scan", copies)
+    return Verdict(float(_shared_edges(cells, obs._bits).max()), threshold)
+
+
+@lru_cache(maxsize=128)
+def _scan_instance(pattern: Graph, whole: bool, n: int, p: float, q: float, w: float):
+    """(target, kappa * |e(target)|, copies, cells): cells is the `_subset_cells` entry of a
+    target on at most `MASK_VERTICES` vertices with at most `_SCAN_ENUMERATED_COPIES` copies
+    in K_n, else None."""
+    target = pattern if whole else densest_subgraph(pattern)
+    k, copies, cells = target.n, 0, None
+    if k <= min(n, MASK_VERTICES) and comb(n, k) <= _SCAN_ENUMERATED_COPIES:  # C(n,k) <= copies
+        copies = copies_in_complete(target, n)
+        if copies <= _SCAN_ENUMERATED_COPIES:
+            cells = _subset_cells(target, n)
+    return target, (w * q + (1 - w) * p) * target.num_edges, copies, cells
 
 
 @lru_cache(maxsize=128)
@@ -383,23 +397,24 @@ def likelihood_ratio_test(
     A copy enters only through its number a of observed edges, so the copies
     are tallied by a first, within `counting.COPY_OVERLAP_BYTES`. The sum
     over a is taken in integers, on weights cached over one common
-    denominator, and divided once.
+    denominator, and divided once. obs must have n vertices (ValueError).
     """
-    pattern, n = params.pattern, params.n
-    weights, denominator = _lrt_weights(params.p, params.q, pattern.num_edges)
-    copies = copies_in_complete(pattern, n)  # by this module's name: bench/spans.py wraps it
-    value = _copy_overlap_mean(pattern, n, obs._bits, copies, weights, denominator)
+    pattern, n, p, q = params.pattern, params.n, params.p, params.q
+    if obs.n != n:
+        raise ValueError(f"observation on {obs.n} vertices, but the model has n={n}")
+    value = _copy_overlap_mean(pattern, n, obs._bits, *_lrt_instance(pattern, n, p, q))
     return Verdict(value, _ONE)
 
 
 @lru_cache(maxsize=128)
-def _lrt_weights(p: float, q: float, e: int) -> tuple[tuple[int, ...], int]:
-    """(weights, D): weights[a]/D is the likelihood ratio of a copy with a of
-    its e edges observed, (p/q)**a * ((1-p)/(1-q))**(e-a), exactly; D is the
-    least common denominator of the e+1 ratios."""
-    p, q = Fraction(p), Fraction(q)
+def _lrt_instance(pattern: Graph, n: int, p: float, q: float) -> tuple[int, tuple[int, ...], int]:
+    """(copies, weights, D): the copies in K_n, and weights[a]/D the exact
+    likelihood ratio (p/q)**a * ((1-p)/(1-q))**(e-a) of a copy with a of its
+    e edges observed; D is the least common denominator of the e+1 ratios."""
+    copies = copies_in_complete(pattern, n)  # by this module's name: bench/spans.py wraps it
+    e, p, q = pattern.num_edges, Fraction(p), Fraction(q)
     present, absent = p / q, (1 - p) / (1 - q)
     ratios = [present**a * absent ** (e - a) for a in range(e + 1)]
     denominator = lcm(*(r.denominator for r in ratios))
     weights = tuple(r.numerator * (denominator // r.denominator) for r in ratios)
-    return weights, denominator
+    return copies, weights, denominator

@@ -102,6 +102,7 @@ def estimate_risk(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_threads(threads, trials)
     _, fn = resolve_detector(detector)
     cfg = cfg or _DEFAULT_CONFIG
 
@@ -133,6 +134,11 @@ def estimate_risk(
     type2 = misses / trials
     ci = _wilson_halfwidth(false_alarms, trials) + _wilson_halfwidth(misses, trials)
     return RiskEstimate(type1, type2, trials, ci)
+
+
+def _check_threads(threads: int | None, trials: int) -> None:
+    if threads is not None and not 1 <= threads <= trials:
+        raise ValueError(f"threads must lie in [1, {trials}] for {trials} trials, got {threads}")
 
 
 def _wilson_halfwidth(successes: int, trials: int) -> float:
@@ -189,8 +195,10 @@ def sweep(
     become rows with the message in the error column instead of aborting
     the sweep. Row i gets seed spec.seed + i so any row can be rerun alone.
     Each family is built once, on its first row, and a family that fails to
-    build puts its message on each of its rows.
+    build puts its message on each of its rows. `threads` outside [1,
+    trials] refuses the whole grid before any row runs.
     """
+    _check_threads(threads, spec.trials)
     rows = []
     built: dict[str, tuple[Graph | None, str]] = {}
     grid = product(spec.families, spec.ns, spec.ps, spec.qs)

@@ -191,10 +191,9 @@ class Observation:
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
-        # a small graph's matrix, when at hand, beats a walk over the bits:
-        # the popcounts of its row masks are the degrees
-        if self._adjacency is not None and self.n <= _SMALL_N:
-            return max(map(int.bit_count, self.row_masks), default=0)
+        # a held matrix's row sums beat a walk over the bits
+        if self._adjacency is not None:
+            return max(self._adjacency.sum(axis=1).tolist(), default=0)
         return int(self.degrees().max(initial=0))
 
     def has_edge(self, u: int, v: int) -> bool:

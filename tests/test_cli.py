@@ -324,6 +324,21 @@ class TestRiskAndSweep:
         ]
         assert [r[6] for r in rows[1:]] == ["1", "2", "3", "4"]
 
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-1", "3"])
+    def test_threads_outside_one_to_trials_exit_2(self, capsys, monkeypatch, command, threads):
+        # refused before any trial draws, so no thread starts
+        def no_draw(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(plantedlab.risklab, "sample_null", no_draw)
+        code, out, err = run(
+            capsys, command, "--detector", "count", "--family", "clique:3",
+            "--n", "10", "--p", "0.9", "--q", "0.2", "--trials", "2", "--threads", threads,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: threads must lie in [1, 2] for 2 trials, got {threads}\n"
+
     def test_sweep_splits_families_only_before_a_kind(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, _ = run(

@@ -20,6 +20,7 @@ from plantedlab import (
     PlantedLabError,
     Verdict,
     complete_graph,
+    copies_in_complete,
     count_test,
     degree_condition_satisfied,
     degree_condition_value,
@@ -33,8 +34,9 @@ from plantedlab import (
     scan_test_over_pattern,
     stream,
 )
-from plantedlab import trace
-from plantedlab.detectors import _scan_statistic, _suffix_caps
+from plantedlab import detectors, trace
+from plantedlab.counting import _shared_edges, _subset_cells
+from plantedlab.detectors import _SCAN_ENUMERATED_COPIES, _scan_statistic, _suffix_caps
 
 from oracles import (
     all_pairs,
@@ -443,6 +445,65 @@ class TestScanTest:
         assert lo.threshold < hi.threshold
 
 
+class TestScanRoutes:
+    """The branch and bound against the copy enumeration it hands small
+    targets to, and the route on either side of the copy bound."""
+
+    @staticmethod
+    def enumerated(obs, target):
+        return int(_shared_edges(_subset_cells(target, obs.n), obs._bits).max())
+
+    def test_search_matches_the_enumeration_on_six_vertices(self):
+        for mask in range(0, 1 << 15, 3):
+            obs = mask_to_observation(mask, 6)
+            assert _scan_statistic(obs, TRIANGLE) == self.enumerated(obs, TRIANGLE), mask
+
+    @pytest.mark.parametrize(
+        "spec", ["clique:4", "clique:5", "star:3", "path:3", "complete_bipartite:2,2"]
+    )
+    def test_search_matches_the_enumeration_on_small_hosts(self, spec):
+        target = make_family(spec)
+        for i, q in enumerate((0.05, 0.3, 0.7)):
+            for k in range(10):
+                n = target.n + k % (13 - target.n)
+                obs = sample_null(n, q, stream(620, i, k))
+                assert _scan_statistic(obs, target) == self.enumerated(obs, target), (q, k)
+
+    # triangles at n = 15 and 16: 455 and 560 copies; star:3 at n = 9 and 10: 504 and 840
+    @pytest.mark.parametrize("spec, n", [("clique:3", 15), ("clique:3", 16), ("star:3", 9), ("star:3", 10)])
+    def test_routes_either_side_of_the_copy_bound(self, monkeypatch, spec, n):
+        pattern = make_family(spec)
+        copies = copies_in_complete(pattern, n)
+        searched = []
+
+        def search(obs, target):
+            searched.append(target)
+            return _scan_statistic(obs, target)
+
+        monkeypatch.setattr(detectors, "_scan_statistic", search)
+        params = ModelParams(n=n, p=0.9, q=0.3, pattern=pattern)
+        draws = [sample_null(n, q, stream(621, k)) for k, q in enumerate((0.05, 0.3, 0.7))]
+        for obs in draws:
+            want = brute_scan_statistic(obs.adjacency, pattern)
+            assert scan_test(obs, params).statistic == want
+        enumerated = copies <= _SCAN_ENUMERATED_COPIES
+        assert len(searched) == (0 if enumerated else len(draws))
+        if enumerated:  # one work unit a copy
+            monkeypatch.setattr(trace, "WORK_BUDGET", copies)
+            scan_test(draws[0], params)
+            monkeypatch.setattr(trace, "WORK_BUDGET", copies - 1)
+            with pytest.raises(BudgetExceededError) as err:
+                scan_test(draws[0], params)
+            assert str(err.value) == f"scan: {copies} work units > budget {copies - 1}"
+
+    def test_target_larger_than_the_observation_scores_zero(self):
+        params = ModelParams(n=10, p=0.9, q=0.3, pattern=complete_graph(4))
+        obs = Observation(~np.eye(3, dtype=bool))
+        for scan in (scan_test, scan_test_over_pattern):
+            verdict = scan(obs, params)
+            assert (verdict.statistic, verdict.decision) == (0, 0)
+
+
 class TestMonotonicity:
     def test_adding_edges_never_lowers_statistics(self):
         rng = np.random.default_rng(606)
@@ -501,6 +562,15 @@ class TestLikelihoodRatioTest:
         assert str(err.value) == (
             f"copy-overlap tally: {92 * math.comb(200, 3)} bytes > budget 10000000"
         )
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_observation_of_another_size(self, m):
+        # it read the wrong pair bits: IndexError below n, a value above it
+        params = ModelParams(n=10, p=0.9, q=0.1, pattern=TRIANGLE)
+        obs = sample_null(m, 0.5, stream(615, m))
+        with pytest.raises(ValueError) as err:
+            likelihood_ratio_test(obs, params)
+        assert str(err.value) == f"observation on {m} vertices, but the model has n=10"
 
     def test_more_than_eleven_pattern_vertices(self):
         # one copy, but its 66 pairs do not fit the uint64 pair masks

@@ -107,12 +107,14 @@ class TestObservation:
     @pytest.mark.parametrize("n", [1, 6, 62, 63])
     def test_max_degree_is_the_largest_degree(self, n):
         """Sampled, matrix-built and `from_graph` observations, on both
-        sides of the bound up to which a matrix at hand is read."""
+        sides of the row masks' int64 bound; a held matrix is read by its
+        row sums at any n, and no reader builds row masks."""
         sampled = sample_null(n, 0.5, stream(29, n))
         want = int(sampled.degrees().max())
         assert sampled.max_degree() == want and sampled._adjacency is None
         for obs in (Observation(sampled.adjacency), Observation.from_graph(sampled.to_graph())):
             assert obs.max_degree() == obs.degrees().max() == want
+            assert type(obs.max_degree()) is int and obs._masks is None
 
     def test_has_edge_reads_as_the_graph(self):
         """Equal vertices and vertices outside [0, n) read False, as in
