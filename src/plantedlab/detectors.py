@@ -77,10 +77,17 @@ class Verdict:
         return int(self.statistic >= self.threshold)
 
 
+def _check_size(obs: Observation, n: int) -> None:
+    """The tests that read a threshold of n take an observation on n vertices."""
+    if obs.n != n:
+        raise ValueError(f"observation on {obs.n} vertices, but the model has n={n}")
+
+
 def count_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
     """Total edge count against C(n,2)q + |e(Gamma)|(p-q)/2."""
+    _check_size(obs, params.n)
     stat = float(obs.num_edges)
     threshold = comb(params.n, 2) * params.q + params.pattern.num_edges * (
         params.p - params.q
@@ -92,6 +99,7 @@ def degree_test(
     obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
 ) -> Verdict:
     """Maximum row sum against (n-1)q + d_max(Gamma)(p-q)/2."""
+    _check_size(obs, params.n)
     stat = float(obs.max_degree())
     threshold = (params.n - 1) * params.q + params.pattern.max_degree() * (
         params.p - params.q
@@ -400,8 +408,7 @@ def likelihood_ratio_test(
     denominator, and divided once. obs must have n vertices (ValueError).
     """
     pattern, n, p, q = params.pattern, params.n, params.p, params.q
-    if obs.n != n:
-        raise ValueError(f"observation on {obs.n} vertices, but the model has n={n}")
+    _check_size(obs, n)
     value = _copy_overlap_mean(pattern, n, obs._bits, *_lrt_instance(pattern, n, p, q))
     return Verdict(value, _ONE)
 

@@ -136,8 +136,6 @@ def intersection_distribution(
     pattern: Graph, n: int, trials: int, rng: np.random.Generator
 ) -> IntersectionHistogram:
     """Sample |e(copy ∩ fixed copy)| with the fixed copy at identity placement."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     hist = _intersection_counts(pattern, n, trials, rng)
     return IntersectionHistogram({j: int(c) for j, c in enumerate(hist) if c})
 
@@ -183,8 +181,6 @@ def second_moment_mc(
     both read off the histogram of intersections, so the chunk size moves
     neither. Only drawn bins are raised to their power; one past the float
     range reads inf, and so does a variance past it."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     hist = _intersection_counts(mp.pattern, mp.n, trials, rng)
     drawn = np.flatnonzero(hist)
     counts = hist[drawn]
@@ -219,6 +215,10 @@ def _intersection_counts(pattern: Graph, n: int, trials: int, rng) -> np.ndarray
     touches, so a (k+1)x(k+1) table reads the shared edges. A trial's draw
     holds two n-rows of int64, and the chunks hold MC_CHUNK_BYTES of them;
     `Generator.permuted` draws row by row, so chunking changes no draw."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     k = pattern.n
     shared = np.zeros((k + 1, k + 1), dtype=bool)
     for u, v in pattern.edges:

@@ -302,7 +302,7 @@ class TestRiskAndSweep:
             "--trials", "10", "--seed", "5", "--out", str(path),
         )
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) == 2
         assert rows[1][0] == "count" and rows[1][1] == "clique:8"
@@ -316,7 +316,7 @@ class TestRiskAndSweep:
             "--trials", "5", "--seed", "1", "--out", str(path),
         )
         assert code == 0
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) == 5
         assert [r[1] for r in rows[1:]] == [
@@ -348,7 +348,7 @@ class TestRiskAndSweep:
             "--trials", "5", "--seed", "1", "--out", str(path),
         )
         assert code == 0
-        header, *rows = csv.reader(path.open())
+        header, *rows = csv.reader(path.read_text().splitlines())
         assert [r[1] for r in rows] == ["complete_bipartite:2,3", "clique:3"]
         assert [r[header.index("error")] for r in rows] == ["", ""]
 
@@ -537,6 +537,13 @@ class TestIntersections:
         assert [e for e, _, _ in parsed] == sorted(e for e, _, _ in parsed)
         assert sum(t for _, t, _ in parsed) == 1000
         assert sum(f for _, _, f in parsed) == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_vertices_exit_2(self, capsys):
+        # a ZeroDivisionError traceback and exit 1 before the check
+        code, out, err = run(
+            capsys, "intersections", "--family", "path:2", "--n", "0", "--trials", "3"
+        )
+        assert (code, out, err) == (2, "", "error: n must be >= 1, got 0\n")
 
 
 class TestExitCodes:

@@ -97,6 +97,14 @@ class TestCountTest:
         assert v.statistic == v.threshold == 3.0
         assert v.decision == 1
 
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_observation_of_another_size(self, m):
+        # it judged m vertices' edge count against n=10's threshold
+        params = ModelParams(n=10, p=0.9, q=0.3, pattern=TRIANGLE)
+        with pytest.raises(ValueError) as err:
+            count_test(sample_null(m, 0.5, stream(616, m)), params)
+        assert str(err.value) == f"observation on {m} vertices, but the model has n=10"
+
 
 class TestDegreeTest:
     def test_threshold_formula(self):
@@ -112,6 +120,14 @@ class TestDegreeTest:
         params = ModelParams(n=6, p=0.9, q=0.1, pattern=TRIANGLE)
         v = degree_test(Observation(np.zeros((6, 6), dtype=bool)), params)
         assert v.decision == 0
+
+    @pytest.mark.parametrize("m", [4, 12])
+    def test_observation_of_another_size(self, m):
+        # it judged m vertices' largest degree against n=10's threshold
+        params = ModelParams(n=10, p=0.9, q=0.3, pattern=TRIANGLE)
+        with pytest.raises(ValueError) as err:
+            degree_test(sample_null(m, 0.5, stream(617, m)), params)
+        assert str(err.value) == f"observation on {m} vertices, but the model has n=10"
 
     def test_condition_diagnostic(self):
         # the guarantee quantity for the large star configuration: ~18 > 16

@@ -528,6 +528,13 @@ class TestIntersectionDistribution:
         assert hist.counts == {6: 50}
         assert hist.probabilities() == {6: 1.0}
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices(self, n):
+        # n = 0 divided the chunk size by zero
+        with pytest.raises(ValueError) as err:
+            intersection_distribution(EDGE, n, 3, np.random.default_rng(706))
+        assert str(err.value) == f"n must be >= 1, got {n}"
+
     def test_single_edge_overlap_rate(self):
         # a uniform random pair equals the fixed pair with probability 1/6
         rng = np.random.default_rng(705)

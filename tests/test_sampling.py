@@ -107,14 +107,37 @@ class TestObservation:
     @pytest.mark.parametrize("n", [1, 6, 62, 63])
     def test_max_degree_is_the_largest_degree(self, n):
         """Sampled, matrix-built and `from_graph` observations, on both
-        sides of the row masks' int64 bound; a held matrix is read by its
-        row sums at any n, and no reader builds row masks."""
+        sides of `_SMALL_N` = 62, the bound of the constructor's cached
+        cells; a held matrix is read by its row sums at any n, and no
+        reader builds row masks."""
         sampled = sample_null(n, 0.5, stream(29, n))
         want = int(sampled.degrees().max())
         assert sampled.max_degree() == want and sampled._adjacency is None
         for obs in (Observation(sampled.adjacency), Observation.from_graph(sampled.to_graph())):
             assert obs.max_degree() == obs.degrees().max() == want
             assert type(obs.max_degree()) is int and obs._masks is None
+
+    @pytest.mark.parametrize("n,edges", [(0, []), (1, []), (2, []), (2, [(0, 1)])])
+    def test_tiny_graphs_read_alike(self, n, edges):
+        """At n <= 2 every reader agrees across the three constructors,
+        before and after the matrix is read."""
+        a = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            a[u, v] = a[v, u] = True
+        bits = np.array([bool(edges)] * (n * (n - 1) // 2), dtype=bool)
+        built = [Observation(a), Observation.from_graph(Graph(n, edges))]
+        for obs in built + [Observation._from_bits(n, bits)]:
+            for _ in range(2):
+                degrees = obs.degrees()
+                assert degrees.dtype == np.int64
+                assert (degrees.tolist(), obs.edges(), obs.row_masks) == matrix_reads(a)
+                assert obs.max_degree() == max(degrees.tolist(), default=0)
+                assert type(obs.max_degree()) is int
+                assert obs.num_edges == len(edges) and obs.n == n
+                assert obs == built[0] and hash(obs) == hash(built[0])
+                matrix = obs.adjacency
+                assert matrix.shape == (n, n) and matrix.dtype == bool
+                assert not matrix.flags.writeable and matrix.tobytes() == a.tobytes()
 
     def test_has_edge_reads_as_the_graph(self):
         """Equal vertices and vertices outside [0, n) read False, as in
@@ -130,7 +153,8 @@ class TestObservation:
 
 class TestRowMasks:
     """Row masks and degrees, built on first read, against the matrix rows
-    on both sides of the int64 product's n <= 62 limit."""
+    on both sides of 62 and 64, the bounds of the constructor's cached cells
+    and of one 64-bit word."""
 
     SIZES = (1, 2, 61, 62, 63, 64, 65, 130)
 
@@ -404,6 +428,7 @@ class TestTriangleBlocks:
             a = np.zeros((n, n), dtype=bool)
             a[np.triu_indices(n, 1)] = obs._bits
             want = Observation(a | a.T)
+            assert want == obs, "the copied-out bits differ from the draw's"
             assert (obs.degrees().tolist(), obs.edges(), obs.row_masks) == matrix_reads(a | a.T)
             degrees = obs.degrees()
             assert degrees.dtype == np.int64 and np.array_equal(degrees, want.degrees())
@@ -411,8 +436,7 @@ class TestTriangleBlocks:
             assert obs.edges() == want.edges()
             assert obs.row_masks == want.row_masks
             assert [m.bit_count() for m in obs.row_masks] == [m.bit_count() for m in want.row_masks]
-            # up to n = 62 the masks are the matrix's int64 product
-            assert (obs._adjacency is None) == (n > 62), "a walk built the matrix"
+            assert obs._adjacency is None, "a walk built the matrix"
             assert obs.adjacency.tobytes() == want.adjacency.tobytes()
             assert not obs.adjacency.flags.writeable
             assert obs.to_graph() == want.to_graph()
