@@ -2,7 +2,7 @@
 
 Subcommands: stats, gen, sample, detect, risk, sweep, moment, ldp,
 decompose, classify. Exit codes: 0 success, 2 usage or input error,
-3 an exact call ran out of its work budget or memory cap.
+3 an exact call ran out of its work budget or memory cap, or out of memory.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ def run_command(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (PlantedLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

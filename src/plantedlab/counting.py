@@ -1,7 +1,7 @@
 """Exact counting oracles: copies of a pattern in a host graph, copies in
 the complete graph, containment probabilities for a uniformly random copy,
 and the copy-overlap mean of the likelihood-ratio test and pair
-enumeration, which reads a graph as its row-major pair bits.
+enumeration, which reads an `Observation`.
 
 All results are exact integers or rationals. Each public call spends from
 one work meter (`trace`), and the copy-overlap tally refuses past a memory
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import PlantedLabError
 from .graphs import Graph
 from .invariants import _embeddings, automorphism_count
-from .sampling import _pair_index
+from .sampling import Observation, _pair_index
 from .trace import check_bytes, metered, spend
 
 COPY_OVERLAP_BYTES = 10**7  # the copy-overlap arrays of about 10^6 copies
@@ -135,36 +135,36 @@ def _subset_cells(pattern: Graph, n: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return cells, weights, labelled
 
 
-def _shared_edges(entry: tuple, bits: np.ndarray) -> np.ndarray:
+def _shared_edges(entry: tuple, obs: Observation) -> np.ndarray:
     """shared[s, c]: the edges the c-th labelled copy, carried onto the s-th
-    subset of the `_subset_cells` `entry`, shares with the pair `bits`."""
+    subset of the `_subset_cells` `entry`, shares with `obs`."""
     cells, weights, labelled = entry
-    inside = weights @ bits[cells]  # pair mask of each subset
+    inside = weights @ obs._bits[cells]  # pair mask of each subset
     return np.bitwise_count(inside[:, None] & labelled)
 
 
-def _copy_overlaps(pattern: Graph, n: int, bits: np.ndarray) -> list[int]:
-    """tally[j] = number of copies of the pattern in K_n that share exactly
-    j edges, j = 0..|e(pattern)|, with the graph of the row-major pair `bits`.
+def _copy_overlaps(pattern: Graph, obs: Observation) -> list[int]:
+    """tally[j] = number of copies of the pattern in K_n, n = obs.n, that
+    share exactly j edges, j = 0..|e(pattern)|, with `obs`.
 
     A copy of a pattern without isolated vertices is its vertex set, a
     k-subset S of [n], and a labelled copy on [k] carried onto S in
     increasing order; it shares with the graph what the labelled copy shares
     with the pairs of the graph inside S, renamed onto [k].
     """
-    shared = _shared_edges(_subset_cells(pattern, n), bits)
+    shared = _shared_edges(_subset_cells(pattern, obs.n), obs)
     return np.bincount(shared.ravel(), minlength=pattern.num_edges + 1).tolist()
 
 
 def _copy_overlap_mean(
-    pattern: Graph, n: int, bits: np.ndarray, copies: int, weights, denominator: int
+    pattern: Graph, obs: Observation, copies: int, weights, denominator: int
 ) -> Fraction:
-    """Mean over the `copies` copies of the pattern in K_n of
-    weights[j] / denominator, j the edges a copy shares with the graph of
-    the pair `bits`: the `_copy_overlaps` tally weighed in one integer sum,
-    divided once. `weights` is a tuple, so that each distinct tally is
-    weighed once (`_weighed_tally`)."""
-    tally = _copy_overlaps(pattern, n, bits)
+    """Mean over the `copies` copies of the pattern in K_n, n = obs.n, of
+    weights[j] / denominator, j the edges a copy shares with `obs`: the
+    `_copy_overlaps` tally weighed in one integer sum, divided once.
+    `weights` is a tuple, so that each distinct tally is weighed once
+    (`_weighed_tally`)."""
+    tally = _copy_overlaps(pattern, obs)
     assert sum(tally) == copies
     return _weighed_tally(tuple(tally), weights, denominator * copies)
 

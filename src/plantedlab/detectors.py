@@ -163,7 +163,7 @@ def _scan(obs: Observation, params: ModelParams, cfg: DetectorConfig, whole: boo
     if cells is None:
         return Verdict(float(_scan_statistic(obs, target)), threshold)
     spend("scan", copies)
-    return Verdict(float(_shared_edges(cells, obs._bits).max()), threshold)
+    return Verdict(float(_shared_edges(cells, obs).max()), threshold)
 
 
 @lru_cache(maxsize=128)
@@ -409,7 +409,7 @@ def likelihood_ratio_test(
     """
     pattern, n, p, q = params.pattern, params.n, params.p, params.q
     _check_size(obs, n)
-    value = _copy_overlap_mean(pattern, n, obs._bits, *_lrt_instance(pattern, n, p, q))
+    value = _copy_overlap_mean(pattern, obs, *_lrt_instance(pattern, n, p, q))
     return Verdict(value, _ONE)
 
 

@@ -170,8 +170,9 @@ def _first_offence(canon: list[Edge], bad: Edge | None, n: int) -> Exception:
 
 
 def is_pattern(g: Graph) -> bool:
-    """Pattern graphs (planted structures) must have no isolated vertices."""
-    return g.n > 0 and not g.isolated_vertices()
+    """Pattern graphs (planted structures) must have no isolated vertices,
+    so at most 2|e| vertices, which is checked before any per-vertex work."""
+    return 0 < g.n <= 2 * g.num_edges and not g.isolated_vertices()
 
 
 # -- edge-list text format -------------------------------------------------

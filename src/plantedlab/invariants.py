@@ -523,25 +523,37 @@ def _embeddings(pattern: Graph, host: Graph) -> Iterator[list[int]]:
 def automorphism_count(g: Graph) -> int:
     """|Aut(G)| as a product over connected components.
 
-    For components C_1..C_r grouped into isomorphism classes with
-    multiplicities m_i, |Aut(G)| = prod_i m_i! * |Aut(C_i)|^{m_i}.
-    Isolated vertices form one class of singletons. Each component is
-    counted by :func:`_connected_aut`. Results are cached per graph; budget
-    errors are not.
+    For components grouped by :func:`_isomorphism_classes` into classes C_i
+    with multiplicities m_i, |Aut(G)| = prod_i m_i! * |Aut(C_i)|^{m_i}, each
+    |Aut(C_i)| by :func:`_connected_aut`; isolated vertices form one class
+    of singletons. Results are cached per graph; budget errors are not.
     """
-    classes: list[tuple[Graph, int]] = []
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        for i, (rep, mult) in enumerate(classes):
-            if isomorphic(rep, sub):
-                classes[i] = (rep, mult + 1)
+    components = ((g.induced_subgraph(comp), 1) for comp in g.components())
+    classes = _isomorphism_classes(components, isomorphic)
+    return prod(factorial(mult) * _connected_aut(rep) ** mult for rep, mult in classes)
+
+
+def _isomorphism_classes(weighted, same) -> list[list]:
+    """[representative, weight] for each isomorphism class of the (graph,
+    weight) pairs, in first-seen order, the weight summed over its members.
+
+    A graph joins the first class of its vertex count, edge count and sorted
+    degrees that `same` matches, else opens one. The merge must be complete,
+    so `same` decides isomorphism exactly: a class split into weights w1 and
+    w2 would turn |Aut|'s (w1 + w2)! into w1! w2!, and the subset sum's
+    (w1 + w2)^2 into w1^2 + w2^2.
+    """
+    classes, buckets = [], {}
+    for graph, weight in weighted:
+        bucket = buckets.setdefault((graph.n, graph.num_edges, tuple(sorted(graph.degrees()))), [])
+        for cls in bucket:
+            if same(cls[0], graph):
+                cls[1] += weight
                 break
         else:
-            classes.append((sub, 1))
-    total = 1
-    for rep, mult in classes:
-        total *= factorial(mult) * _connected_aut(rep) ** mult
-    return total
+            bucket.append([graph, weight])
+            classes.append(bucket[-1])
+    return classes
 
 
 def _connected_aut(g: Graph) -> int:

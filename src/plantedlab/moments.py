@@ -18,13 +18,11 @@ patterns with few symmetries it gives up there and the subsets are summed
 instead, which stays cheap at small D, so a call spends at most about
 twice the cheaper route's price in work units, plus the subset route's
 isomorphism and automorphism searches. In time it can be more: on dense
-patterns a subset takes longer than its 25 units. There P[H in a uniform
-copy] = N(H, Gamma) / N(H, K_n), and the number w of d-edge subsets of the
-fixed copy Gamma isomorphic to H is N(H, Gamma) itself, so an isomorphism
-class adds w^2 / N(H, K_n) and no copy is searched for. That holds only if
-each class holds every subset isomorphic to it, so the class merge must be
-complete. Pair enumeration over all copies is kept as an independent check
-on small n.
+patterns a subset takes longer than its 25 units. The subset route
+searches for no copy: an isomorphism class of w subsets adds
+w^2 / N(H, K_n) (`_subset_moments`), which holds only if the class merge of
+`invariants` is complete. Pair enumeration over all copies is kept as an
+independent check on small n.
 
 Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
 Monte-Carlo paths are float with a reported standard error.
@@ -44,8 +42,8 @@ from .counting import _copy_overlap_mean, copies_in_complete
 from .counting import containment_probability  # noqa: F401  bench/spans.py wraps it by this name
 from .errors import DegenerateQError, InvalidMomentError
 from .graphs import Graph
-from .invariants import _placement_plan, _twin_classes, isomorphic
-from .sampling import _check_instance, _edge_endpoints, _pair_index, batched_copy_images
+from .invariants import _isomorphism_classes, _placement_plan, _twin_classes, isomorphic
+from .sampling import Observation, _check_instance, batched_copy_images
 from .trace import left, metered, spend
 
 MC_CHUNK_BYTES = 1 << 24  # copy images held at once by the Monte Carlo paths
@@ -165,12 +163,11 @@ def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     its shared edges with a fixed one. Independent of the shared-edge law;
     exact on small instances (see `counting.COPY_OVERLAP_BYTES`)."""
     pattern, n = mp.pattern, mp.n
-    fixed = np.zeros(n * (n - 1) // 2, dtype=bool)
-    fixed[_pair_index(*_edge_endpoints(pattern).T, n)] = True  # the copy on [k]
+    fixed = Observation.from_graph(Graph(n, pattern.edges))  # the copy on [k]
     base = 1 + Fraction(mp.lambda_sq)  # a/b, so every term is over b**e
     a, b, e = base.numerator, base.denominator, pattern.num_edges
     weights = tuple(a**j * b ** (e - j) for j in range(e + 1))
-    value = _copy_overlap_mean(pattern, n, fixed, copies_in_complete(pattern, n), weights, b**e)
+    value = _copy_overlap_mean(pattern, fixed, copies_in_complete(pattern, n), weights, b**e)
     return MomentResult(value=value, method=EXACT_INTERSECTION_MGF)
 
 
@@ -395,7 +392,7 @@ def _component_sorter(pattern: Graph):
             for mask in masks:
                 bits = used & mask
                 if bits not in local:  # bits of one component, in its own order
-                    local[bits] = sum(1 << place[f][1] for f in _bits(bits))
+                    local[bits] = sum(1 << place[f][1] for f in _members(bits))
                 parts.append([local[bits]])
             for t, x in enumerate(images):
                 if x in place:
@@ -408,7 +405,7 @@ def _component_sorter(pattern: Graph):
             rename = {f: comps[j][r] for j, c in enumerate(ranked) for r, f in enumerate(comps[c])}
             moved = used & group_mask
             used ^= moved
-            for f in _bits(moved):
+            for f in _members(moved):
                 used |= 1 << rename[f]
             images = [rename.get(x, x) for x in images]
         return used, images
@@ -416,7 +413,7 @@ def _component_sorter(pattern: Graph):
     return sort_components, sum(len(comps) for comps in groups) >> 3
 
 
-def _bits(mask: int) -> list[int]:
+def _members(mask: int) -> list[int]:
     return [f for f in range(mask.bit_length()) if mask >> f & 1]
 
 
@@ -425,37 +422,18 @@ def _subset_moments(pattern: Graph, n: int, depth: int) -> list[Fraction]:
     copy Gamma of P[H inside a uniform copy] = N(H, Gamma) / N(H, K_n).
 
     The subsets are tallied by relabeled-edge key (equal keys are identical
-    labeled graphs), and the keys, in first-seen order, are merged into
-    isomorphism classes: each key is checked with `isomorphic` against the
-    classes of its degree signature, and joins the first that matches. A
-    class of w subsets has w = N(H, Gamma), so it adds w^2 / N(H, K_n). This
-    needs the merge to be complete: two classes of one isomorphism type,
-    with w1 and w2 subsets, would add w1^2 + w2^2 in place of (w1 + w2)^2.
+    labeled graphs), and the keys merged by `_isomorphism_classes`, with
+    `isomorphic` read by this module's name (bench/spans.py wraps it here).
+    A class of w subsets has w = N(H, Gamma), so it adds w^2 / N(H, K_n).
     The subsets are charged, 25 units each, before they are enumerated.
     """
     edges = pattern.edges
     spend("edge subsets, after the shared-edge count ran out", _subset_price(len(edges), depth))
-    tally = Counter(
-        _relabel_key(subset)
-        for size in range(1, depth + 1)
-        for subset in combinations(edges, size)
-    )
-    # degree signature -> its classes, each [representative, subsets]
-    buckets: dict[tuple, list[list]] = {}
-    for key, count in tally.items():
-        rep = Graph(1 + max(v for edge in key for v in edge), key)
-        bucket = buckets.setdefault((rep.n, rep.num_edges, tuple(sorted(rep.degrees()))), [])
-        for cls in bucket:
-            if isomorphic(cls[0], rep):
-                cls[1] += count
-                break
-        else:
-            bucket.append([rep, count])
-
+    tally = Counter(_relabel_key(s) for d in range(1, depth + 1) for s in combinations(edges, d))
+    keyed = ((Graph(1 + max(v for edge in key for v in edge), key), c) for key, c in tally.items())
     moments = [Fraction(1)] + [Fraction(0)] * depth
-    for bucket in buckets.values():
-        for rep, weight in bucket:
-            moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
+    for rep, weight in _isomorphism_classes(keyed, isomorphic):
+        moments[rep.num_edges] += Fraction(weight * weight, copies_in_complete(rep, n))
     return moments
 
 

@@ -16,6 +16,8 @@ from itertools import product
 from statistics import NormalDist
 from typing import Callable, TextIO
 
+from numpy.random import SeedSequence
+
 from .detectors import (
     _DEFAULT_CONFIG,
     DetectorConfig,
@@ -168,6 +170,8 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty in every dimension")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,8 @@ def sweep(
 
     Invalid combinations (q >= p, pattern larger than n, budget blowups)
     become rows with the message in the error column instead of aborting
-    the sweep. Row i gets seed spec.seed + i so any row can be rerun alone.
+    the sweep. Row i gets the seed SeedSequence(spec.seed, spawn_key=(i,))
+    generates, so other sweeps' rows draw other streams; any row reruns alone.
     Each family is built once, on its first row, and a family that fails to
     build puts its message on each of its rows. `threads` outside [1,
     trials] refuses the whole grid before any row runs.
@@ -203,7 +208,7 @@ def sweep(
     built: dict[str, tuple[Graph | None, str]] = {}
     grid = product(spec.families, spec.ns, spec.ps, spec.qs)
     for idx, (family, n, p, q) in enumerate(grid):
-        row_seed = spec.seed + idx
+        row_seed = int(SeedSequence(spec.seed, spawn_key=(idx,)).generate_state(1, "uint64")[0])
         start = time.perf_counter()
         estimate = None
         if family not in built:

@@ -12,6 +12,7 @@ import pytest
 
 import plantedlab
 from plantedlab import parse_edge_list, write_edge_list
+from plantedlab import cli
 from plantedlab.cli import _build_parser, run_command
 from plantedlab.risklab import CSV_HEADER
 
@@ -322,7 +323,10 @@ class TestRiskAndSweep:
         assert [r[1] for r in rows[1:]] == [
             "clique:3", "clique:3", "star:3", "star:3"
         ]
-        assert [r[6] for r in rows[1:]] == ["1", "2", "3", "4"]
+        assert [r[6] for r in rows[1:]] == [
+            "8431846347943309920", "4042681867674859579",
+            "1275975541612323131", "10440292027562320097",
+        ]
 
     @pytest.mark.parametrize("command", ["risk", "sweep"])
     @pytest.mark.parametrize("threads", ["0", "-1", "3"])
@@ -561,6 +565,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--lambda-sq" in err
+
+    def test_out_of_memory_is_one_line_and_exit_3(self, capsys, monkeypatch):
+        def exhausted(g):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "graph_stats", exhausted)
+        code, out, err = run(capsys, "stats", "--family", "clique:3")
+        assert (code, out, err) == (3, "", "error: out of memory\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "nope")[0] == 2

@@ -11,6 +11,7 @@ import pytest
 from plantedlab import (
     BudgetExceededError,
     Graph,
+    Observation,
     complete_graph,
     containment_probability,
     copies_in_complete,
@@ -194,7 +195,7 @@ def check_copy_overlaps(pattern, n, rng):
         tally = [0] * (pattern.num_edges + 1)
         for mask in masks:
             tally[(mask & given).bit_count()] += 1
-        assert _copy_overlaps(pattern, n, pair_bits(n, edges)) == tally
+        assert _copy_overlaps(pattern, Observation._from_bits(n, pair_bits(n, edges))) == tally
 
 
 class TestCopyEdgeMasks:
@@ -213,8 +214,26 @@ class TestCopyEdgeMasks:
             assert list(_labelled_copies(pattern)) == copy_masks(pattern, pattern.n)
             for n in range(pattern.n, 8):
                 check_copy_overlaps(pattern, n, rng)
-                copies = sum(_copy_overlaps(pattern, n, pair_bits(n, [])))
+                copies = sum(_copy_overlaps(pattern, Observation._from_bits(n, pair_bits(n, []))))
                 assert copies == copies_in_complete(pattern, n)
+
+
+    def test_every_observation_form_gives_one_tally(self):
+        # the matrix, edge-list and pair-bit constructions of one graph
+        rng = np.random.default_rng(522)
+        for spec, n in (("clique:3", 6), ("path:4", 7), ("star:3", 8)):
+            pattern, g = make_family(spec), random_graph(rng, n, 0.5)
+            adjacency = np.zeros((n, n), dtype=bool)
+            for u, v in g.edges:
+                adjacency[u, v] = adjacency[v, u] = True
+            forms = (
+                Observation(adjacency),
+                Observation.from_graph(g),
+                Observation._from_bits(n, pair_bits(n, g.edges)),
+            )
+            tallies = [_copy_overlaps(pattern, obs) for obs in forms]
+            assert tallies[0] == tallies[1] == tallies[2]
+            assert sum(tallies[0]) == copies_in_complete(pattern, n)
 
 
 class TestAncillaryIdentities:

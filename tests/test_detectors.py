@@ -467,7 +467,7 @@ class TestScanRoutes:
 
     @staticmethod
     def enumerated(obs, target):
-        return int(_shared_edges(_subset_cells(target, obs.n), obs._bits).max())
+        return int(_shared_edges(_subset_cells(target, obs.n), obs).max())
 
     def test_search_matches_the_enumeration_on_six_vertices(self):
         for mask in range(0, 1 << 15, 3):

@@ -82,10 +82,17 @@ class TestGraphBasics:
         g = Graph(5, [(1, 3)])
         assert without_isolated(g) == Graph(2, [(0, 1)])
 
-    def test_is_pattern(self):
+    def test_is_pattern(self, monkeypatch):
         assert is_pattern(Graph(2, [(0, 1)]))
         assert not is_pattern(Graph(3, [(0, 1)]))  # isolated vertex
         assert not is_pattern(Graph(2, []))
+
+        # 10^11 vertices and two edges: isolated_vertices() would take 100 GB
+        def walk(self):
+            raise AssertionError("walked the vertices")
+
+        monkeypatch.setattr(Graph, "isolated_vertices", walk)
+        assert not is_pattern(Graph(10**11, [(0, 1), (1, 2)]))
 
 
 class TestConstruction:

@@ -62,6 +62,10 @@ HUB_17 = Graph(17, [
         "8-10 8-14 8-15 9-10 9-11 9-12 10-15 11-12 11-14 12-13 13-14 13-15"
     ).split()
 ] + [(v, 16) for v in range(16)])
+# 2-regular on 6 vertices, so all three share one degree signature
+C6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+C6_RELABELLED = Graph(6, [(0, 2), (2, 4), (1, 4), (1, 3), (3, 5), (0, 5)])
+TWO_TRIANGLES = make_family("disjoint_triangles:2")
 
 
 def spider(m: int) -> Graph:
@@ -326,6 +330,10 @@ class TestAutomorphisms:
         )
         two_kinds = Graph(5, [(0, 1), (2, 3), (3, 4)])  # edge + path
         assert automorphism_count(two_kinds) == 2 * 2
+        # C6, a relabelled C6 and two triangles: one degree signature, two classes
+        one_signature = Graph(18, list(C6.edges) + [(6 + u, 6 + v) for u, v in C6_RELABELLED.edges]
+                              + [(12 + u, 12 + v) for u, v in TWO_TRIANGLES.edges])
+        assert automorphism_count(one_signature) == factorial(2) * 12**2 * factorial(2) * 6**2
 
     def test_matches_brute_force_on_connected_8_vertex_graphs(self):
         graphs = [HYPERCUBE_3, make_family("complete_bipartite:3,5")]
@@ -430,6 +438,22 @@ class TestAutomorphisms:
         assert automorphism_count(make_family("matching:40")) == factorial(40) * 2**40
 
 
+class TestIsomorphismClasses:
+    def test_weights_add_within_each_class(self):
+        asked = []
+
+        def same(a, b):
+            asked.append((a, b))
+            return isomorphic(a, b)
+
+        path = make_family("path:3")
+        weighted = [(C6, 2), (TWO_TRIANGLES, 3), (path, 1), (C6_RELABELLED, 5), (TWO_TRIANGLES, 7)]
+        classes = invariants._isomorphism_classes(weighted, same)
+        assert classes == [[C6, 7], [TWO_TRIANGLES, 10], [path, 1]]
+        # the path never meets a 2-regular graph
+        assert all(path not in pair for pair in asked)
+
+
 class TestIsomorphic:
     def test_positive_and_negative(self):
         a = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -440,9 +464,7 @@ class TestIsomorphic:
 
     def test_degree_sequence_twins_distinguished(self):
         # same degree multiset, different graphs: C6 vs two triangles
-        c6 = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
-        tri2 = make_family("disjoint_triangles:2")
-        assert not isomorphic(c6, tri2)
+        assert not isomorphic(C6, TWO_TRIANGLES)
 
     def test_matches_brute_force_on_same_degree_sequences(self):
         # b is a relabelled double-edge-swap of a, so the degree filter

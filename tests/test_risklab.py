@@ -1,5 +1,6 @@
 """Risk estimation harness: reproducibility, parallelism, and CSV output."""
 
+import dataclasses
 import io
 import re
 
@@ -146,11 +147,18 @@ class TestSweep:
             ("star:3", 12),
             ("star:3", 16),
         ]
-        assert [r.seed for r in rows] == [100, 101, 102, 103]
+        assert len({r.seed for r in rows}) == len(rows)
         for row in rows:
             assert row.error == ""
             assert row.estimate is not None
             assert row.elapsed_ms >= 0
+
+    def test_sweeps_of_neighbouring_seeds_share_no_row_seed(self):
+        # row i seeded spec.seed + i made row 1 of seed 0 replay row 0 of seed 1
+        spec = dataclasses.replace(self.SPEC, trials=1)
+        first = {r.seed for r in sweep(dataclasses.replace(spec, seed=0))}
+        second = {r.seed for r in sweep(dataclasses.replace(spec, seed=1))}
+        assert not first & second
 
     def test_rows_replay_individually(self):
         rows = sweep(self.SPEC)
@@ -161,8 +169,9 @@ class TestSweep:
         assert est == row.estimate
 
     def test_error_rows_are_recorded_not_raised(self):
+        # the copy-overlap tally of clique:20 at n=30 is refused before any draw
         spec = SweepSpec(
-            detector="scan",
+            detector="lrt",
             families=("clique:20", "clique:3"),
             ns=(30,),
             ps=(0.9,),
@@ -176,30 +185,31 @@ class TestSweep:
         assert rows[1].estimate is not None and rows[1].error == ""
 
     def test_each_family_is_built_once(self, monkeypatch):
-        # the CSV, elapsed_ms blanked, as written before families were cached:
-        # a repeated family, one that fails to build, and a pattern past n
+        # the CSV, elapsed_ms blanked, each row as estimate_risk gives it alone at
+        # its seed: a repeated family, one that fails to build, and a pattern past n
         kinds = ("clique, path, star, complete_bipartite, regular_tree, matching, "
                  "disjoint_triangles, unbalanced_stars")
         unknown = f"\"unknown family kind 'cycle'; known: {kinds}\""
         bad_q = '"need q <= p <= 1, got p=0.9, q=0.95"'
         expected = [
             "detector,family,n,p,q,trials,seed,type1,type2,risk,ci,,error",
-            "count,clique:3,8,0.9,0.2,3,5,0.666667,0.333333,1,0.815357,,",
-            f"count,clique:3,8,0.9,0.95,3,6,,,,,,{bad_q}",
-            "count,clique:3,12,0.9,0.2,3,7,0,0,0,0.688632,,",
-            f"count,clique:3,12,0.9,0.95,3,8,,,,,,{bad_q}",
-            f"count,cycle:4,8,0.9,0.2,3,9,,,,,,{unknown}",
-            f"count,cycle:4,8,0.9,0.95,3,10,,,,,,{unknown}",
-            f"count,cycle:4,12,0.9,0.2,3,11,,,,,,{unknown}",
-            f"count,cycle:4,12,0.9,0.95,3,12,,,,,,{unknown}",
-            "count,star:9,8,0.9,0.2,3,13,,,,,,pattern on 10 vertices does not fit in n=8",
-            f"count,star:9,8,0.9,0.95,3,14,,,,,,{bad_q}",
-            "count,star:9,12,0.9,0.2,3,15,0,0.333333,0.333333,0.751995,,",
-            f"count,star:9,12,0.9,0.95,3,16,,,,,,{bad_q}",
-            "count,clique:3,8,0.9,0.2,3,17,0,0,0,0.688632,,",
-            f"count,clique:3,8,0.9,0.95,3,18,,,,,,{bad_q}",
-            "count,clique:3,12,0.9,0.2,3,19,0,0,0,0.688632,,",
-            f"count,clique:3,12,0.9,0.95,3,20,,,,,,{bad_q}",
+            "count,clique:3,8,0.9,0.2,3,15658875773272509128,0.666667,0,0.666667,0.751995,,",
+            f"count,clique:3,8,0.9,0.95,3,6924645418555453511,,,,,,{bad_q}",
+            "count,clique:3,12,0.9,0.2,3,1725439304048894018,0,0,0,0.688632,,",
+            f"count,clique:3,12,0.9,0.95,3,13230002727910310950,,,,,,{bad_q}",
+            f"count,cycle:4,8,0.9,0.2,3,8786577384290153012,,,,,,{unknown}",
+            f"count,cycle:4,8,0.9,0.95,3,3633797122636661660,,,,,,{unknown}",
+            f"count,cycle:4,12,0.9,0.2,3,16687901726039934585,,,,,,{unknown}",
+            f"count,cycle:4,12,0.9,0.95,3,2043104238663926464,,,,,,{unknown}",
+            "count,star:9,8,0.9,0.2,3,15661542048078301208,,,,,,"
+            "pattern on 10 vertices does not fit in n=8",
+            f"count,star:9,8,0.9,0.95,3,3683790306848624784,,,,,,{bad_q}",
+            "count,star:9,12,0.9,0.2,3,12012915380873091280,0.333333,0,0.333333,0.751995,,",
+            f"count,star:9,12,0.9,0.95,3,14080512864661513379,,,,,,{bad_q}",
+            "count,clique:3,8,0.9,0.2,3,17781469660882502566,0.333333,0.333333,0.666667,0.815357,,",
+            f"count,clique:3,8,0.9,0.95,3,5212673270546063459,,,,,,{bad_q}",
+            "count,clique:3,12,0.9,0.2,3,17685221904131046455,0.333333,0.333333,0.666667,0.815357,,",
+            f"count,clique:3,12,0.9,0.95,3,8649960276200026844,,,,,,{bad_q}",
         ]
         builds = []
 
@@ -221,6 +231,9 @@ class TestSweep:
             SweepSpec("count", (), (12,), (0.9,), (0.2,), 10, 0)
         with pytest.raises(ValueError):
             SweepSpec("count", ("clique:3",), (12,), (0.9,), (0.2,), 0, 0)
+        # a row's seed is spawned from the sweep's, which SeedSequence needs >= 0
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SweepSpec("count", ("clique:3",), (12,), (0.9,), (0.2,), 10, -1)
 
 
 class TestWriteCsv:
@@ -233,7 +246,8 @@ class TestWriteCsv:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert first[0] == "count" and first[1] == "clique:3"
-        assert first[2] == "12" and first[5] == "20" and first[6] == "100"
+        # row 0 of seed 100: SeedSequence(100, spawn_key=(0,))'s first uint64
+        assert first[2] == "12" and first[5] == "20" and first[6] == "6961924204601216437"
 
     def test_six_significant_digits(self):
         est = RiskEstimate(
