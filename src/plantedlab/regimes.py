@@ -23,7 +23,7 @@ from .errors import (
 from .graphs import Graph
 from .invariants import GraphStats, vertex_cover_number
 from .moments import _check_bernoulli
-from .trace import metered
+from .trace import metered, spend
 
 
 class Regime(Enum):
@@ -63,46 +63,41 @@ class Decomposition:
                 seen.add(edge)
 
 
+@metered
 def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
     """Split the edges into num_parts subgraphs with balanced tau * d_max.
 
-    Vertices are ranked by descending degree (ties by ascending id). Part i
-    claims every still-unused edge touching the vertices whose degree is at
-    least d_max^((M-i)/M); degree thresholds are compared in exact integer
-    arithmetic (deg^M vs d_max^(M-i)). Every part then satisfies
-    tau(part) * d_max(part) <= 2 |e(g)| * d_max(g)^(1/M).
+    One pass: a vertex of degree d >= 1 joins the first part i (1-based) with
+    d^M >= d_max^(M-i), found once per distinct degree in exact integers, and
+    each edge joins its endpoints' earlier part. Every part then satisfies
+    tau(part) * d_max(part) <= 2 |e(g)| * d_max(g)^(1/M). The parts, the edges
+    and each power (by its bit length) are charged before they are built.
     """
     if g.num_edges == 0:
         raise EmptyGraphError("decomposition needs at least one edge")
     if num_parts < 1:
         raise ValueError(f"need at least one part, got {num_parts}")
     m = num_parts
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    d_max = degs[0]
-
-    # cutoffs[i] = how many ranked vertices have degree >= d_max^((M-i-1)/M)
-    cutoffs = []
-    for i in range(1, m + 1):
-        power = d_max ** (m - i)
-        count = sum(1 for deg in degs if deg**m >= power and deg > 0)
-        cutoffs.append(count)
-
-    used: set[tuple[int, int]] = set()
-    parts: list[Graph] = []
-    prev = 0
-    for i in range(m):
-        window = set(order[prev:cutoffs[i]])
-        prev = max(prev, cutoffs[i])
-        edges = [
-            edge
-            for edge in g.edges
-            if edge not in used and (edge[0] in window or edge[1] in window)
-        ]
-        used.update(edges)
-        parts.append(Graph(g.n, edges))
-    assert len(used) == g.num_edges
-    return Decomposition(tuple(parts))
+    # a part takes ~4.5 us to build, an edge ~4 us with its degree read (~100 ns a unit)
+    spend("decomposition", 45 * m + 40 * g.num_edges)
+    degrees = g.degrees()
+    d_max = max(degrees)
+    part_of = {}  # degree d -> 0-based part M-1-k, k the largest < M with d_max^k <= d^M
+    for d in set(degrees) - {0}:
+        k = m - 1
+        if d < d_max:
+            # the two or three powers of d^M's size take ~300-480 ns a bit at 10^7 bits
+            spend("decomposition", 5 * (int(m * math.log2(d)) + 1))
+            top, k = d**m, min(k, int(m * math.log(d) / math.log(d_max)))
+            while k < m - 1 and d_max ** (k + 1) <= top:
+                k += 1
+            while d_max**k > top:
+                k -= 1
+        part_of[d] = m - 1 - k
+    parts: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for u, v in g.edges:
+        parts[min(part_of[degrees[u]], part_of[degrees[v]])].append((u, v))
+    return Decomposition(tuple(Graph(g.n, edges) for edges in parts))
 
 
 @metered
@@ -169,6 +164,8 @@ def classify_dense(
         raise EmptyGraphError("classification needs at least one edge")
     if n <= stats.num_vertices:
         raise ValueError(f"need n > |v|, got n={n}, |v|={stats.num_vertices}")
+    if not lambda_sq >= 0:
+        raise ValueError(f"lambda_sq must be >= 0, got {lambda_sq}")
     mu = float(stats.max_subgraph_density)
     log_n = math.log(n)
     alpha = mu / math.log(stats.num_vertices) if stats.num_vertices > 1 else math.inf

@@ -36,6 +36,8 @@ def stream(seed: int, *indices: int) -> np.random.Generator:
     trial k under hypothesis h. Distinct index tuples give independent
     streams (SeedSequence spawn keys).
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=tuple(indices))
     return np.random.Generator(np.random.PCG64(ss))
 

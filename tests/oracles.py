@@ -328,6 +328,29 @@ def reference_sample(
     return a, images, copy_edges
 
 
+def reference_vcd_parts(g: Graph, num_parts: int) -> tuple[Graph, ...]:
+    """The balanced decomposition by windows, one part at a time: rank the
+    vertices by descending degree (ties by ascending id); part i takes the
+    next window of the ranking, the vertices whose degree first satisfies
+    deg^M >= d_max^(M-i), and claims every unused edge touching it."""
+    m = num_parts
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    degs = [g.degree(v) for v in order]
+    d_max = degs[0]
+    used: set[tuple[int, int]] = set()
+    parts, prev = [], 0
+    for i in range(1, m + 1):
+        power = d_max ** (m - i)
+        cutoff = sum(1 for deg in degs if deg > 0 and deg**m >= power)
+        window = set(order[prev:cutoff])
+        prev = max(prev, cutoff)
+        edges = [e for e in g.edges if e not in used and (e[0] in window or e[1] in window)]
+        used.update(edges)
+        parts.append(Graph(g.n, edges))
+    assert len(used) == g.num_edges
+    return tuple(parts)
+
+
 def hypergeom_pmf(total: int, marked: int, drawn: int) -> dict[int, Fraction]:
     """P[H = h] for H ~ Hypergeometric(total, marked, drawn), exact."""
     pmf = {}

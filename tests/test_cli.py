@@ -524,6 +524,20 @@ class TestDecompose:
         assert part1.num_edges + part2.num_edges == 40
         assert not (set(part1.edges) & set(part2.edges))
 
+    def test_many_parts_are_charged_before_any_is_built(self, capsys):
+        # 10^8 parts: the one-pass split ran for minutes before the meter saw it
+        code, out, err = run(capsys, "decompose", "--family", "star:4", "--parts", "100000000")
+        assert (code, out) == (3, "")
+        assert err == "error: decomposition: 4500000160 work units > budget 50000000\n"
+
+    def test_thirty_thousand_parts(self, capsys):
+        code, out, _ = run(capsys, "decompose", "--family", "star:4", "--parts", "30000")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 30001
+        assert lines[0] == "part=1 edges=4 tau=1 d_max=4 tau_x_dmax=4"
+        assert lines[1:-1] == [f"part={i} edges=0" for i in range(2, 30001)]
+        assert lines[-1] == "bound=8.00037"
+
 
 class TestIntersections:
     def test_histogram(self, capsys):
@@ -551,6 +565,51 @@ class TestIntersections:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("risk", "--detector", "count", "--family", "clique:3", "--n", "10",
+             "--p", "0.9", "--q", "0.2", "--trials", "2"),
+            ("sample", "--hypothesis", "null", "--n", "5", "--q", "0.5"),
+            ("moment", "--family", "clique:3", "--n", "10", "--lambda-sq", "1/2",
+             "--method", "mc", "--trials", "3"),
+            ("intersections", "--family", "path:2", "--n", "5", "--trials", "3"),
+        ],
+        ids=["risk", "sample", "moment-mc", "intersections"],
+    )
+    def test_negative_seed_names_the_seed(self, capsys, argv):
+        # numpy's "expected non-negative integer" named no flag
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("stats",), "provide --family or --graph"),
+            (("sample", "--hypothesis", "null", "--n", "5"), "null sampling needs --n and --q"),
+            (("sample", "--family", "clique:3", "--n", "5", "--q", "0.5"),
+             "planted sampling needs --n, --p, --q and a pattern"),
+            (("classify", "--regime", "superdense"), "superdense classification needs --alpha"),
+            (("classify", "--regime", "dense", "--family", "clique:3", "--lambda-sq", "1"),
+             "dense classification needs --n"),
+            (("classify", "--regime", "critical", "--family", "clique:3", "--n", "100"),
+             "critical classification needs --alpha"),
+        ],
+        ids=["no-pattern", "null-sample", "planted-sample", "superdense", "dense", "critical"],
+    )
+    def test_missing_flags_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("lambda_sq, shown", [("-1/2", "-0.5"), ("-1", "-1.0")])
+    def test_dense_negative_lambda_sq(self, capsys, lambda_sq, shown):
+        # -1/2 printed an impossible verdict, -1 failed with "math domain error"
+        code, out, err = run(
+            capsys, "classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
+            f"--lambda-sq={lambda_sq}",
+        )
+        assert (code, out, err) == (2, "", f"error: lambda_sq must be >= 0, got {shown}\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -77,6 +77,11 @@ class TestCopiesInComplete:
         assert copies_in_complete(make_family("path:2"), 4) == comb(4, 3) * 3
         assert copies_in_complete(make_family("star:3"), 5) == comb(5, 4) * 4
 
+    def test_pattern_larger_than_n(self):
+        with pytest.raises(ValueError) as err:
+            copies_in_complete(complete_graph(5), 4)
+        assert str(err.value) == "pattern on 5 vertices cannot embed in K_4"
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(401)
         for _ in range(25):
@@ -106,6 +111,17 @@ class TestContainmentProbability:
         tri = complete_graph(3)
         # 3 of the C(4,2)=6 pairs lie inside a planted triangle
         assert containment_probability(edge, tri, 4) == Fraction(3, 6)
+
+    @pytest.mark.parametrize("sub, pattern, n, message", [
+        (Graph(3, [(0, 1)]), complete_graph(3), 6, "containment probability requires pattern graphs"),
+        (Graph(2, [(0, 1)]), Graph(4, [(0, 1), (1, 2)]), 6,
+         "containment probability requires pattern graphs"),
+        (Graph(2, [(0, 1)]), complete_graph(3), 2, "pattern on 3 vertices cannot embed in K_2"),
+    ])
+    def test_refusals(self, sub, pattern, n, message):
+        with pytest.raises(ValueError) as err:
+            containment_probability(sub, pattern, n)
+        assert str(err.value) == message
 
     def test_zero_when_subgraph_absent(self):
         assert containment_probability(

@@ -460,6 +460,12 @@ class TestScanTest:
         assert hi.threshold == pytest.approx((0.1 * 0.2 + 0.9 * 0.8) * 3)
         assert lo.threshold < hi.threshold
 
+    @pytest.mark.parametrize("weight", [0, 1, 1.5, float("nan")])
+    def test_kappa_weight_outside_open_unit_interval(self, weight):
+        with pytest.raises(ValueError) as err:
+            DetectorConfig(scan_kappa_weight=weight)
+        assert str(err.value) == f"scan_kappa_weight must be in (0,1), got {weight}"
+
 
 class TestScanRoutes:
     """The branch and bound against the copy enumeration it hands small

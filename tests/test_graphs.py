@@ -53,6 +53,8 @@ class TestGraphBasics:
             Graph(3, [(0, 3)])
         with pytest.raises(VertexOutOfRangeError):
             Graph(3, [(-1, 2)])
+        with pytest.raises(VertexOutOfRangeError, match=r"^vertex count must be >= 0, got -1$"):
+            Graph(-1, [])
 
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
@@ -211,6 +213,9 @@ class TestEdgeListFormat:
     def test_missing_header_rejected(self):
         with pytest.raises(FormatError):
             parse_edge_list("0 1\n")
+        for text in ("", "# a comment\n\n"):
+            with pytest.raises(FormatError, match=r"^missing 'n <count>' header line$"):
+                parse_edge_list(text)
 
     def test_malformed_edge_rejected(self):
         with pytest.raises(FormatError):
@@ -328,6 +333,13 @@ class TestFamilies:
 
     def test_unbalanced_stars_huge_k(self):
         assert unbalanced_stars_degrees(10**120) == (10**30, 10**90)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_unbalanced_stars_needs_a_star(self, k):
+        for closed_form in (unbalanced_stars_degrees, unbalanced_stars_profile):
+            with pytest.raises(InvalidSpecError) as err:
+                closed_form(k)
+            assert str(err.value) == f"unbalanced_stars needs k >= 1, got {k}"
         assert isinstance(unbalanced_stars_profile(10**400), tuple)
 
     def test_canonical_copy_edges(self):

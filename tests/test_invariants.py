@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from plantedlab import (
     BudgetExceededError,
+    EmptyGraphError,
     Graph,
     GraphStats,
     automorphism_count,
@@ -116,6 +117,16 @@ class TestMaxSubgraphDensity:
 
     def test_empty_graph(self):
         assert max_subgraph_density(Graph(3, [])) == Fraction(0)
+
+    @pytest.mark.parametrize("fn, message", [
+        (graph_stats, "stats of the empty graph are undefined"),
+        (max_subgraph_density, "density of the empty graph is undefined"),
+        (densest_vertex_set, "densest subgraph of the empty graph is undefined"),
+    ])
+    def test_no_vertices(self, fn, message):
+        with pytest.raises(EmptyGraphError) as err:
+            fn(Graph(0, []))
+        assert str(err.value) == message
 
     def test_matches_brute_force_small(self):
         # graphs with up to 10 vertices against the subset oracle

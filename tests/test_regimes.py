@@ -9,6 +9,7 @@ import pytest
 
 from plantedlab import (
     AlphaOutOfRangeError,
+    BudgetExceededError,
     Decomposition,
     DenseConstants,
     EmptyGraphError,
@@ -33,7 +34,9 @@ from plantedlab import (
     vertex_cover_number,
 )
 
-from oracles import random_graph, without_isolated
+from plantedlab import trace
+
+from oracles import random_graph, reference_vcd_parts, without_isolated
 
 TRIANGLE = complete_graph(3)
 
@@ -120,6 +123,48 @@ class TestVcdDecompose:
     def test_decomposition_invariants(self):
         with pytest.raises(ValueError):
             Decomposition(parts=(TRIANGLE, TRIANGLE))
+
+    @staticmethod
+    def two_stars(big, small):
+        """A star of degree `big` beside one of degree `small`."""
+        edges = [(0, v) for v in range(1, big + 1)]
+        edges += [(big + 1, big + 1 + v) for v in range(1, small + 1)]
+        return Graph(big + small + 2, edges)
+
+    def test_equals_the_window_reference(self):
+        # every family kind, exact ties d^M = d_max^k (4 and 16, 2 and 8, 3 and 27),
+        # and 200 seeded random graphs on 2-39 vertices
+        specs = ("clique:6 path:6 star:6 complete_bipartite:6,6 regular_tree:3,3"
+                 " matching:6 disjoint_triangles:4 unbalanced_stars:8").split()
+        graphs = [make_family(s) for s in specs]
+        graphs += [self.two_stars(16, 4), self.two_stars(8, 2), self.two_stars(27, 3)]
+        rng = np.random.default_rng(3600)
+        while len(graphs) < len(specs) + 203:
+            g = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.8)))
+            if g.num_edges:
+                graphs.append(g)
+        for g in graphs:
+            for num_parts in (*range(1, 11), 31, 100):
+                assert vcd_decompose(g, num_parts).parts == reference_vcd_parts(g, num_parts)
+
+    def test_parts_and_edges_are_charged_before_they_are_built(self, monkeypatch):
+        # star:4: 45 units a part, 40 an edge, and 5 for the power 1^M
+        monkeypatch.setattr(trace, "WORK_BUDGET", 10_000)
+        star = make_family("star:4")
+        assert vcd_decompose(star, 218).M == 218  # 45 * 218 + 4 * 40 + 5 = 9975 units
+        with pytest.raises(BudgetExceededError) as err:
+            vcd_decompose(star, 219)
+        assert str(err.value) == "decomposition: 10015 work units > budget 10000"
+
+    def test_powers_are_charged_by_their_bit_length(self, monkeypatch):
+        # degrees 3 and 2: the parts and edges fit, 2^M's ~M bits do not
+        monkeypatch.setattr(trace, "WORK_BUDGET", 10_000)
+        g = self.two_stars(3, 2)
+        assert vcd_decompose(g, 100).M == 100
+        with pytest.raises(BudgetExceededError) as err:
+            vcd_decompose(g, 200)
+        assert 45 * 200 + 40 * 5 <= 10_000 < err.value.spent
+        assert str(err.value).startswith("decomposition: ")
 
 
 class TestBalanceRatio:
@@ -228,6 +273,13 @@ class TestClassifyDense:
             classify_dense(make_stats(3, 0, 0, 0), 100, 1.0)
         with pytest.raises(ValueError):
             classify_dense(graph_stats(TRIANGLE), 3, 1.0)
+
+    @pytest.mark.parametrize("lambda_sq", [-0.5, -1.0, float("nan")])
+    def test_negative_lambda_sq(self, lambda_sq):
+        # -1/2 read as impossible by density, -1 failed in log1p
+        with pytest.raises(ValueError) as err:
+            classify_dense(graph_stats(TRIANGLE), 1000, lambda_sq)
+        assert str(err.value) == f"lambda_sq must be >= 0, got {lambda_sq}"
 
 
 class TestSparseThresholds:
@@ -442,6 +494,14 @@ class TestCriticalClassify:
         )
         assert verdict.verdict is Regime.IMPOSSIBLE
         assert verdict.binding_boundary == "polynomial-degree"
+
+    def test_critical_polynomial_degree_measured_beta(self):
+        # beta = log d / log v, so d^(1/beta) log d = v log d = 10 log 3
+        n = 10**12
+        verdict = critical_classify(make_stats(10, 9, 3, Fraction(9, 10)), n, 1, sigma=1)
+        assert verdict.verdict is Regime.IMPOSSIBLE
+        assert verdict.binding_boundary == "polynomial-degree"
+        assert verdict.margin == pytest.approx(0.45 * math.log(n) - 10 * math.log(3))
 
     def test_critical_bounded_sigma_large(self):
         # sigma above 2e d^2 while the degree grows too fast for the

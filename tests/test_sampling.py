@@ -49,6 +49,12 @@ class TestStream:
             stream(42, 0, 1).random(4), stream(42, 1, 0).random(4)
         )
 
+    @pytest.mark.parametrize("indices", [(), (0, 3)])
+    def test_negative_seed_names_the_seed(self, indices):
+        # numpy's own refusal reads "expected non-negative integer"
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            stream(-1, *indices)
+
 
 class TestModelParams:
     def test_valid(self):
@@ -88,6 +94,18 @@ class TestObservation:
         asym[0, 1] = True
         with pytest.raises(ValueError):
             Observation(asym)
+        with pytest.raises(ValueError, match=r"^adjacency must be square, got shape \(2, 3\)$"):
+            Observation(np.zeros((2, 3), dtype=bool))
+
+    @pytest.mark.parametrize("n, q, message", [
+        (0, 0.5, "n must be >= 1, got 0"),
+        (4, 1.5, "q must lie in [0,1], got 1.5"),
+        (4, -0.25, "q must lie in [0,1], got -0.25"),
+    ])
+    def test_sample_null_refusals(self, n, q, message):
+        with pytest.raises(ValueError) as err:
+            sample_null(n, q, stream(0))
+        assert str(err.value) == message
 
     def test_immutability(self):
         obs = sample_null(5, 0.5, stream(1))
