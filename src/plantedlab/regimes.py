@@ -86,7 +86,7 @@ def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
     for d in set(degrees) - {0}:
         k = m - 1
         if d < d_max:
-            # the two or three powers of d^M's size take ~300-480 ns a bit at 10^7 bits
+            # the two or three powers of d^M's size take up to ~480 ns a bit at 10^7 bits
             spend("decomposition", 5 * (int(m * math.log2(d)) + 1))
             top, k = d**m, min(k, int(m * math.log(d) / math.log(d_max)))
             while k < m - 1 and d_max ** (k + 1) <= top:
