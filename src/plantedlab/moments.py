@@ -81,7 +81,7 @@ class MomentParams:
     pattern: Graph
 
     def __post_init__(self):
-        if self.lambda_sq < 0:
+        if not self.lambda_sq >= 0:
             raise ValueError(f"lambda_sq must be >= 0, got {self.lambda_sq}")
         _check_instance(self.n, self.pattern)
 
@@ -108,7 +108,7 @@ class MomentResult:
     std_error: float | None = None
 
     def __post_init__(self):
-        if self.value < 1 - 1e-9:
+        if not self.value >= 1 - 1e-9:
             raise InvalidMomentError(
                 f"second moment of a unit-mean likelihood is >= 1, got {self.value}"
             )
@@ -196,7 +196,7 @@ def risk_lower_bounds(second_moment, p, q, num_planted_edges: int):
     moment; tv_edge_bound = 1 - |p-q|*|e(Gamma)| from convexity plus
     tensorization of total variation over the planted edges.
     """
-    if second_moment < 1:
+    if not second_moment >= 1:
         raise InvalidMomentError(
             f"second moment must be >= 1, got {second_moment}"
         )

@@ -69,35 +69,35 @@ def vcd_decompose(g: Graph, num_parts: int) -> Decomposition:
 
     One pass: a vertex of degree d >= 1 joins the first part i (1-based) with
     d^M >= d_max^(M-i), found once per distinct degree in exact integers, and
-    each edge joins its endpoints' earlier part. Every part then satisfies
-    tau(part) * d_max(part) <= 2 |e(g)| * d_max(g)^(1/M). The parts, the edges
-    and each power (by its bit length) are charged before they are built.
+    each edge joins its endpoints' earlier part, so every part satisfies
+    tau(part) * d_max(part) <= 2 |e(g)| * d_max(g)^(1/M). Parts, edges and
+    powers (by bit length) are charged first; the edgeless parts share one graph.
     """
     if g.num_edges == 0:
         raise EmptyGraphError("decomposition needs at least one edge")
     if num_parts < 1:
         raise ValueError(f"need at least one part, got {num_parts}")
     m = num_parts
-    # a part takes ~4.5 us to build, an edge ~4 us with its degree read (~100 ns a unit)
+    # ~100 ns a unit: an edge takes ~4 us with its degree read; 45 units a part overprice
+    # the < 1 us an edgeless part (the shared graph) costs `decompose` with its output line
     spend("decomposition", 45 * m + 40 * g.num_edges)
     degrees = g.degrees()
     d_max = max(degrees)
-    part_of = {}  # degree d -> 0-based part M-1-k, k the largest < M with d_max^k <= d^M
-    for d in set(degrees) - {0}:
-        k = m - 1
-        if d < d_max:
-            # the two or three powers of d^M's size take up to ~480 ns a bit at 10^7 bits
-            spend("decomposition", 5 * (int(m * math.log2(d)) + 1))
-            top, k = d**m, min(k, int(m * math.log(d) / math.log(d_max)))
-            while k < m - 1 and d_max ** (k + 1) <= top:
-                k += 1
-            while d_max**k > top:
-                k -= 1
+    part_of = {d_max: 0}  # degree d -> 0-based part M-1-k, k the largest < M with d_max^k <= d^M
+    for d in set(degrees) - {0, d_max}:
+        # the two or three powers of d^M's size take up to ~480 ns a bit at 10^7 bits
+        spend("decomposition", 5 * (int(m * math.log2(d)) + 1))
+        top, k = d**m, min(m - 1, int(m * math.log(d) / math.log(d_max)))
+        while k < m - 1 and d_max ** (k + 1) <= top:
+            k += 1
+        while d_max**k > top:  # guards the float estimate should it overshoot
+            k -= 1
         part_of[d] = m - 1 - k
-    parts: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    held: dict[int, list[tuple[int, int]]] = {}  # 0-based part -> its edges
     for u, v in g.edges:
-        parts[min(part_of[degrees[u]], part_of[degrees[v]])].append((u, v))
-    return Decomposition(tuple(Graph(g.n, edges) for edges in parts))
+        held.setdefault(min(part_of[degrees[u]], part_of[degrees[v]]), []).append((u, v))
+    empty = Graph(g.n, ())  # graphs are immutable, so sharing one is safe
+    return Decomposition(tuple(Graph(g.n, held[i]) if i in held else empty for i in range(m)))
 
 
 @metered
@@ -126,7 +126,7 @@ def balance_ratio_from_counts(
 class DenseConstants:
     """Configuration for the dense-regime verdict.
 
-    epsilon is the polynomial slack in the n^(1 +/- eps) comparisons.
+    epsilon, in [0, 1), is the polynomial slack in the n^(1 +/- eps) comparisons.
     c_lower / c_upper override the density constants; defaults are
     (1-eps) * alpha / (2 + alpha log(1+lambda^2)) with alpha = mu/log|v|,
     and (1+eps)/KL(p||q). The scan boundary needs (p, q); without them it
@@ -140,6 +140,10 @@ class DenseConstants:
     q: float | None = None
     c_lower: float | None = None
     c_upper: float | None = None
+
+    def __post_init__(self):
+        if not 0 <= self.epsilon < 1:
+            raise ValueError(f"epsilon must lie in [0,1), got {self.epsilon}")
 
 
 _SUPERLOG_ALPHA = 0.5  # mu/log|v| from which classify_dense takes the super-log branch
@@ -237,6 +241,9 @@ class PolyFamilyExponents:
     def __post_init__(self):
         if not 0 <= self.alpha <= 2:
             raise ValueError(f"alpha must lie in [0,2], got {self.alpha}")
+        for name in ("epsilon", "delta", "zeta"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got nan")
         if not self.zeta <= self.delta <= 1 <= self.epsilon <= 2:
             warnings.warn(
                 "exponents violate zeta <= delta <= 1 <= epsilon <= 2; "
@@ -293,7 +300,7 @@ def g_mu(alpha: float, mu: float) -> float:
     """
     if not 0 < mu < 1:
         raise ValueError(f"mu must lie in (0,1), got {mu}")
-    if alpha < 0 or alpha >= 1 / mu:
+    if not 0 <= alpha < 1 / mu:
         raise AlphaOutOfRangeError(
             f"alpha must lie in [0, 1/mu) = [0, {1 / mu:.6g}), got {alpha}"
         )
@@ -327,6 +334,8 @@ def critical_classify(
         raise ValueError(f"sigma must be > 0, so that q = sigma/n > 0, got {sigma}")
     if beta_degree is not None and not beta_degree > 0:
         raise ValueError(f"beta_degree must be > 0, got {beta_degree}")
+    if not 0 <= epsilon < 1:
+        raise ValueError(f"epsilon must lie in [0,1), got {epsilon}")
     if stats.num_edges < 1:
         raise EmptyGraphError("classification needs at least one edge")
     if n < 2:

@@ -343,6 +343,18 @@ class TestRiskAndSweep:
         assert (code, out) == (2, "")
         assert err == f"error: threads must lie in [1, 2] for 2 trials, got {threads}\n"
 
+    def test_sweep_without_out_writes_csv_to_stdout(self, capsys, tmp_path):
+        argv = ("sweep", "--detector", "count", "--family", "clique:3", "--n", "10",
+                "--p", "0.9", "--q", "0.2", "--trials", "5", "--seed", "1")
+        path = tmp_path / "sweep.csv"
+        assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        elapsed = CSV_HEADER.index("elapsed_ms")  # the one column that is not seeded
+        for got, want in zip(csv.reader(out.splitlines()),
+                             csv.reader(path.read_text().splitlines()), strict=True):
+            assert got[:elapsed] + got[elapsed + 1:] == want[:elapsed] + want[elapsed + 1:]
+
     def test_sweep_splits_families_only_before_a_kind(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, _ = run(
@@ -530,6 +542,12 @@ class TestDecompose:
         assert (code, out) == (3, "")
         assert err == "error: decomposition: 4500000160 work units > budget 50000000\n"
 
+    def test_largest_part_count_past_the_budget(self, capsys):
+        # 45 * 1111108 + 4 * 40 units: one part more than fits
+        code, out, err = run(capsys, "decompose", "--family", "star:4", "--parts", "1111108")
+        assert (code, out) == (3, "")
+        assert err == "error: decomposition: 50000020 work units > budget 50000000\n"
+
     def test_thirty_thousand_parts(self, capsys):
         code, out, _ = run(capsys, "decompose", "--family", "star:4", "--parts", "30000")
         lines = out.splitlines()
@@ -609,6 +627,27 @@ class TestExitCodes:
             f"--lambda-sq={lambda_sq}",
         )
         assert (code, out, err) == (2, "", f"error: lambda_sq must be >= 0, got {shown}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dense", "--n", "1000", "--lambda-sq", "1", "--slack", "nan"),
+             "epsilon must lie in [0,1), got nan"),
+            (("dense", "--n", "1000", "--p", "0.9", "--q", "0.2", "--slack", "-3"),
+             "epsilon must lie in [0,1), got -3.0"),
+            (("critical", "--n", "1000", "--alpha", "0.5", "--slack", "nan"),
+             "epsilon must lie in [0,1), got nan"),
+            (("sparse", "--alpha", "1", "--epsilon", "nan", "--delta", "1", "--zeta", "1"),
+             "epsilon must be a number, got nan"),
+        ],
+        ids=["dense-nan-slack", "dense-negative-slack", "critical-nan-slack", "sparse-nan"],
+    )
+    def test_classify_refuses_nan_and_out_of_range_slack(self, capsys, argv, message):
+        # each printed a verdict or thresholds and exited 0: an easy verdict with a
+        # negative margin at --slack -3, the rest computed against a NaN
+        family = () if argv[0] == "sparse" else ("--family", "clique:3")
+        code, out, err = run(capsys, "classify", "--regime", *argv, *family)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -44,6 +44,7 @@ class TestCountCopies:
         assert count_copies(Graph(2, [(0, 1)]), k4) == 6
         assert count_copies(k4, k4) == 1
         assert count_copies(triangle, make_family("star:5")) == 0
+        assert count_copies(Graph(0, []), k4) == 1  # the empty pattern has one copy
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(400)

@@ -61,6 +61,8 @@ class TestGraphBasics:
         b = Graph(3, [(1, 2), (0, 1)])
         assert a == b and hash(a) == hash(b)
         assert a != Graph(4, [(0, 1), (1, 2)])
+        with pytest.raises(AttributeError, match=r"^Graph is immutable$"):
+            a.n = 4
 
     def test_components(self):
         g = Graph(6, [(0, 1), (1, 2), (4, 5)])

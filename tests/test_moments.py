@@ -87,9 +87,21 @@ class TestMomentParams:
         with pytest.raises(ValueError):
             MomentParams(6, 1, Graph(3, [(0, 1)]))  # isolated vertex
 
+    def test_nan_lambda_sq_rejected(self):
+        # NaN passed `lambda_sq < 0`: the exact form then failed naming no input
+        with pytest.raises(ValueError) as err:
+            MomentParams(10, float("nan"), TRIANGLE)
+        assert str(err.value) == "lambda_sq must be >= 0, got nan"
+        assert MomentParams(10, math.inf, TRIANGLE).lambda_sq == math.inf
+
     def test_result_below_one_rejected(self):
         with pytest.raises(InvalidMomentError):
             MomentResult(value=0.5, method="exact_subgraph_sum")
+
+    def test_nan_result_rejected(self):
+        with pytest.raises(InvalidMomentError) as err:
+            MomentResult(value=float("nan"), method="monte_carlo", std_error=math.inf)
+        assert str(err.value) == "second moment of a unit-mean likelihood is >= 1, got nan"
 
 
 class TestSharedChecks:
@@ -600,6 +612,12 @@ class TestRiskLowerBounds:
     def test_invalid_moment(self):
         with pytest.raises(InvalidMomentError):
             risk_lower_bounds(0.5, 0.4, 0.3, 3)
+
+    def test_nan_moment(self):
+        # returned (nan, 0.0)
+        with pytest.raises(InvalidMomentError) as err:
+            risk_lower_bounds(float("nan"), 0.9, 0.2, 3)
+        assert str(err.value) == "second moment must be >= 1, got nan"
 
     def test_moment_past_the_float_range(self):
         sm_bound, tv_bound = risk_lower_bounds(Fraction(10**400), 0.9, 0.1, 5)

@@ -1,6 +1,7 @@
 """Balanced decomposition, balance ratios, and regime classifiers."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -132,20 +133,45 @@ class TestVcdDecompose:
         return Graph(big + small + 2, edges)
 
     def test_equals_the_window_reference(self):
-        # every family kind, exact ties d^M = d_max^k (4 and 16, 2 and 8, 3 and 27),
-        # and 200 seeded random graphs on 2-39 vertices
+        # every family kind, exact ties d^M = d_max^k (4 and 16, 8 and 16, 2 and 8,
+        # 3 and 27), and 200 seeded random graphs on 2-39 vertices
         specs = ("clique:6 path:6 star:6 complete_bipartite:6,6 regular_tree:3,3"
                  " matching:6 disjoint_triangles:4 unbalanced_stars:8").split()
         graphs = [make_family(s) for s in specs]
-        graphs += [self.two_stars(16, 4), self.two_stars(8, 2), self.two_stars(27, 3)]
+        ties = [self.two_stars(16, 4), self.two_stars(16, 8), self.two_stars(8, 2),
+                self.two_stars(27, 3)]
+        graphs += ties
         rng = np.random.default_rng(3600)
-        while len(graphs) < len(specs) + 203:
+        while len(graphs) < len(specs) + len(ties) + 200:
             g = random_graph(rng, int(rng.integers(2, 40)), float(rng.uniform(0.02, 0.8)))
             if g.num_edges:
                 graphs.append(g)
         for g in graphs:
-            for num_parts in (*range(1, 11), 31, 100):
+            for num_parts in (*range(1, 11), 12, 16, 31, 100):
                 assert vcd_decompose(g, num_parts).parts == reference_vcd_parts(g, num_parts)
+
+    def test_float_estimate_corrected_upward(self):
+        # 8^12 = 16^9, but the float estimate int(12 log 8 / log 16) reads 8: the
+        # upward loop finds 9, so star:8 lands in part 3. The downward loop is kept as
+        # the guard should the estimate ever overshoot; no case with d_max < 3000,
+        # M < 60 and d near d_max^(j/M) was found that reaches it.
+        g = self.two_stars(16, 8)
+        assert int(12 * math.log(8) / math.log(16)) == 8 and 8**12 == 16**9
+        parts = vcd_decompose(g, 12).parts
+        assert parts == reference_vcd_parts(g, 12)
+        assert [p.num_edges for p in parts] == [16, 0, 8] + [0] * 9
+
+    def test_edgeless_parts_share_one_graph(self):
+        # 10^5 parts of star:4: one built graph and 99 999 references to one empty one
+        tracemalloc.start()
+        try:
+            parts = vcd_decompose(make_family("star:4"), 10**5).parts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000  # 16.9 MB when every part was its own graph
+        assert parts[0].num_edges == 4
+        assert len({id(p) for p in parts[1:]}) == 1 and parts[1] == Graph(5, [])
 
     def test_parts_and_edges_are_charged_before_they_are_built(self, monkeypatch):
         # star:4: 45 units a part, 40 an edge, and 5 for the power 1^M
@@ -274,6 +300,13 @@ class TestClassifyDense:
         with pytest.raises(ValueError):
             classify_dense(graph_stats(TRIANGLE), 3, 1.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), -3.0, 1.0, 1.5])
+    def test_slack_outside_zero_one(self, epsilon):
+        # NaN read as indeterminate with margin nan, -3 as easy with a negative margin
+        with pytest.raises(ValueError) as err:
+            DenseConstants(epsilon=epsilon)
+        assert str(err.value) == f"epsilon must lie in [0,1), got {epsilon}"
+
     @pytest.mark.parametrize("lambda_sq", [-0.5, -1.0, float("nan")])
     def test_negative_lambda_sq(self, lambda_sq):
         # -1/2 read as impossible by density, -1 failed in log1p
@@ -324,6 +357,16 @@ class TestSparseThresholds:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             PolyFamilyExponents(alpha=1, epsilon=2, delta=1, zeta=1)
+
+    @pytest.mark.parametrize("name", ["epsilon", "delta", "zeta"])
+    def test_nan_exponent(self, name):
+        # refused by name before the ordering check, which NaN fails with a warning
+        exponents = dict(alpha=1, epsilon=2, delta=1, zeta=1) | {name: float("nan")}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                PolyFamilyExponents(**exponents)
+        assert str(err.value) == f"{name} must be a number, got nan"
 
     def test_domain_validation(self):
         with pytest.raises(ValueError):
@@ -378,6 +421,12 @@ class TestGMu:
             g_mu(2.0, 0.5)
         with pytest.raises(AlphaOutOfRangeError):
             g_mu(2.5, 0.5)
+
+    def test_nan_alpha(self):
+        # returned nan
+        with pytest.raises(AlphaOutOfRangeError) as err:
+            g_mu(float("nan"), 0.5)
+        assert str(err.value) == "alpha must lie in [0, 1/mu) = [0, 2), got nan"
 
 
 class TestCriticalClassify:
@@ -552,3 +601,9 @@ class TestCriticalClassify:
                 critical_classify(stats, 1000, alpha)
         with pytest.raises(EmptyGraphError):
             critical_classify(make_stats(5, 0, 0, 0), 1000, 0.5)
+
+    @pytest.mark.parametrize("epsilon", [float("nan"), -0.5, 1.0])
+    def test_slack_outside_zero_one(self, epsilon):
+        with pytest.raises(ValueError) as err:
+            critical_classify(make_stats(10, 10, 3, 1), 1000, 0.5, epsilon=epsilon)
+        assert str(err.value) == f"epsilon must lie in [0,1), got {epsilon}"

@@ -111,6 +111,10 @@ class TestObservation:
         obs = sample_null(5, 0.5, stream(1))
         with pytest.raises((ValueError, AttributeError)):
             obs.adjacency[0, 1] = True
+        with pytest.raises(AttributeError, match=r"^Observation is immutable$"):
+            obs.n = 6
+        # another type is unequal, not an error
+        assert obs != obs.to_graph() and obs != None  # noqa: E711
 
     def test_graph_round_trip(self):
         g = make_family("complete_bipartite:2,3")
