@@ -7,10 +7,15 @@ is pure, so trial k is reproducible regardless of execution order. An
 observation is one bit per unordered pair, in row-major upper-triangle order
 (`_pair_index`), each drawn from one uniform after the copy (if any).
 
-The uniforms are drawn DRAW_CHUNK at a time into one buffer local to the
-call, and each chunk is compared into the draw's boolean bits as it comes, so
-a draw holds one byte per pair plus one chunk. The generator's `random` fills
-sequentially, so the chunked draw equals one `random(C(n,2))` bit for bit.
+The uniforms are drawn DRAW_CHUNK at a time into one buffer a piece, and
+each chunk is compared into the draw's boolean bits as it comes, so a draw
+holds one byte per pair plus one chunk a piece. The generator's `random`
+fills sequentially, so the chunked draw equals one `random(C(n,2))` bit for
+bit. A large draw from a PCG64 generator is filled in pieces on chunk
+boundaries, one per usable core, each from a copy of the generator advanced
+to the piece's first pair (`PCG64.advance`); its bits and the generator's
+end state are those of one sequential fill, whatever the core count. Other
+bit generators draw in one piece.
 Edge tests, edges, equality and hash read the bits in place; degrees and the
 packed rows (row masks, the matrix) walk them DEGREE_BLOCK rows at a time
 through one reused buffer, so no reader but `adjacency` holds an n x n array.
@@ -18,7 +23,10 @@ through one reused buffer, so no reader but `adjacency` holds an n x n array.
 
 from __future__ import annotations
 
+import os
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -75,6 +83,11 @@ def _check_instance(n: int, pattern: Graph) -> None:
 
 
 DRAW_CHUNK = 1 << 15  # uniforms a sampler draws at once: 256 KB of float64
+_SPLIT_CHUNKS = 8  # a PCG64 draw of at least this many whole chunks is split across cores
+# pieces of a split draw: one per usable core, at most 4
+_DRAW_PIECES = min(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4
+)
 DEGREE_BLOCK = 256  # rows of the triangle a walk over a draw's bits copies at once
 _SMALL_N = 62  # up to this n `Observation(adjacency)` gathers its bits through cached cells
 
@@ -287,22 +300,96 @@ def _draw_bits(
 ) -> np.ndarray:
     """m bits, bit i set when the i-th uniform drawn is below its threshold:
     p at the sorted positions `planted`, q elsewhere. The uniforms are drawn
-    DRAW_CHUNK at a time into one buffer, so only the bits are m long."""
+    DRAW_CHUNK at a time into one buffer a piece, so only the bits are m long.
+
+    A draw of at least _SPLIT_CHUNKS whole chunks from a PCG64 generator is
+    filled in up to _DRAW_PIECES pieces on chunk boundaries: the caller fills
+    the first from `rng`, the draw pool each other from a copy of `rng`
+    advanced to its first pair, and `rng` then takes the last copy's state.
+    So the bits and the generator's end state are those of one sequential
+    fill. Other bit generators draw in one piece."""
     bits = np.empty(m, dtype=bool)
+    cuts = _piece_starts(m, rng.bit_generator) + [m]
+    copies = [_advanced(rng, lo) for lo in cuts[1:-1]]
+    fills = [
+        _draw_pool().submit(_fill, bits, lo, hi, q, copy, planted, p)
+        for copy, lo, hi in zip(copies, cuts[1:], cuts[2:])
+    ]
+    _fill(bits, 0, cuts[1], q, rng, planted, p)
+    for fill in fills:
+        fill.result()
+    if copies:
+        # the copies drew no 32-bit half, so `rng` keeps its own buffered one
+        state = rng.bit_generator.state
+        state["state"] = copies[-1].bit_generator.state["state"]
+        rng.bit_generator.state = state
+    return bits
+
+
+def _fill(
+    bits: np.ndarray,
+    lo: int,
+    hi: int,
+    q: float,
+    rng: np.random.Generator,
+    planted: np.ndarray | None,
+    p: float,
+) -> None:
+    """Bits lo..hi-1 of `_draw_bits` from the next hi - lo uniforms of `rng`."""
     step = DRAW_CHUNK
-    buf = np.empty(min(m, step))
+    buf = np.empty(min(hi - lo, step))
+    starts = range(lo, hi, step)
     if planted is not None:
         # splits[j]: the first planted position in chunk j or after it
-        splits = np.searchsorted(planted, np.arange(0, m + step, step)).tolist()
-    for j, start in enumerate(range(0, m, step)):
-        stop = min(start + step, m)
+        splits = np.searchsorted(planted, [*starts, hi]).tolist()
+    for j, start in enumerate(starts):
+        stop = min(start + step, hi)
         chunk = buf[: stop - start]
         rng.random(out=chunk)
         np.less(chunk, q, out=bits[start:stop])
         if planted is not None and splits[j] < splits[j + 1]:
             at = planted[splits[j] : splits[j + 1]]
             bits[at] = chunk[at - start] < p
-    return bits
+
+
+def _piece_starts(m: int, bit_generator: np.random.BitGenerator) -> list[int]:
+    """The first pair of each piece of an m-pair draw, on chunk boundaries:
+    [0] unless the draw is long enough to split and `advance` counts draws.
+    Philox's counts blocks of four, and MT19937 and SFC64 have none."""
+    if m < _SPLIT_CHUNKS * DRAW_CHUNK or type(bit_generator) is not np.random.PCG64:
+        return [0]
+    chunks = -(-m // DRAW_CHUNK)
+    k = min(_DRAW_PIECES, chunks)
+    return [i * chunks // k * DRAW_CHUNK for i in range(k)]
+
+
+def _advanced(rng: np.random.Generator, lo: int) -> np.random.Generator:
+    """A copy of the PCG64 `rng` that draws its lo-th uniform first."""
+    bg = np.random.PCG64()
+    bg.state = rng.bit_generator.state
+    return np.random.Generator(bg.advance(lo))
+
+
+def _draw_pool() -> ThreadPoolExecutor:
+    """The threads that fill a split draw's later pieces, started on the
+    first split draw of this process."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_DRAW_PIECES - 1, thread_name_prefix="plantedlab-draw")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's pool threads: it starts its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def batched_copy_images(

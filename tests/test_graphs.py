@@ -40,6 +40,34 @@ class TestGraphBasics:
         assert g.max_degree() == 3
         assert g.has_edge(1, 0) and not g.has_edge(1, 2)
 
+    # every valid family spec the tests name
+    SPECS = (
+        "clique:2 clique:3 clique:4 clique:5 clique:6 clique:7 clique:8 clique:9 clique:12"
+        " clique:20 clique:40 clique:46 clique:200 complete_bipartite:2,2"
+        " complete_bipartite:2,3 complete_bipartite:3,3 complete_bipartite:3,5"
+        " complete_bipartite:6,6 complete_bipartite:300,300 disjoint_triangles:2"
+        " disjoint_triangles:3 disjoint_triangles:4 disjoint_triangles:5 disjoint_triangles:30"
+        " matching:2 matching:3 matching:4 matching:5 matching:6 matching:10 matching:30"
+        " matching:40 path:2 path:3 path:4 path:5 path:6 path:9 path:10 path:11 path:12 path:14"
+        " path:30 path:40 path:72 path:1100 path:3000 regular_tree:3,2 regular_tree:3,3"
+        " regular_tree:3,4 regular_tree:3,8 star:2 star:3 star:4 star:5 star:6 star:7 star:8"
+        " star:9 star:12 star:50 star:300 star:1200 unbalanced_stars:4 unbalanced_stars:16"
+        " unbalanced_stars:64 unbalanced_stars:81 unbalanced_stars:256"
+    ).split()
+
+    def test_degrees_are_counted_without_the_neighbour_sets(self):
+        rng = np.random.default_rng(14)
+        graphs = [make_family(spec) for spec in self.SPECS] + [
+            random_graph(rng, int(rng.integers(0, 40)), float(rng.random())) for _ in range(60)
+        ]
+        for g in graphs:
+            g = Graph(g.n, g.edges)  # a fresh graph: no earlier read built its sets
+            counted = (g.degrees(), g.max_degree())
+            assert g._adj is None, "degrees() built the neighbour sets"
+            sizes = [len(g.neighbors(v)) for v in range(g.n)]
+            assert counted == (sizes, max(sizes, default=0))
+            assert (g.degrees(), g.max_degree()) == counted
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             Graph(3, [(1, 1)])
@@ -184,9 +212,12 @@ class TestConstruction:
                          for v in range(g.n))
             expected = Graph(g.n, g.edges)
             object.__setattr__(expected, "_adj", want)  # the eager sets
-            for read in self.READERS.values():
+            for name, read in self.READERS.items():
                 fresh = Graph(g.n, g.edges)
                 assert read(fresh) == read(expected)
+                if name in ("degrees", "max_degree"):
+                    assert fresh._adj is None, f"{name} built the sets it only counts"
+                    continue
                 assert fresh._adj == want
                 sets = fresh._adj
                 assert read(fresh) == read(expected) and fresh._adj is sets

@@ -1,7 +1,12 @@
 """Seeded samplers: determinism, marginals, and copy uniformity."""
 
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
+import warnings
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
@@ -31,6 +36,15 @@ from plantedlab.sampling import _edge_endpoints
 
 
 TRIANGLE = complete_graph(3)
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No draw pool at the start; one that the test starts is shut down after it."""
+    monkeypatch.setattr(sampling, "_pool", None)
+    yield
+    if sampling._pool is not None:
+        sampling._pool.shutdown()
 DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 SEED = st.integers(0, 2**32 - 1)
 
@@ -434,6 +448,74 @@ class TestDrawContract:
                     in_partial |= m % chunk > 0 and (m - 1) // chunk in chunks
         assert straddled and (in_partial or chunk == 1)
 
+    @staticmethod
+    def split_small(monkeypatch, pieces):
+        """Split every draw of two or more 7-pair chunks into `pieces`."""
+        monkeypatch.setattr(sampling, "DRAW_CHUNK", 7)
+        monkeypatch.setattr(sampling, "_SPLIT_CHUNKS", 2)
+        monkeypatch.setattr(sampling, "_DRAW_PIECES", pieces)
+
+    @staticmethod
+    def assert_same_end_state(rng, want):
+        """`rng` ends where the reference's sequential `random(C(n,2))` left `want`."""
+        np.testing.assert_equal(rng.bit_generator.state, want.bit_generator.state)
+        assert rng.random() == want.random()
+
+    # with 7-pair chunks, m = 21 (n=7) is 3 chunks, 36 (n=9) ends in a partial
+    # one, and 2016 (n=64) and 32896 (n=257) split far from their ends
+    @pytest.mark.parametrize("pieces", [2, 3])
+    def test_split_draws_match_reference(self, pieces, monkeypatch):
+        self.split_small(monkeypatch, pieces)
+        many = self.KEYS + tuple((5, h, k) for h in (0, 1) for k in range(12))
+        straddled = False
+        for n in (7, 9, 64, 257):
+            keys = many if n < 257 else self.KEYS
+            m = n * (n - 1) // 2
+            cuts = sampling._piece_starts(m, stream(0).bit_generator)
+            assert len(cuts) == pieces and all(lo % 7 == 0 for lo in cuts)
+            for key in keys:
+                rng, want = stream(*key), stream(*key)
+                expected, _, _ = reference_sample(n, self.Q, want)
+                assert_same_observation(sample_null(n, self.Q, rng), expected)
+                self.assert_same_end_state(rng, want)
+            position = {pair: i for i, pair in enumerate(all_pairs(n))}
+            for spec in ("clique:3", "star:4", "clique:8"):
+                pattern = make_family(spec)
+                if pattern.n > n:
+                    continue
+                for p in (self.Q, 0.9, 1.0):
+                    params = ModelParams(n=n, p=p, q=self.Q, pattern=pattern)
+                    for key in keys:
+                        rng, want = stream(*key), stream(*key)
+                        expected, images, copy_edges = reference_sample(
+                            n, self.Q, want, pattern, p
+                        )
+                        obs, copy = sample_planted(params, rng)
+                        assert copy.vertex_map == images
+                        assert_same_observation(obs, expected)
+                        self.assert_same_end_state(rng, want)
+                        sides = {bisect_right(cuts, position[pair]) for pair in copy_edges}
+                        straddled |= any(i + 1 in sides for i in sides)
+        assert straddled, "no copy had edges on both sides of a piece boundary"
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_draw_in_one_piece(self, bit_generator, monkeypatch, fresh_pool):
+        self.split_small(monkeypatch, 3)
+        pattern = make_family("clique:3")
+        for n in (9, 64):
+            assert sampling._piece_starts(n * (n - 1) // 2, bit_generator(0)) == [0]
+            params = ModelParams(n=n, p=0.9, q=self.Q, pattern=pattern)
+            for seed in range(4):
+                rng, want = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+                expected, _, _ = reference_sample(n, self.Q, want)
+                assert_same_observation(sample_null(n, self.Q, rng), expected)
+                expected, images, _ = reference_sample(n, self.Q, want, pattern, 0.9)
+                obs, copy = sample_planted(params, rng)
+                assert copy.vertex_map == images
+                assert_same_observation(obs, expected)
+                self.assert_same_end_state(rng, want)
+        assert sampling._pool is None, "a one-piece draw started the draw pool"
+
 
 class TestTriangleBlocks:
     """Degrees, row masks, adjacency and edges of a sampled draw, walked
@@ -528,6 +610,75 @@ class TestDrawMemory:
         walk = 2 * block * n + 64 * n
         assert self.peak_bytes(obs.degrees) < walk
         assert self.peak_bytes(lambda: obs.row_masks) < 2 * n * n / 8 + walk
+
+
+def draw_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("plantedlab-draw")}
+
+
+def _draw_in_child(conn, n):
+    conn.send_bytes(sample_null(n, 0.2, stream(9))._bits.tobytes())
+    conn.close()
+
+
+class TestDrawThreads:
+    """A split draw's pool starts on the first split draw and is rebuilt in
+    a forked child; a draw below the split size starts no thread."""
+
+    def test_draws_below_the_split_size_start_no_thread(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(sampling, "_DRAW_PIECES", 2)
+        n = 724  # C(724, 2) = 261 726 pairs, below 8 chunks of 2^15; C(725, 2) is past them
+        assert sampling._piece_starts(n * (n - 1) // 2, stream(0).bit_generator) == [0]
+        assert len(sampling._piece_starts(n * (n + 1) // 2, stream(0).bit_generator)) == 2
+        before = threading.active_count()
+        sample_null(n, 0.2, stream(1))
+        sample_planted(ModelParams(n=n, p=0.9, q=0.2, pattern=make_family("star:300")), stream(1))
+        # the mc-scan trial: clique:5 at n=40
+        estimate_risk("count", ModelParams(n=40, p=1.0, q=0.05, pattern=complete_graph(5)), 4, seed=0)
+        assert threading.active_count() == before
+        assert sampling._pool is None
+
+    def test_risk_is_the_same_split_and_on_two_threads(self, monkeypatch, fresh_pool):
+        params = ModelParams(n=60, p=0.9, q=0.2, pattern=make_family("star:8"))
+        whole = estimate_risk("degree", params, 20, seed=4)
+        TestDrawContract.split_small(monkeypatch, 3)
+        # more trial threads than cores race to start the pool, switching often
+        interval, before = sys.getswitchinterval(), draw_threads()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimate_risk("degree", params, 20, seed=4, threads=4) == whole
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(draw_threads() - before) <= 2, "the racing threads started two pools"
+        assert estimate_risk("degree", params, 20, seed=4) == whole
+        assert estimate_risk("degree", params, 20, seed=4, threads=2) == whole
+
+    def test_a_forked_child_draws(self, monkeypatch):
+        """The child of a parent whose pool has started gets a pool of its own:
+        the pool it inherits has no threads and never runs what it is handed."""
+        monkeypatch.setattr(sampling, "_DRAW_PIECES", 2)
+        n = 1000
+        assert len(sampling._piece_starts(n * (n - 1) // 2, stream(0).bit_generator)) == 2
+        want = sample_null(n, 0.2, stream(9))._bits.tobytes()
+        assert sampling._pool is not None
+        fork = multiprocessing.get_context("fork")
+        reader, writer = fork.Pipe(duplex=False)
+        child = fork.Process(target=_draw_in_child, args=(writer, n))
+        with warnings.catch_warnings():
+            # Python 3.12 warns on forking a process that runs threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        writer.close()
+        try:
+            assert reader.poll(30), "the child's draw did not return"
+            assert reader.recv_bytes() == want
+            child.join(30)
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+            reader.close()
 
 
 class TestEmbeddedCopy:
