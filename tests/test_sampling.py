@@ -36,6 +36,8 @@ from plantedlab.sampling import _edge_endpoints
 
 
 TRIANGLE = complete_graph(3)
+DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+SEED = st.integers(0, 2**32 - 1)
 
 
 @pytest.fixture
@@ -45,8 +47,6 @@ def fresh_pool(monkeypatch):
     yield
     if sampling._pool is not None:
         sampling._pool.shutdown()
-DERANDOMIZED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
-SEED = st.integers(0, 2**32 - 1)
 
 
 class TestStream:
@@ -653,7 +653,7 @@ class TestDrawThreads:
         assert estimate_risk("degree", params, 20, seed=4) == whole
         assert estimate_risk("degree", params, 20, seed=4, threads=2) == whole
 
-    def test_a_forked_child_draws(self, monkeypatch):
+    def test_a_forked_child_draws(self, monkeypatch, fresh_pool):
         """The child of a parent whose pool has started gets a pool of its own:
         the pool it inherits has no threads and never runs what it is handed."""
         monkeypatch.setattr(sampling, "_DRAW_PIECES", 2)
