@@ -8,9 +8,9 @@ and safe to share across threads.
 A graph holds its sorted edge tuple and builds its neighbour sets on the
 first read that needs them (`neighbors`, `degree`, `has_edge`,
 `components`), so a caller that reads only the edges never pays for them;
-`degrees` and `max_degree` count off the edges until the sets are built.
-Two threads racing on that first read build equal sets, and either one is
-kept.
+`degrees` and `max_degree` read a degree tuple counted off the edges on
+their first call and kept. Two threads racing on a first read build equal
+sets or tuples, and either one is kept.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ Edge = tuple[int, int]
 class Graph:
     """Simple undirected graph on vertices 0..n-1 with a fixed edge set."""
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_deg", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -57,6 +57,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", None)
+        object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_hash", hash((n, edges)))
 
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -70,6 +71,19 @@ class Graph:
             sets = tuple(frozenset(s) for s in adj)
             object.__setattr__(self, "_adj", sets)
         return sets
+
+    def _degree_tuple(self) -> tuple[int, ...]:
+        """Every vertex's degree, counted off the edges and kept on the first
+        call: ~20x as fast as building the neighbour sets to read their sizes."""
+        deg = self._deg
+        if deg is None:
+            counts = [0] * self.n
+            for u, v in self.edges:
+                counts[u] += 1
+                counts[v] += 1
+            deg = tuple(counts)
+            object.__setattr__(self, "_deg", deg)
+        return deg
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -87,18 +101,10 @@ class Graph:
         return len(self._neighbor_sets()[v])
 
     def degrees(self) -> list[int]:
-        sets = self._adj
-        if sets is not None:
-            return list(map(len, sets))
-        # counted off the edges, ~20x as fast as building the sets to read their sizes
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return list(self._degree_tuple())
 
     def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
+        return max(self._degree_tuple(), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not 0 <= u < self.n:

@@ -12,10 +12,10 @@ each chunk is compared into the draw's boolean bits as it comes, so a draw
 holds one byte per pair plus one chunk a piece. The generator's `random`
 fills sequentially, so the chunked draw equals one `random(C(n,2))` bit for
 bit. A large draw from a PCG64 generator is filled in pieces on chunk
-boundaries, one per usable core, each from a copy of the generator advanced
-to the piece's first pair (`PCG64.advance`); its bits and the generator's
-end state are those of one sequential fill, whatever the core count. Other
-bit generators draw in one piece.
+boundaries, one per usable core (at most 2), each from a copy of the
+generator advanced to the piece's first pair (`PCG64.advance`); its bits
+and the generator's end state are those of one sequential fill, whatever
+the core count. Other bit generators draw in one piece.
 Edge tests, edges, equality and hash read the bits in place; degrees and the
 packed rows (row masks, the matrix) walk them DEGREE_BLOCK rows at a time
 through one reused buffer, so no reader but `adjacency` holds an n x n array.
@@ -83,10 +83,12 @@ def _check_instance(n: int, pattern: Graph) -> None:
 
 
 DRAW_CHUNK = 1 << 15  # uniforms a sampler draws at once: 256 KB of float64
-_SPLIT_CHUNKS = 8  # a PCG64 draw of at least this many whole chunks is split across cores
-# pieces of a split draw: one per usable core, at most 4
+# A PCG64 draw of at least _SPLIT_CHUNKS whole chunks is split into _DRAW_PIECES
+# pieces, one per usable core, at most 2: the split size and the gain were
+# measured with 2 pieces on 2 cores only, so more pieces are not taken unmeasured.
+_SPLIT_CHUNKS = 8
 _DRAW_PIECES = min(
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 4
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
 )
 DEGREE_BLOCK = 256  # rows of the triangle a walk over a draw's bits copies at once
 _SMALL_N = 62  # up to this n `Observation(adjacency)` gathers its bits through cached cells
@@ -307,7 +309,8 @@ def _draw_bits(
     the first from `rng`, the draw pool each other from a copy of `rng`
     advanced to its first pair, and `rng` then takes the last copy's state.
     So the bits and the generator's end state are those of one sequential
-    fill. Other bit generators draw in one piece."""
+    fill. Other bit generators draw in one piece. The split size and the
+    piece count were benchmarked with 2 pieces on 2 cores only."""
     bits = np.empty(m, dtype=bool)
     cuts = _piece_starts(m, rng.bit_generator) + [m]
     copies = [_advanced(rng, lo) for lo in cuts[1:-1]]
@@ -365,7 +368,7 @@ def _piece_starts(m: int, bit_generator: np.random.BitGenerator) -> list[int]:
 
 def _advanced(rng: np.random.Generator, lo: int) -> np.random.Generator:
     """A copy of the PCG64 `rng` that draws its lo-th uniform first."""
-    bg = np.random.PCG64()
+    bg = np.random.PCG64(0)  # a fixed seed reads no OS entropy; the state is replaced
     bg.state = rng.bit_generator.state
     return np.random.Generator(bg.advance(lo))
 

@@ -68,6 +68,14 @@ class TestGraphBasics:
             assert counted == (sizes, max(sizes, default=0))
             assert (g.degrees(), g.max_degree()) == counted
 
+    def test_degrees_are_counted_once(self):
+        g = make_family("clique:200")
+        first = g.degrees()
+        kept = g._deg
+        first[0] = -1  # the caller's list is its own
+        assert g.degrees() == [199] * 200 and g.max_degree() == 199
+        assert g._deg is kept and g._adj is None
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
             Graph(3, [(1, 1)])
