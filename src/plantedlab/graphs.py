@@ -19,7 +19,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice, product, repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -53,12 +53,21 @@ class Graph:
         ordered = sorted(canon)
         if any(map(operator.eq, ordered, islice(ordered, 1, None))):
             raise _first_offence(canon, None, n)
-        edges = tuple(ordered)
+        self._hold(n, tuple(ordered))
+
+    @classmethod
+    def _canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Graph":
+        """Take a sorted tuple of distinct (u, v), 0 <= u < v < n, as given:
+        for edges built canonical inside the package, nothing to check or sort."""
+        return object.__new__(cls)._hold(n, edges)
+
+    def _hold(self, n: int, edges: tuple[Edge, ...]) -> "Graph":
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "_adj", None)
         object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_hash", hash((n, edges)))
+        return self
 
     def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
         """Every vertex's neighbour set, built and kept on the first call."""
@@ -319,23 +328,25 @@ def make_family(spec: FamilySpec | str) -> Graph:
         spec = FamilySpec.parse(spec)
     kind, params = spec.kind, spec.params
 
+    # each kind lists its edges sorted, distinct and as (u, v) with u < v
     if kind == "clique":
         (k,) = params
-        return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        return Graph._canonical(k, tuple(combinations(range(k), 2)))
 
     if kind == "path":
         (k,) = params
-        return Graph(k + 1, [(i, i + 1) for i in range(k)])
+        return Graph._canonical(k + 1, tuple(zip(range(k), range(1, k + 1))))
 
     if kind == "star":
         (d,) = params
-        return Graph(d + 1, [(0, i) for i in range(1, d + 1)])
+        return Graph._canonical(d + 1, tuple(zip(repeat(0), range(1, d + 1))))
 
     if kind == "complete_bipartite":
         a, b = params
-        return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        return Graph._canonical(a + b, tuple(product(range(a), range(a, a + b))))
 
     if kind == "regular_tree":
+        # breadth-first: parents in increasing order, each followed by its children
         branching, depth = params
         edges: list[Edge] = []
         level = [0]
@@ -349,11 +360,11 @@ def make_family(spec: FamilySpec | str) -> Graph:
                     nxt.append(next_id)
                     next_id += 1
             level = nxt
-        return Graph(next_id, edges)
+        return Graph._canonical(next_id, tuple(edges))
 
     if kind == "matching":
         (m,) = params
-        return Graph(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+        return Graph._canonical(2 * m, tuple((2 * i, 2 * i + 1) for i in range(m)))
 
     if kind == "disjoint_triangles":
         (t,) = params
@@ -361,7 +372,7 @@ def make_family(spec: FamilySpec | str) -> Graph:
         for i in range(t):
             a = 3 * i
             edges.extend([(a, a + 1), (a, a + 2), (a + 1, a + 2)])
-        return Graph(3 * t, edges)
+        return Graph._canonical(3 * t, tuple(edges))
 
     if kind == "unbalanced_stars":
         (k,) = params
@@ -372,7 +383,7 @@ def make_family(spec: FamilySpec | str) -> Graph:
             edges.extend((base, base + j) for j in range(1, small + 1))
             base += small + 1
         edges.extend((base, base + j) for j in range(1, big + 1))
-        return Graph(base + big + 1, edges)
+        return Graph._canonical(base + big + 1, tuple(edges))
 
     raise InvalidSpecError(f"unhandled family kind {kind!r}")
 

@@ -90,7 +90,8 @@ _SPLIT_CHUNKS = 8
 _DRAW_PIECES = min(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1, 2
 )
-DEGREE_BLOCK = 256  # rows of the triangle a walk over a draw's bits copies at once
+DEGREE_BLOCK = 255  # rows of the triangle a walk over a draw's bits copies at once: a
+# column's count in one block fits uint8 (`degrees`); the packed rows round up to 256
 _SMALL_N = 62  # up to this n `Observation(adjacency)` gathers its bits through cached cells
 
 
@@ -181,13 +182,18 @@ class Observation:
         return int(np.count_nonzero(self._bits))
 
     def degrees(self) -> np.ndarray:
-        # a degree is its row's plus its column's count in the upper triangle;
-        # int32 accumulators (degrees are < n) sum uint8 2x as fast as int64
-        both = np.zeros(self.n, dtype=np.int32)
-        for lo, block in _triangle_blocks(self.n, self._bits, DEGREE_BLOCK):
-            upper = block.view(np.uint8)
-            both[lo : lo + len(upper)] += upper.sum(axis=1, dtype=np.int32)
-            both[lo:] += upper[:, lo:].sum(axis=0, dtype=np.int32)
+        # a degree is its row's plus its column's count in the upper triangle; a
+        # block from row lo on is clear left of column lo. A column's count in a
+        # block of at most 255 rows fits uint8, and a row's count (< n) fits uint16
+        # while n <= 65 536, past which the sums are int64: the narrow sums run
+        # 2-3x as fast as int32 ones
+        n = self.n
+        wide = np.uint16 if n <= 1 << 16 else np.int64
+        both = np.zeros(n, dtype=wide)
+        for lo, block in _triangle_blocks(n, self._bits, DEGREE_BLOCK):
+            upper = block.view(np.uint8)[:, lo:]
+            both[lo : lo + len(upper)] += upper.sum(axis=1, dtype=wide)
+            both[lo:] += upper.sum(axis=0, dtype=np.uint8 if len(upper) <= 255 else wide)
         return both.astype(np.int64)
 
     def max_degree(self) -> int:
@@ -212,7 +218,8 @@ class Observation:
         return list(zip(rows.tolist(), cols.tolist()))
 
     def to_graph(self) -> Graph:
-        return Graph(self.n, self.edges())
+        # the edges come off the bits row-major: sorted, distinct, u < v
+        return Graph._canonical(self.n, tuple(self.edges()))
 
     @classmethod
     def from_graph(cls, g: Graph) -> "Observation":
@@ -446,8 +453,11 @@ def _triangle_blocks(n: int, bits: np.ndarray, step: int):
     """Walk the strict upper triangle of the row-major bits `step` rows at a
     time: yield (lo, block) with block[i] row lo + i of the (n, n) matrix,
     clear on and left of the diagonal. Every block is a view of one reused
-    (step, n) buffer, valid until the next one is drawn."""
+    (step, n) buffer, valid until the next one is drawn. Each row is copied
+    through memoryviews of the flat buffer and of the bits, ~0.3 us a row
+    against ~0.55 us for a 2-D numpy slice assignment."""
     buf = np.zeros((min(step, n), n), dtype=bool)
+    flat, src = buf.reshape(-1).view(np.uint8).data, bits.view(np.uint8).data
     start = 0
     for lo in range(0, n, step):
         hi = min(lo + step, n)
@@ -456,8 +466,10 @@ def _triangle_blocks(n: int, bits: np.ndarray, step: int):
             # buffer row i held row lo - step + i, written from column
             # lo - step + i + 1 on; row lo + i is clear up to column lo + i
             block[:, lo - step + 1 : hi] = False
-        for i, u in enumerate(range(lo, hi)):
-            stop = start + n - 1 - u
-            block[i, u + 1 :] = bits[start:stop]
+        # row lo + i fills buffer row i from flat lo + 1 + i * (n + 1) to its end, (i + 1) * n
+        ends = range(n, (hi - lo + 1) * n, n)
+        for at, end in zip(range(lo + 1, hi * (n + 1) - lo * n, n + 1), ends):
+            stop = start + end - at
+            flat[at:end] = src[start:stop]
             start = stop
         yield lo, block

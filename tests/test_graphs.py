@@ -23,6 +23,7 @@ from plantedlab import (
     write_edge_list,
 )
 from plantedlab.errors import FormatError
+from plantedlab.graphs import FAMILY_KINDS
 
 from oracles import edge_subgraph, random_graph, without_isolated
 
@@ -377,6 +378,18 @@ class TestFamilies:
                 closed_form(k)
             assert str(err.value) == f"unbalanced_stars needs k >= 1, got {k}"
         assert isinstance(unbalanced_stars_profile(10**400), tuple)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_built_canonical_as_the_checked_construction(self, kind):
+        """Each family lists its edges canonical: the graph equals the one
+        `Graph` builds, checked and sorted, from the same edges."""
+        sizes = [(1, 1), (2, 3), (3, 1), (4, 4)] if kind in ("complete_bipartite", "regular_tree") else [
+            (1,), (2,), (5,), (16,), (81,)]
+        for params in sizes:
+            g = make_family(FamilySpec(kind, params))
+            want = Graph(g.n, list(g.edges))
+            assert (g.n, g.edges, hash(g)) == (want.n, want.edges, hash(want)) and g == want
+            assert g.degrees() == want.degrees()
 
     def test_canonical_copy_edges(self):
         g = make_family("path:2")

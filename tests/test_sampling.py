@@ -134,18 +134,29 @@ class TestObservation:
         g = make_family("complete_bipartite:2,3")
         assert Observation.from_graph(g).to_graph() == g
 
+    @pytest.mark.parametrize("n, q", [(1, 0.5), (2, 1.0), (9, 0.0), (40, 0.3), (300, 0.05)])
+    def test_to_graph_equals_the_checked_construction(self, n, q):
+        """`to_graph` takes the bits' row-major edges as canonical: the graph
+        equals the one `Graph` builds, checked and sorted, from the same edges."""
+        for seed in range(3):
+            obs = sample_null(n, q, stream(seed, n))
+            g, want = obs.to_graph(), Graph(n, list(obs.edges()))
+            assert (g.n, g.edges, hash(g)) == (want.n, want.edges, hash(want)) and g == want
+            assert g.degrees() == want.degrees() and Observation.from_graph(g) == obs
+
     def test_counts(self):
         obs = Observation.from_graph(make_family("star:4"))
         assert obs.num_edges == 4
         assert obs.max_degree() == 4
         assert obs.has_edge(0, 3) and not obs.has_edge(1, 2)
 
-    @pytest.mark.parametrize("n", [1, 6, 62, 63])
+    @pytest.mark.parametrize("n", [1, 6, 62, 63, 254, 255, 256, 257, 511, 512])
     def test_max_degree_is_the_largest_degree(self, n):
         """Sampled, matrix-built and `from_graph` observations, on both
         sides of `_SMALL_N` = 62, the bound of the constructor's cached
-        cells; a held matrix is read by its row sums at any n, and no
-        reader builds row masks."""
+        cells, and of one and two walk blocks of DEGREE_BLOCK = 255 rows;
+        a held matrix is read by its row sums at any n, and no reader
+        builds row masks."""
         sampled = sample_null(n, 0.5, stream(29, n))
         want = int(sampled.degrees().max())
         assert sampled.max_degree() == want and sampled._adjacency is None
@@ -544,6 +555,20 @@ class TestTriangleBlocks:
             assert obs.adjacency.tobytes() == want.adjacency.tobytes()
             assert not obs.adjacency.flags.writeable
             assert obs.to_graph() == want.to_graph()
+
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_full_blocks_match_the_matrix(self, complete):
+        """K_600, where every column's count inside a block of DEGREE_BLOCK =
+        255 rows reaches 255, and the empty graph on 600 vertices."""
+        n = 600
+        g = complete_graph(n) if complete else Graph(n, [])
+        obs = Observation.from_graph(g)
+        a = np.ones((n, n), dtype=bool) if complete else np.zeros((n, n), dtype=bool)
+        np.fill_diagonal(a, False)
+        degrees, _, masks = matrix_reads(a)
+        assert obs.degrees().tolist() == degrees == [n - 1 if complete else 0] * n
+        assert obs.row_masks == masks
+        assert obs.adjacency.tobytes() == a.tobytes()
 
     def test_edges_are_python_int_pairs(self):
         obs, _ = sample_planted(TestDrawMemory.PARAMS, stream(5))
