@@ -383,8 +383,8 @@ class TestFamilies:
     def test_built_canonical_as_the_checked_construction(self, kind):
         """Each family lists its edges canonical: the graph equals the one
         `Graph` builds, checked and sorted, from the same edges."""
-        sizes = [(1, 1), (2, 3), (3, 1), (4, 4)] if kind in ("complete_bipartite", "regular_tree") else [
-            (1,), (2,), (5,), (16,), (81,)]
+        two = kind in ("complete_bipartite", "regular_tree")
+        sizes = [(1, 1), (2, 3), (3, 1), (4, 4)] if two else [(1,), (2,), (5,), (16,), (81,)]
         for params in sizes:
             g = make_family(FamilySpec(kind, params))
             want = Graph(g.n, list(g.edges))
