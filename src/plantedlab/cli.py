@@ -297,7 +297,7 @@ def _cmd_classify(args) -> int:
     stats = graph_stats(pattern)
     if args.regime == "dense":
         if args.lambda_sq is not None:
-            lam = float(args.lambda_sq)
+            lam = _float(args.lambda_sq)
         elif args.p is not None and args.q is not None:
             lam = chi_square_bernoulli(args.p, args.q)
         else:

@@ -132,19 +132,13 @@ def scan_test(
     Gamma_max is the (deterministically tie-broken) densest subgraph of the
     pattern.
     """
-    return _scan(obs, params, cfg or _DEFAULT_CONFIG, False)
-
-
-@metered
-def scan_test_over_pattern(
-    obs: Observation, params: ModelParams, cfg: DetectorConfig | None = None
-) -> Verdict:
-    """Scan over copies of the full pattern instead of its densest subgraph.
-
-    Kept for comparison; scanning the densest subgraph is the better test on
-    general patterns.
-    """
-    return _scan(obs, params, cfg or _DEFAULT_CONFIG, True)
+    w = (cfg or _DEFAULT_CONFIG).scan_kappa_weight
+    target, copies, cells = _scan_instance(params.pattern, obs.n)
+    threshold = (w * params.q + (1 - w) * params.p) * target.num_edges
+    if cells is None:
+        return Verdict(float(_scan_statistic(obs, target)), threshold)
+    spend("scan", copies)
+    return Verdict(float(_shared_edges(cells, obs).max()), threshold)
 
 
 # Past this many copies the search wins. Warm scan_test calls on 30 null draws at each q in
@@ -157,27 +151,20 @@ def scan_test_over_pattern(
 _SCAN_ENUMERATED_COPIES = 512
 
 
-def _scan(obs: Observation, params: ModelParams, cfg: DetectorConfig, whole: bool) -> Verdict:
-    instance = params.pattern, whole, obs.n, params.p, params.q, cfg.scan_kappa_weight
-    target, threshold, copies, cells = _scan_instance(*instance)
-    if cells is None:
-        return Verdict(float(_scan_statistic(obs, target)), threshold)
-    spend("scan", copies)
-    return Verdict(float(_shared_edges(cells, obs).max()), threshold)
-
-
 @lru_cache(maxsize=128)
-def _scan_instance(pattern: Graph, whole: bool, n: int, p: float, q: float, w: float):
-    """(target, kappa * |e(target)|, copies, cells): cells is the `_subset_cells` entry of a
-    target on at most `MASK_VERTICES` vertices with at most `_SCAN_ENUMERATED_COPIES` copies
-    in K_n, else None."""
-    target = pattern if whole else densest_subgraph(pattern)
+def _scan_instance(pattern: Graph, n: int):
+    """(target, copies, cells): target is the densest subgraph of pattern; cells is the
+    `_subset_cells` entry of a target on at most `MASK_VERTICES` vertices with at most
+    `_SCAN_ENUMERATED_COPIES` copies in K_n, and copies their number, else None (copies is
+    then unread). `scan_test` works out its threshold per call, so no entry is keyed on
+    p, q or the kappa weight."""
+    target = densest_subgraph(pattern)
     k, copies, cells = target.n, 0, None
     if k <= min(n, MASK_VERTICES) and comb(n, k) <= _SCAN_ENUMERATED_COPIES:  # C(n,k) <= copies
         copies = copies_in_complete(target, n)
         if copies <= _SCAN_ENUMERATED_COPIES:
             cells = _subset_cells(target, n)
-    return target, (w * q + (1 - w) * p) * target.num_edges, copies, cells
+    return target, copies, cells
 
 
 @lru_cache(maxsize=128)

@@ -24,8 +24,10 @@ w^2 / N(H, K_n) (`_subset_moments`), which holds only if the class merge of
 `invariants` is complete. Pair enumeration over all copies is kept as an
 independent check on small n.
 
-Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction;
-Monte-Carlo paths are float with a reported standard error.
+Exact paths stay in rational arithmetic whenever lambda^2 is a Fraction or
+an int; a float lambda^2 rounds the exact value to a float, inf past the
+float range or for an infinite lambda^2. Monte-Carlo paths are float with
+a reported standard error.
 """
 
 from __future__ import annotations
@@ -161,14 +163,18 @@ def ldp_norm_sq(mp: MomentParams, cfg: LdpConfig) -> MomentResult:
 def second_moment_pair_enum(mp: MomentParams) -> MomentResult:
     """E[(1+lambda^2)^intersection] by enumerating every copy and tallying
     its shared edges with a fixed one. Independent of the shared-edge law;
-    exact on small instances (see `counting.COPY_OVERLAP_BYTES`)."""
-    pattern, n = mp.pattern, mp.n
+    exact on small instances (see `counting.COPY_OVERLAP_BYTES`). A float
+    lambda^2 rounds the exact value, as the shared-edge law's forms do."""
+    pattern, n, lambda_sq = mp.pattern, mp.n, mp.lambda_sq
+    if lambda_sq == math.inf:  # the fixed copy shares its |e| >= 1 edges with itself
+        return MomentResult(value=math.inf, method=EXACT_INTERSECTION_MGF)
     fixed = Observation.from_graph(Graph(n, pattern.edges))  # the copy on [k]
-    base = 1 + Fraction(mp.lambda_sq)  # a/b, so every term is over b**e
+    base = 1 + Fraction(lambda_sq)  # a/b, so every term is over b**e
     a, b, e = base.numerator, base.denominator, pattern.num_edges
     weights = tuple(a**j * b ** (e - j) for j in range(e + 1))
     value = _copy_overlap_mean(pattern, fixed, copies_in_complete(pattern, n), weights, b**e)
-    return MomentResult(value=value, method=EXACT_INTERSECTION_MGF)
+    exact = isinstance(lambda_sq, (Fraction, int))
+    return MomentResult(value=value if exact else _float(value), method=EXACT_INTERSECTION_MGF)
 
 
 def second_moment_mc(
@@ -182,7 +188,7 @@ def second_moment_mc(
     drawn = np.flatnonzero(hist)
     counts = hist[drawn]
     with np.errstate(over="ignore"):
-        values = np.power(1 + float(mp.lambda_sq), drawn)
+        values = np.power(1 + _float(mp.lambda_sq), drawn)
         mean = float(counts @ values) / trials
         variance = float(counts @ (values - mean) ** 2) if math.isfinite(mean) else math.inf
     std_error = math.sqrt(variance / (trials - 1) / trials) if trials > 1 else 0.0
@@ -244,12 +250,14 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
     on large patterns with few twins. When the meter holds less than that
     charge, the count runs until the meter raises. D = 0 gives 1 at once.
     Rational throughout; a float lambda^2 is rounded only at the end, to
-    inf past the float range.
+    inf past the float range, and an infinite one reads inf at once.
     """
     depth = min(max_degree, pattern.num_edges)
     exact = isinstance(lambda_sq, (Fraction, int))
     if depth == 0:
         return Fraction(1) if exact else 1.0
+    if lambda_sq == math.inf:  # every E[C(I, d)] is positive
+        return math.inf
     lam = Fraction(lambda_sq if exact else float(lambda_sq))
     price, room = _subset_price(pattern.num_edges, depth), left()
     # the count leaves the subsets room to run after it, unless they never fit
@@ -269,12 +277,11 @@ def _binomial_moment_sum(pattern: Graph, n: int, lambda_sq, max_degree: int):
 
 
 def _float(x) -> float:
-    """float(x) of a moment (at least 1), reading inf past the float range
-    rather than raising."""
+    """float(x), reading +-inf past the float range rather than raising."""
     try:
         return float(x)
     except OverflowError:
-        return math.inf
+        return math.inf if x > 0 else -math.inf
 
 
 def _shared_edge_counts(pattern: Graph, n: int, limit: float) -> list[int] | None:

@@ -184,7 +184,7 @@ def classify_dense(
     else:
         c_upper = None
     if c_upper is not None and mu >= c_upper * log_n:
-        return RegimeVerdict(Regime.EASY, "scan", mu / (c_upper * log_n) - 1)
+        return RegimeVerdict(Regime.EASY, "scan", _ratio(mu, c_upper * log_n) - 1)
     if exp_e >= 1 + c.epsilon:
         return RegimeVerdict(Regime.EASY, "count", exp_e - (1 + c.epsilon))
     if exp_d2 >= 1 + c.epsilon:

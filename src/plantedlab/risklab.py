@@ -26,7 +26,6 @@ from .detectors import (
     degree_test,
     likelihood_ratio_test,
     scan_test,
-    scan_test_over_pattern,
 )
 from .errors import PlantedLabError
 from .graphs import FamilySpec, Graph, make_family
@@ -56,7 +55,6 @@ DETECTORS: dict[str, DetectorFn] = {
     "count": count_test,
     "degree": degree_test,
     "scan": scan_test,
-    "scan-pattern": scan_test_over_pattern,
     "lrt": likelihood_ratio_test,
 }
 

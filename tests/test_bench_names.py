@@ -32,4 +32,4 @@ def test_every_wrapped_name_is_a_callable_of_its_module(monkeypatch):
 
 
 def test_detector_keys_are_unchanged():
-    assert set(risklab.DETECTORS) == {"count", "degree", "scan", "scan-pattern", "lrt"}
+    assert set(risklab.DETECTORS) == {"count", "degree", "scan", "lrt"}

@@ -1,18 +1,24 @@
 """Command-line interface: output formats, files, and exit codes."""
 
+import argparse
+import contextlib
 import csv
+import io
 import os
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import plantedlab
 from plantedlab import parse_edge_list, write_edge_list
-from plantedlab import cli
+from plantedlab import cli, trace
 from plantedlab.cli import _build_parser, run_command
 from plantedlab.risklab import CSV_HEADER
 
@@ -619,9 +625,12 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("lambda_sq, shown", [("-1/2", "-0.5"), ("-1", "-1.0")])
+    @pytest.mark.parametrize(
+        "lambda_sq, shown", [("-1/2", "-0.5"), ("-1", "-1.0"), ("-1e400", "-inf")]
+    )
     def test_dense_negative_lambda_sq(self, capsys, lambda_sq, shown):
-        # -1/2 printed an impossible verdict, -1 failed with "math domain error"
+        # -1/2 printed an impossible verdict, -1 failed with "math domain error",
+        # -1e400 with an OverflowError
         code, out, err = run(
             capsys, "classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
             f"--lambda-sq={lambda_sq}",
@@ -663,6 +672,14 @@ class TestExitCodes:
         )
         assert code == 2
         assert "--lambda-sq" in err
+
+    def test_retired_pattern_scan_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "risk", "--detector", "scan-pattern", "--family", "clique:3", "--n", "10",
+            "--p", "0.9", "--q", "0.2", "--trials", "2",
+        )
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'scan-pattern'" in err
 
     def test_out_of_memory_is_one_line_and_exit_3(self, capsys, monkeypatch):
         def exhausted(g):
@@ -731,3 +748,135 @@ class TestParserReuse:
         code, out, err = run(capsys, *self.RISK)
         assert (code, out, err) == (0, fresh, "")
         assert _build_parser() is _build_parser()
+
+
+class TestExactToFloatBoundary:
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
+              "--lambda-sq", "1e400"), "verdict=hard boundary=edge-degree margin=0.699313"),
+            (("classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
+              "--p", "0.9", "--q", "1e-320"), "verdict=easy boundary=scan margin=inf"),
+            (("moment", "--family", "clique:3", "--n", "10", "--lambda-sq", "1e400",
+              "--method", "mc", "--trials", "3"), None),
+        ],
+        ids=["dense-lambda-sq", "dense-kl-past-the-range", "moment-mc"],
+    )
+    def test_past_the_float_range_prints_one_line(self, capsys, argv, line):
+        # each raised a bare OverflowError or ZeroDivisionError: a traceback and exit 1
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.count("\n") == 1
+        if line is not None:
+            assert out == line + "\n"
+
+
+# Values at the edges of the float range and of each flag's domain, and small valid ones.
+EDGE_NUMBERS = ("0", "-1", "1", "1e-300", "1e-320", "1e300", "1e400", "nan", "inf")
+FUZZ_FAMILIES = (
+    "clique:3", "clique:4", "path:2", "star:3", "complete_bipartite:2,2", "regular_tree:2,2",
+    "matching:2", "disjoint_triangles:2", "unbalanced_stars:3",
+)
+
+
+def _either(valid, edge):
+    """A valid value three times in four, else an edge value."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else edge)
+
+
+def _small(lo, hi):
+    return _either(st.integers(lo, hi), st.sampled_from((-1, 0, 1))).map(str)
+
+
+def _number(lo, hi):
+    return _either(st.floats(lo, hi).map("{:.3g}".format), st.sampled_from(EDGE_NUMBERS))
+
+
+# One strategy per flag destination; a flag the parser gains must be added here.
+FUZZ_VALUES = {
+    "n": _small(2, 12),
+    "trials": _small(1, 3),
+    "threads": _small(1, 2),
+    "seed": _small(0, 9),
+    "degree": _small(0, 4),
+    "parts": _small(1, 4),
+    "p": _number(0.01, 0.99),
+    "q": _number(0.01, 0.99),
+    "kappa_weight": _number(0.01, 0.99),
+    "lambda_sq": _either(st.sampled_from(("1/2", "2/3", "3", "0.25")),
+                         st.sampled_from(EDGE_NUMBERS)),
+    **{dest: _number(0.01, 3) for dest in
+       ("alpha", "epsilon", "delta", "zeta", "beta", "sigma", "slack")},
+    "family": _either(st.sampled_from(FUZZ_FAMILIES), st.sampled_from(("clique:0", "nope:3"))),
+    "graph": _either(st.just("{pattern}"), st.just("{missing}")),
+    "observation": _either(st.just("{observation}"), st.just("{missing}")),
+    "out": st.just("{out}"),
+}
+SWEEP_LISTS = ("family", "n", "p", "q")  # comma-separated on `sweep`
+
+
+def _subcommands():
+    (group,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return group.choices
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand of the parser: every required flag, each
+    optional one three times in four, `--trials` always (so no command runs
+    its default count), and p = q now and then."""
+    command, sub = draw(st.sampled_from(sorted(_subcommands().items())))
+    flags = {}
+    for action in sub._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if not (action.required or action.dest == "trials" or draw(st.integers(0, 3))):
+            continue
+        if action.choices is not None:
+            value = st.sampled_from(sorted(action.choices))
+        else:
+            value = FUZZ_VALUES[action.dest]
+            if command == "sweep" and action.dest in SWEEP_LISTS:
+                value = st.lists(value, min_size=1, max_size=2).map(",".join)
+        flags[action.option_strings[0]] = draw(value)
+    if "--p" in flags and "--q" in flags and draw(st.booleans()):
+        flags["--p"] = flags["--q"]
+    return [command, *(token for item in flags.items() for token in item)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_edge_list(plantedlab.complete_graph(3), root / "pattern.txt")
+    observed = plantedlab.sample_null(8, 0.4, plantedlab.stream(3)).to_graph()
+    write_edge_list(observed, root / "observation.txt")
+    return {"pattern": root / "pattern.txt", "observation": root / "observation.txt",
+            "missing": root / "missing.txt", "out": root / "out.txt"}
+
+
+class TestExitContract:
+    @settings(derandomize=True, database=None, max_examples=500, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
+                   "--lambda-sq", "1e400"])
+    @example(argv=["classify", "--regime", "dense", "--family", "clique:3", "--n", "1000",
+                   "--p", "0.9", "--q", "1e-320"])
+    @example(argv=["moment", "--family", "clique:3", "--n", "10", "--lambda-sq", "1e400",
+                   "--method", "mc", "--trials", "3"])
+    def test_every_command_exits_0_2_or_3(self, fuzz_files, argv):
+        # exit 0, or 2 or 3 with one `error:` line (argparse prints its usage
+        # first); no exception escapes, and pytest makes a RuntimeWarning one
+        argv = [token.format(**fuzz_files) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(trace, "WORK_BUDGET", 200_000), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert "Traceback" not in err.getvalue(), argv
+        elif code == 2 and lines and lines[0].startswith("usage: "):
+            assert lines[-1].startswith(f"plantedlab {argv[0]}: error: "), argv
+        else:
+            assert code in (2, 3), argv
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv

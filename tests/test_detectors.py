@@ -31,7 +31,6 @@ from plantedlab import (
     sample_null,
     sample_planted,
     scan_test,
-    scan_test_over_pattern,
     stream,
 )
 from plantedlab import detectors, trace
@@ -186,8 +185,6 @@ class TestScanTest:
         obs = sample_null(8, 0.2, stream(603))
         v = scan_test(obs, params)
         assert v.threshold == pytest.approx(0.5 * (0.9 + 0.1) * 6)
-        v_full = scan_test_over_pattern(obs, params)
-        assert v_full.threshold == pytest.approx(0.5 * (0.9 + 0.1) * 7)
 
     def test_budget(self, monkeypatch):
         # C(30, 10) copies, yet the search is small: no copy cap refuses it
@@ -219,8 +216,7 @@ class TestScanTest:
         params = ModelParams(n=n, p=0.9, q=0.3, pattern=pattern)
         want = brute_scan_statistic(obs.adjacency, densest_subgraph(pattern))
         assert scan_test(obs, params).statistic == float(want)
-        want = brute_scan_statistic(obs.adjacency, pattern)
-        assert scan_test_over_pattern(obs, params).statistic == float(want)
+        assert _scan_statistic(obs, pattern) == brute_scan_statistic(obs.adjacency, pattern)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -416,9 +412,10 @@ class TestScanTest:
     SCAN_SIZES = {"clique": (3, 4, 5, 6), "star": (3, 4, 5), "path": (3, 4, 5),
                   "matching": (2, 3)}
     SCAN_QS = (0.05, 0.1, 0.2, 0.3, 0.5)
-    # sha256 of the (scan_test, scan_test_over_pattern) statistics of the
-    # 1200 draws, as computed by the recursive branch and bound that read
-    # its masks from np.packbits, before the walk moved onto explicit frames
+    # sha256 of the (scan_test, _scan_statistic over the whole pattern)
+    # statistics of the 1200 draws, as computed by the recursive branch and
+    # bound that read its masks from np.packbits, before the walk moved onto
+    # explicit frames
     SCAN_DIGEST = "ca6343d67a1af5f95f4574dffff81ba57d99bc2d6a4dbe57c0a86dd38f74b4e2"
 
     @classmethod
@@ -441,7 +438,7 @@ class TestScanTest:
         stats, small = [], 0
         for params, obs in self.scan_draws(1200):
             got = (int(scan_test(obs, params).statistic),
-                   int(scan_test_over_pattern(obs, params).statistic))
+                   _scan_statistic(obs, params.pattern))
             if params.n <= 12:
                 pattern, small = params.pattern, small + 1
                 assert got == (brute_scan_statistic(obs.adjacency, densest_subgraph(pattern)),
@@ -459,6 +456,18 @@ class TestScanTest:
         assert lo.threshold == pytest.approx((0.9 * 0.2 + 0.1 * 0.8) * 3)
         assert hi.threshold == pytest.approx((0.1 * 0.2 + 0.9 * 0.8) * 3)
         assert lo.threshold < hi.threshold
+
+    def test_one_instance_per_pattern_and_n(self):
+        # the threshold is worked out per call, so a sweep over p, q or the
+        # kappa weight reuses one max-flow and one route per (pattern, n)
+        detectors._scan_instance.cache_clear()
+        obs = sample_null(8, 0.3, stream(614))
+        for p, q, w in ((0.9, 0.1, 0.5), (0.7, 0.2, 0.25)):
+            params = ModelParams(n=8, p=p, q=q, pattern=K4_PENDANT)
+            verdict = scan_test(obs, params, DetectorConfig(scan_kappa_weight=w))
+            assert verdict.threshold == (w * q + (1 - w) * p) * 6
+        info = detectors._scan_instance.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     @pytest.mark.parametrize("weight", [0, 1, 1.5, float("nan")])
     def test_kappa_weight_outside_open_unit_interval(self, weight):
@@ -521,9 +530,9 @@ class TestScanRoutes:
     def test_target_larger_than_the_observation_scores_zero(self):
         params = ModelParams(n=10, p=0.9, q=0.3, pattern=complete_graph(4))
         obs = Observation(~np.eye(3, dtype=bool))
-        for scan in (scan_test, scan_test_over_pattern):
-            verdict = scan(obs, params)
-            assert (verdict.statistic, verdict.decision) == (0, 0)
+        verdict = scan_test(obs, params)
+        assert (verdict.statistic, verdict.decision) == (0, 0)
+        assert _scan_statistic(obs, params.pattern) == 0
 
 
 class TestMonotonicity:
@@ -667,7 +676,7 @@ class TestLikelihoodRatioTest:
         dec_densest, dec_full = [], []
         for _, obs in all_observations(n):
             dec_densest.append(scan_test(obs, params).decision)
-            dec_full.append(scan_test_over_pattern(obs, params).decision)
+            dec_full.append(int(_scan_statistic(obs, K4_PENDANT) >= (p + q) / 2 * 7))
         assert exact_risk(dec_densest, null, planted) <= exact_risk(
             dec_full, null, planted
         )

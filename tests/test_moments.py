@@ -299,15 +299,26 @@ class TestSharedEdgeLaw:
         assert ldp_norm_sq(mp, full).value == expected
 
     def test_float_signal_rounds_the_exact_value(self):
-        exact = second_moment_exact(MomentParams(7, Fraction(1, 2), TRIANGLE))
-        approx = second_moment_exact(MomentParams(7, 0.5, TRIANGLE))
-        assert approx.value == float(exact.value)
+        routes = ((second_moment_exact,), (second_moment_pair_enum,), (ldp_norm_sq, LdpConfig(2)))
+        for n in (7, 8):
+            exact = MomentParams(n, Fraction(1, 2), TRIANGLE)
+            approx = MomentParams(n, 0.5, TRIANGLE)
+            for moment, *args in routes:
+                value = moment(approx, *args).value
+                assert type(value) is float
+                assert value == float(moment(exact, *args).value)
 
     def test_float_signal_past_the_float_range_reads_inf(self):
         # the exact value is about 2 * 10^2330, past the float range
         mp = MomentParams(50, 1000.0, make_family("clique:40"))
         assert second_moment_exact(mp).value == math.inf
         assert ldp_norm_sq(mp, LdpConfig(degree=780)).value == math.inf
+        # an infinite signal: every E[C(I, d)] is positive, and D = 0 gives 1
+        mp = MomentParams(8, math.inf, TRIANGLE)
+        assert second_moment_exact(mp).value == math.inf
+        assert second_moment_pair_enum(mp).value == math.inf
+        assert ldp_norm_sq(mp, LdpConfig(degree=1)).value == math.inf
+        assert ldp_norm_sq(mp, LdpConfig(degree=0)).value == 1
 
     def test_budget_error_states_spent_and_limits(self, monkeypatch):
         # the 2^30 subsets cost more than the meter holds, so the count runs

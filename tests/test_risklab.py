@@ -101,7 +101,7 @@ class TestEstimateRisk:
 
 class TestResolveDetector:
     def test_known_names(self):
-        for name in ("count", "degree", "scan", "scan-pattern", "lrt"):
+        for name in ("count", "degree", "scan", "lrt"):
             resolved_name, fn = resolve_detector(name)
             assert resolved_name == name
             assert callable(fn)
@@ -109,6 +109,11 @@ class TestResolveDetector:
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="count"):
             resolve_detector("nope")
+
+    def test_retired_pattern_scan_is_unknown(self):
+        with pytest.raises(ValueError) as err:
+            resolve_detector("scan-pattern")
+        assert str(err.value) == "unknown detector 'scan-pattern' (known: count, degree, lrt, scan)"
 
     def test_callable_passthrough(self):
         name, fn = resolve_detector(edge_parity)
